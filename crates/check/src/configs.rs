@@ -25,7 +25,7 @@
 
 use cr_core::check_api::{assemble_with_routing, CheckNet};
 use cr_core::{
-    Ablations, NetworkBuilder, NetworkConfig, ProtocolKind, RetransmitScheme, RoutingKind,
+    Ablations, Network, NetworkBuilder, NetworkConfig, ProtocolKind, RetransmitScheme, RoutingKind,
 };
 use cr_faults::FaultModel;
 use cr_router::routing::Candidate;
@@ -64,8 +64,18 @@ fn revive(link: u32, lo: u64, hi: u64) -> EnvEvent {
     }
 }
 
+/// Wraps `net` the way the battery checks it: on the reference driver
+/// (every component visited every cycle), so a closed state space
+/// does not lean on the active-set scheduler being right.
+/// `tests/drivers.rs` closes the same configurations through the
+/// other drivers and demands the same verdicts.
+fn check_net(mut net: Network) -> CheckNet {
+    net.set_reference_stepper(true);
+    CheckNet::new(net)
+}
+
 fn line2_net() -> CheckNet {
-    CheckNet::new(
+    check_net(
         NetworkBuilder::new(KAryNCube::mesh(2, 1))
             .routing(RoutingKind::Adaptive { vcs: 1 })
             .protocol(ProtocolKind::Cr)
@@ -79,24 +89,28 @@ fn line2_net() -> CheckNet {
     )
 }
 
+/// The `ring3` network, unbuilt (one shard unless the caller says
+/// otherwise).
+pub fn ring3_builder() -> NetworkBuilder {
+    let mut b = NetworkBuilder::new(KAryNCube::torus(3, 1));
+    b.routing(RoutingKind::Adaptive { vcs: 1 })
+        .protocol(ProtocolKind::Cr)
+        .buffer_depth(2)
+        .timeout(8)
+        .retransmit(RetransmitScheme::StaticGap { gap: 6 })
+        .deadlock_threshold(DEADLOCK_THRESHOLD)
+        .warmup(0)
+        .seed(1)
+        .shards(1);
+    b
+}
+
 fn ring3_net() -> CheckNet {
-    CheckNet::new(
-        NetworkBuilder::new(KAryNCube::torus(3, 1))
-            .routing(RoutingKind::Adaptive { vcs: 1 })
-            .protocol(ProtocolKind::Cr)
-            .buffer_depth(2)
-            .timeout(8)
-            .retransmit(RetransmitScheme::StaticGap { gap: 6 })
-            .deadlock_threshold(DEADLOCK_THRESHOLD)
-            .warmup(0)
-            .seed(1)
-            .shards(1)
-            .build(),
-    )
+    check_net(ring3_builder().build())
 }
 
 fn mesh4_net() -> CheckNet {
-    CheckNet::new(
+    check_net(
         NetworkBuilder::new(FullMesh::new(4))
             .routing(RoutingKind::FullMeshOrdered)
             .protocol(ProtocolKind::Baseline)
@@ -109,29 +123,29 @@ fn mesh4_net() -> CheckNet {
     )
 }
 
-fn torus2x2_net(protocol: ProtocolKind) -> CheckNet {
-    CheckNet::new(
-        NetworkBuilder::new(KAryNCube::torus(2, 2))
-            .routing(RoutingKind::Adaptive { vcs: 1 })
-            .protocol(protocol)
-            .buffer_depth(1)
-            .inject_depth(2)
-            .timeout(6)
-            .retransmit(RetransmitScheme::StaticGap { gap: 4 })
-            .deadlock_threshold(DEADLOCK_THRESHOLD)
-            .warmup(0)
-            .seed(1)
-            .shards(1)
-            .build(),
-    )
+/// The `torus2x2-*` network under `protocol`, unbuilt (one shard
+/// unless the caller says otherwise).
+pub fn torus2x2_builder(protocol: ProtocolKind) -> NetworkBuilder {
+    let mut b = NetworkBuilder::new(KAryNCube::torus(2, 2));
+    b.routing(RoutingKind::Adaptive { vcs: 1 })
+        .protocol(protocol)
+        .buffer_depth(1)
+        .inject_depth(2)
+        .timeout(6)
+        .retransmit(RetransmitScheme::StaticGap { gap: 4 })
+        .deadlock_threshold(DEADLOCK_THRESHOLD)
+        .warmup(0)
+        .seed(1)
+        .shards(1);
+    b
 }
 
 fn torus2x2_cr_net() -> CheckNet {
-    torus2x2_net(ProtocolKind::Cr)
+    check_net(torus2x2_builder(ProtocolKind::Cr).build())
 }
 
 fn torus2x2_fcr_net() -> CheckNet {
-    torus2x2_net(ProtocolKind::Fcr)
+    check_net(torus2x2_builder(ProtocolKind::Fcr).build())
 }
 
 /// The sound battery: every configuration must close its state space
@@ -237,7 +251,7 @@ pub fn all_configs() -> Vec<CheckConfig> {
 // ---------------------------------------------------------------------------
 
 fn no_padding_net() -> CheckNet {
-    CheckNet::new(
+    check_net(
         NetworkBuilder::new(KAryNCube::torus(5, 1))
             .routing(RoutingKind::Adaptive { vcs: 1 })
             .protocol(ProtocolKind::Cr)
@@ -272,7 +286,7 @@ fn no_dateline_net() -> CheckNet {
         seed: 1,
         ..NetworkConfig::default()
     };
-    CheckNet::new(assemble_with_routing(
+    check_net(assemble_with_routing(
         Box::new(KAryNCube::torus(5, 1)),
         cfg,
         Box::new(DimensionOrder::mesh(1)),
@@ -346,7 +360,7 @@ fn disordered_detour_net() -> CheckNet {
         seed: 1,
         ..NetworkConfig::default()
     };
-    CheckNet::new(assemble_with_routing(
+    check_net(assemble_with_routing(
         Box::new(FullMesh::new(4)),
         cfg,
         Box::new(DisorderedDetour),

@@ -136,10 +136,12 @@ pub trait ProtocolStep {
     fn deliveries(&self) -> &BTreeMap<FlowKey, DeliveryCount>;
 }
 
-/// A [`Network`] wrapped for model checking: deterministic dense
-/// stepper forced on, deliveries recorded, and every [`MessageId`] the
-/// checker injects tracked under its interleaving-independent
-/// [`FlowKey`].
+/// A [`Network`] wrapped for model checking: deliveries recorded, and
+/// every [`MessageId`] the checker injects tracked under its
+/// interleaving-independent [`FlowKey`]. The network is taken as
+/// built — whichever driver and shard count it was given is what the
+/// checker drives; the canonical encoding reads protocol state only,
+/// so every driver must reach the same states.
 pub struct CheckNet {
     net: Network,
     /// Flow label of every message injected through
@@ -155,8 +157,8 @@ pub struct CheckNet {
 /// checker configurations whose routing function is *not* one of the
 /// [`RoutingKind`](crate::RoutingKind) presets (the `--mutate` knobs
 /// plant deliberately unsound routing functions here). No traffic
-/// sources are attached and the serial stepper is selected; `cfg`
-/// still describes the protocol, buffering and (for padding budgets)
+/// sources are attached and the plan is one shard; `cfg` still
+/// describes the protocol, buffering and (for padding budgets)
 /// the nominal routing kind.
 pub fn assemble_with_routing(
     topo: Box<dyn Topology>,
@@ -174,15 +176,12 @@ impl CheckNet {
     ///
     /// Panics if `net` uses path-wide stall detection (its
     /// `last_progress` timestamps are deliberately outside the
-    /// canonical encoding) or was built with more than one shard (the
-    /// checker replays must be strictly serial).
+    /// canonical encoding).
     pub fn new(mut net: Network) -> CheckNet {
         assert!(
             net.cfg.path_wide_threshold.is_none(),
             "CheckNet does not support path-wide stall detection"
         );
-        assert_eq!(net.num_shards(), 1, "CheckNet requires the serial stepper");
-        net.set_reference_stepper(true);
         net.set_record_deliveries(true);
         CheckNet {
             net,
@@ -268,7 +267,7 @@ impl ProtocolStep for CheckNet {
     fn inject(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> FlowKey {
         // Mirror send_message's flow/sequence assignment *before* the
         // call increments the counter.
-        let flow = src.index() * self.net.topo.num_nodes() + dst.index();
+        let flow = src.index() * self.net.tables.topo.num_nodes() + dst.index();
         let msg_seq = self.net.seq_counters[flow];
         let id = self.net.send_message(src, dst, payload_len);
         let key = (src.as_u32(), dst.as_u32(), msg_seq);
@@ -282,8 +281,8 @@ impl ProtocolStep for CheckNet {
         self.net.faults_mut().kill_link(link);
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
-        let (dst, dst_port) = self.net.link_head[li];
-        if let Some((src, src_port)) = self.net.in_upstream[dst][dst_port.index()] {
+        let (dst, dst_port) = self.net.tables.link_head[li];
+        if let Some((src, src_port)) = self.net.tables.in_upstream[dst][dst_port.index()] {
             self.net.routers[src].set_dead_out(src_port);
         }
     }
@@ -292,8 +291,8 @@ impl ProtocolStep for CheckNet {
         self.net.faults_mut().revive_link(link);
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
-        let (dst, dst_port) = self.net.link_head[li];
-        if let Some((src, src_port)) = self.net.in_upstream[dst][dst_port.index()] {
+        let (dst, dst_port) = self.net.tables.link_head[li];
+        if let Some((src, src_port)) = self.net.tables.in_upstream[dst][dst_port.index()] {
             self.net.routers[src].clear_dead_out(src_port);
             self.net.arm_router(src);
         }
@@ -311,7 +310,7 @@ impl ProtocolStep for CheckNet {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let net = &self.net;
         let now = net.now;
-        let num_vcs = net.routing.num_vcs();
+        let num_vcs = net.tables.routing.num_vcs();
 
         let put_flit = |out: &mut Vec<u8>, f: &Flit| {
             put_key(out, self.label(f.worm.message));
@@ -387,7 +386,7 @@ impl ProtocolStep for CheckNet {
 
         // --- links ----------------------------------------------------------
         // Walked in original index order; state lives at the permuted
-        // slot (identity under the serial plan CheckNet requires).
+        // slot.
         for li in 0..net.links.len() {
             let pi = net.link_perm[li] as usize;
             for lane in &net.links[pi].lanes {
@@ -466,7 +465,7 @@ impl ProtocolStep for CheckNet {
         }
 
         // --- fault model ----------------------------------------------------
-        for &id in net.link_ids.iter() {
+        for &id in net.tables.link_ids.iter() {
             out.push(u8::from(net.faults.is_dead(id)));
         }
         put_u64(out, net.fault_rng.words_consumed());
@@ -474,7 +473,7 @@ impl ProtocolStep for CheckNet {
 
     fn check_invariants(&self) -> Result<(), String> {
         let net = &self.net;
-        let num_vcs = net.routing.num_vcs();
+        let num_vcs = net.tables.routing.num_vcs();
         let depth = net.cfg.buffer_depth + net.cfg.channel_latency as usize;
 
         // Credit conservation: for every link and VC, upstream credits
@@ -482,8 +481,8 @@ impl ProtocolStep for CheckNet {
         // the fixed buffering budget. A leak (sum below budget) bleeds
         // capacity forever; a surplus would overflow buffers.
         for li in 0..net.links.len() {
-            let (dst, dst_port) = net.link_head[li];
-            let Some((src, src_port)) = net.in_upstream[dst][dst_port.index()] else {
+            let (dst, dst_port) = net.tables.link_head[li];
+            let Some((src, src_port)) = net.tables.in_upstream[dst][dst_port.index()] else {
                 continue;
             };
             let pi = net.link_perm[li] as usize;

@@ -3,6 +3,8 @@
 //!
 //! # Cycle phases
 //!
+//! [`Network::step`] is one phase list, the same under every driver:
+//!
 //! 1. **Arrivals** — flits finish their link traversal: fault
 //!    injection, killed-worm filtering, FCR corruption detection, then
 //!    acceptance into the downstream input VC.
@@ -20,19 +22,30 @@
 //!    credits return upstream.
 //! 7. Bookkeeping: registry pruning and the deadlock watchdog.
 //!
+//! # Kernel, drivers, barriers
+//!
+//! Phases 1, 5 and 6 are written once, as kernels over one shard's
+//! state (`network_kernel.rs`); `network_sharded.rs` invokes them over
+//! the shard plan and applies their buffered effects at the phase
+//! barriers (DESIGN.md §12). A serial run is the one-shard plan. This
+//! file keeps what is serial by nature — churn, tokens, path-wide
+//! detection, traffic, bookkeeping, the kill machinery — and the
+//! ordered arrivals scan, the one phase body that cannot be sharded
+//! (it draws the fault RNG in global link order).
+//!
 //! # Active-set scheduling
 //!
-//! By default the stepper is *sparse*: each phase walks only the
-//! components that can possibly do work this cycle, tracked in
-//! generation-stamped [`ActiveSet`]s (links with buffered flits,
-//! routers with occupancy or an open stall streak, injectors with a
-//! worm in hand or a queue), and the run loops *fast-forward* across
-//! stretches of cycles in which every phase is provably a no-op. The
-//! results are byte-identical to the dense reference stepper (every
-//! phase visits the active components in the same ascending order the
-//! dense sweep uses, and skipped components/cycles are proven
-//! side-effect-free — see DESIGN.md §10); the dense sweep stays
-//! reachable via [`Network::set_reference_stepper`].
+//! By default the kernels are fed *sparse* visit lists: each phase
+//! walks only the components that can possibly do work this cycle,
+//! tracked in generation-stamped [`ActiveSet`]s (links with buffered
+//! flits, routers with occupancy or an open stall streak, injectors
+//! with a worm in hand or a queue), and the run loops *fast-forward*
+//! across stretches of cycles in which every phase is provably a
+//! no-op. [`Network::set_reference_stepper`] feeds the same kernels
+//! every component instead and never fast-forwards; the results are
+//! byte-identical (skipped components and cycles are proven
+//! side-effect-free — see DESIGN.md §10), which is what the twin-run
+//! suites check.
 
 use crate::config::NetworkConfig;
 use crate::injector::{Injector, PendingMessage};
@@ -42,8 +55,7 @@ use crate::report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, Trac
 use cr_faults::{ChurnFiring, FaultModel};
 use cr_metrics::{LatencyRecorder, ThroughputMeter};
 use cr_router::{
-    Flit, LinkStallStreak, LinkStats, PortKind, RouteTarget, Router, RouterConfig,
-    RoutingFunction, Traversal, WormId,
+    Flit, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
 };
 use cr_sim::sched::ActiveSet;
 use cr_sim::shard::Sharded;
@@ -53,6 +65,9 @@ use cr_topology::Topology;
 use cr_traffic::TrafficSource;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+#[path = "network_kernel.rs"]
+mod kernel;
 
 #[path = "network_sharded.rs"]
 mod sharded;
@@ -110,43 +125,54 @@ struct ChurnTracker {
     drained_at: Option<Cycle>,
 }
 
+/// The fabric's wiring, read-only once assembled: what every phase
+/// kernel needs to resolve a port to a link or a neighbour.
+struct Tables {
+    topo: Box<dyn Topology>,
+    routing: Box<dyn RoutingFunction>,
+    /// `out_link[node][port]` = link index leaving that port.
+    out_link: Vec<Vec<Option<usize>>>,
+    /// `link_head[link]` = (dst node, dst input port).
+    link_head: Vec<(usize, PortId)>,
+    /// `link_ids[link]` = the topology's `LinkId` (fault-model key).
+    link_ids: Vec<cr_sim::LinkId>,
+    /// `in_upstream[node][in_port]` = (upstream node, upstream output
+    /// port).
+    in_upstream: Vec<Vec<Option<(usize, PortId)>>>,
+    /// Inverse of `Network::link_perm`: permuted index -> original
+    /// link index.
+    link_orig: Vec<u32>,
+    /// Injection channels per node (`cfg.inject_channels`).
+    chans: usize,
+}
+
 /// A complete simulated network. Build one with
 /// [`NetworkBuilder`](crate::NetworkBuilder).
 pub struct Network {
-    // Shared read-only tables (and the serially-mutated killed/faults
-    // registries) sit behind `Arc` so the sharded stepper can hand
-    // clones to the persistent worker team's 'static tasks. The
-    // mutable registries are only written through `killed_mut` /
-    // `faults_mut`, which assert the task clones are gone.
-    topo: Arc<dyn Topology>,
+    // The wiring tables and the serially-mutated killed/faults
+    // registries sit behind `Arc` so a team fan-out can hand clones to
+    // the persistent workers' 'static tasks. The mutable registries
+    // are only written through `killed_mut` / `faults_mut`, which
+    // assert the task clones are gone.
+    tables: Arc<Tables>,
     cfg: NetworkConfig,
-    routing: Arc<dyn RoutingFunction>,
     faults: Arc<FaultModel>,
     timeout: u64,
 
     // Per-component mutable state is stored in per-shard chunks
-    // ([`Sharded`]) so a shard task can take its chunk by value, work
-    // on it on a team worker, and hand it back — no borrows cross the
-    // thread boundary. Indexing is flat (single-chunk fast path keeps
-    // the serial steppers unchanged).
+    // ([`Sharded`]): a kernel borrows its shard's chunks as slices, a
+    // team task takes them by value and hands them back — no borrows
+    // cross the thread boundary. Serial code indexes flat.
     routers: Sharded<Router>,
     injectors: Sharded<Vec<Injector>>,
     receivers: Sharded<Receiver>,
     sources: Vec<TrafficSource>,
 
     links: Sharded<LinkState>,
-    /// `out_link[node][port]` = link index leaving that port.
-    out_link: Arc<Vec<Vec<Option<usize>>>>,
-    /// `link_head[link]` = (dst node, dst input port).
-    link_head: Arc<Vec<(usize, PortId)>>,
-    /// `link_ids[link]` = the topology's `LinkId` (fault-model key).
-    link_ids: Arc<Vec<cr_sim::LinkId>>,
-    /// Inverse of `link_ids`: `link_by_id[id.index()]` = original link
-    /// index (`u32::MAX` for ids the topology never handed out).
+    /// Inverse of `Tables::link_ids`: `link_by_id[id.index()]` =
+    /// original link index (`u32::MAX` for ids the topology never
+    /// handed out).
     link_by_id: Vec<u32>,
-    /// `in_upstream[node][in_port]` = (upstream node, upstream output
-    /// port).
-    in_upstream: Arc<Vec<Vec<Option<(usize, PortId)>>>>,
 
     /// Post-warmup flits carried per link (channel-utilization
     /// statistics).
@@ -169,13 +195,8 @@ pub struct Network {
     /// `seq_counters[src * n + dst]` = next per-flow sequence number.
     seq_counters: Vec<u64>,
     next_message_id: u64,
-    /// Per-cycle switch-traversal output, reused across cycles.
-    traversal_scratch: Vec<Traversal>,
     /// Per-cycle path-wide stall list, reused across cycles.
     stall_scratch: Vec<(PortId, VcId, WormId)>,
-    /// Per-cycle finished-stall-streak list, reused across cycles
-    /// (only touched while tracing).
-    streak_scratch: Vec<LinkStallStreak>,
     /// Structured protocol-event sink ([`cr_sim::trace`]); the
     /// disabled variant unless the builder enables tracing.
     trace: TraceSink,
@@ -193,17 +214,15 @@ pub struct Network {
 
     // --- active-set scheduler state (DESIGN.md §10) ---
     //
-    // The sets are maintained by the shared mutation helpers whichever
-    // stepper is running, so they are always a superset of the truly
-    // active components; only the active phases drain them and drop
-    // the stale members. That keeps a dense->active switch mid-run
-    // legal.
+    // The sets are maintained by the shared mutation helpers and
+    // rebuilt by every kernel's re-arm pass whichever driver is
+    // running, so they are always a superset of the truly active
+    // components. That keeps switching drivers mid-run legal.
     /// Routers with buffered flits or an open stall streak, one set
     /// per shard (global node ids; shard ownership is fixed by
-    /// `node_shard`). With one shard this is the PR-5 scheduler state
-    /// unchanged; concatenating the per-shard sorted drains in shard
-    /// order reproduces the global ascending order because shards own
-    /// contiguous node-id ranges.
+    /// `node_shard`). Concatenating the per-shard sorted drains in
+    /// shard order reproduces the global ascending order because
+    /// shards own contiguous node-id ranges.
     router_sets: Vec<ActiveSet>,
     /// Links with flits in flight or parked in the channel latches,
     /// one set per shard, keyed by *permuted* link index (see
@@ -217,7 +236,7 @@ pub struct Network {
     /// (harmless: the link is rescanned and the wake recomputed) but
     /// never stale-late, because pops only raise the true minimum.
     link_wake: Sharded<Cycle>,
-    /// Drained-set scratch shared by the active phases (sequential).
+    /// Visit-list scratch of the ordered arrivals scan.
     ids_scratch: Vec<u32>,
     /// Flits in routers + links, maintained incrementally; the O(1)
     /// backing of [`Network::flits_in_flight`].
@@ -225,12 +244,12 @@ pub struct Network {
     /// Injectors with queued, in-flight, or vulnerable messages —
     /// the O(1) backing of the quiescence check.
     undrained_injectors: usize,
-    /// `true` = run the dense reference stepper (every phase sweeps
-    /// every component, no fast-forward).
+    /// `true` = the reference driver: every phase visits every
+    /// component, link wakes are ignored, no fast-forward.
     reference_stepper: bool,
-    /// `true` = take the sharded stepper even for a single-shard plan
-    /// (equivalence tests use this to drive the persistent team and
-    /// its barriers at `shards = 1`).
+    /// `true` = fan out through the owned hand-off and the team even
+    /// where the inline route would do (equivalence tests and the
+    /// benchmark use this to price that machinery).
     force_sharded: bool,
 
     // --- spatial sharding state (DESIGN.md §12) ---
@@ -245,26 +264,19 @@ pub struct Network {
     /// mutate), ascending original index within each shard, so each
     /// shard's links form one contiguous slice. Identity when serial.
     link_perm: Vec<u32>,
-    /// Inverse of `link_perm`: permuted index -> original link index.
-    link_orig: Arc<Vec<u32>>,
     /// Permuted-index range of shard `s`: `link_bounds[s] ..
     /// link_bounds[s + 1]`.
     link_bounds: Vec<usize>,
     /// `link_shard[permuted]` = owning shard.
     link_shard: Vec<u16>,
-    /// Per-shard mutation buffers for the parallel phases, drained at
-    /// each phase barrier in shard order.
-    shard_scratch: Vec<sharded::ShardScratch>,
-    /// Switch-traversal credit returns resolved to (upstream node,
-    /// upstream output port, vc), buffered during the traverse
-    /// sub-stage and applied at its end — one cycle of credit-return
-    /// latency, identical in the serial and sharded steppers.
-    credit_scratch: Vec<(u32, PortId, VcId)>,
-    /// Worker-thread override for the sharded stepper (tests force >1
-    /// on single-core machines); `None` = available parallelism.
+    /// Per-shard effects sinks of the phase kernels, drained at each
+    /// phase barrier in shard order.
+    shard_scratch: Vec<kernel::ShardScratch>,
+    /// Worker-thread override for team fan-outs (tests force >1 on
+    /// single-core machines); `None` = available parallelism.
     shard_threads: Option<usize>,
-    /// Persistent worker team for the sharded stepper, spawned lazily
-    /// at the first sharded step and reused for every fan-out
+    /// Persistent worker team, spawned at the first fan-out of a
+    /// multi-shard (or forced) plan and reused for every fan-out
     /// thereafter (DESIGN.md §12). `None` until then, and reset by
     /// [`Network::set_shard_threads`]. Shut down (workers joined)
     /// ahead of the shard state by [`Network`]'s `Drop`.
@@ -291,8 +303,8 @@ pub struct Network {
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("topology", &self.topo.label())
-            .field("routing", &self.routing.name())
+            .field("topology", &self.tables.topo.label())
+            .field("routing", &self.tables.routing.name())
             .field("protocol", &self.cfg.protocol)
             .field("now", &self.now)
             .finish_non_exhaustive()
@@ -313,8 +325,6 @@ impl Network {
         shards: usize,
     ) -> Self {
         cfg.validate();
-        let topo: Arc<dyn Topology> = Arc::from(topo);
-        let routing: Arc<dyn RoutingFunction> = Arc::from(routing);
         let n = topo.num_nodes();
         let plan = cr_sim::shard::Plan::from_hint(topo.partition_hint(shards), n, shards);
         let node_shard = plan.owner_table();
@@ -490,20 +500,26 @@ impl Network {
             reference_stepper: false,
             force_sharded: false,
             shard_scratch: (0..num_shards)
-                .map(|_| sharded::ShardScratch::default())
+                .map(|_| kernel::ShardScratch::default())
                 .collect(),
-            credit_scratch: Vec::new(),
             shard_threads: None,
             team: None,
             ever_dead,
             plan,
             node_shard,
             link_perm,
-            link_orig: Arc::new(link_orig),
             link_bounds,
             link_shard,
-            topo,
-            routing,
+            tables: Arc::new(Tables {
+                topo,
+                routing,
+                out_link,
+                link_head,
+                link_ids,
+                in_upstream,
+                link_orig,
+                chans: cfg.inject_channels,
+            }),
             faults: Arc::new(faults),
             timeout,
             routers: Sharded::from_flat(routers, &node_sizes),
@@ -512,11 +528,7 @@ impl Network {
             sources,
             link_flits: vec![0; links.len()],
             links: Sharded::from_flat(links, &link_sizes),
-            out_link: Arc::new(out_link),
-            link_head: Arc::new(link_head),
-            link_ids: Arc::new(link_ids),
             link_by_id,
-            in_upstream: Arc::new(in_upstream),
             churn_firings: Vec::new(),
             churn_trackers: Vec::new(),
             churn_undrained: 0,
@@ -530,9 +542,7 @@ impl Network {
             scheduled: VecDeque::new(),
             seq_counters: vec![0; n * n],
             next_message_id: 0,
-            traversal_scratch: Vec::new(),
             stall_scratch: Vec::new(),
-            streak_scratch: Vec::new(),
             trace,
             now: Cycle::ZERO,
             record_deliveries: false,
@@ -558,7 +568,7 @@ impl Network {
 
     /// The topology.
     pub fn topology(&self) -> &dyn Topology {
-        &*self.topo
+        &*self.tables.topo
     }
 
     /// The effective source timeout in cycles.
@@ -651,11 +661,11 @@ impl Network {
     /// output port feeds it.
     pub fn link_stall_stats(&self) -> Vec<(cr_sim::LinkId, LinkStats)> {
         let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.links.len()];
-        for (n, ports) in self.out_link.iter().enumerate() {
+        for (n, ports) in self.tables.out_link.iter().enumerate() {
             let stats = self.routers[n].link_stats();
             for (p, li) in ports.iter().enumerate() {
                 if let (Some(li), Some(s)) = (li, stats.get(p)) {
-                    out[*li] = (self.link_ids[*li], *s);
+                    out[*li] = (self.tables.link_ids[*li], *s);
                 }
             }
         }
@@ -674,49 +684,50 @@ impl Network {
         self.live_flits
     }
 
-    /// Selects the stepper: `true` runs the dense reference sweep
-    /// (every phase walks every component, no cycle fast-forward),
-    /// `false` (the default) the active-set scheduler. The two are
-    /// byte-identical in every observable output; the dense path
-    /// exists as the equivalence baseline and may be switched on at
-    /// any point of a run (the active sets stay maintained while
-    /// dense-stepping, so switching back is also legal).
+    /// Selects the reference driver: `true` feeds every phase kernel
+    /// every component (link wakes ignored, no cycle fast-forward),
+    /// `false` (the default) the active-set visit lists. The two are
+    /// byte-identical in every observable output; the reference
+    /// driver exists as the equivalence baseline for set membership,
+    /// wake estimates and fast-forward, composes with any shard
+    /// count, and may be switched at any point of a run (the active
+    /// sets stay exact under both).
     pub fn set_reference_stepper(&mut self, dense: bool) {
         self.reference_stepper = dense;
     }
 
-    /// `true` while the dense reference stepper is selected.
+    /// `true` while the reference driver is selected.
     pub fn is_reference_stepper(&self) -> bool {
         self.reference_stepper
     }
 
-    /// Forces the sharded stepper even when the plan has a single
-    /// shard. Results are identical either way — the sharded stepper
-    /// is byte-equal to the serial one at any shard count, including
-    /// one — so this only changes which machinery runs: equivalence
-    /// tests use it to push `shards = 1` through the persistent team,
-    /// its ownership hand-offs, and its phase barriers.
+    /// Forces every fan-out through the owned hand-off and
+    /// `Team::run`, even where the inline route would do (a one-shard
+    /// plan, or a team one thread wide). Results are identical either
+    /// way — both routes run the same kernels and barriers — so this
+    /// only changes which machinery runs: equivalence tests and the
+    /// benchmark use it to exercise and price the hand-off.
     pub fn set_force_sharded(&mut self, on: bool) {
         self.force_sharded = on;
     }
 
-    /// Number of spatial shards the active stepper runs with (1 =
-    /// serial; the dense reference stepper is always serial).
+    /// Number of spatial shards the network steps with (1 = serial).
     pub fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
 
-    /// Overrides the sharded stepper's worker-thread count (`None`,
-    /// the default, sizes the phase pool to the machine's available
-    /// parallelism, capped at the shard count). Results are identical
+    /// Overrides the worker-thread count of team fan-outs (`None`,
+    /// the default, sizes the team to the machine's available
+    /// parallelism, capped at the shard count; a team one thread wide
+    /// is never dispatched to — the kernels run inline). Results are identical
     /// for every value — equivalence tests force >1 to exercise real
     /// cross-thread handoff even on single-core machines; benchmarks
     /// may pin it for stable measurements.
     pub fn set_shard_threads(&mut self, threads: Option<usize>) {
         if self.shard_threads != threads {
             // The persistent team is sized from this setting; drop it
-            // (joining its workers) so the next sharded step respawns
-            // at the new width.
+            // (joining its workers) so the next fan-out respawns at
+            // the new width.
             self.team = None;
         }
         self.shard_threads = threads;
@@ -828,16 +839,17 @@ impl Network {
     /// Panics if `src == dst`, if either node is out of range, or if
     /// `payload_len < 2`.
     pub fn send_message(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> MessageId {
-        assert!(src.index() < self.topo.num_nodes(), "src out of range");
-        assert!(dst.index() < self.topo.num_nodes(), "dst out of range");
+        let n = self.tables.topo.num_nodes();
+        assert!(src.index() < n, "src out of range");
+        assert!(dst.index() < n, "dst out of range");
         assert_ne!(src, dst, "self-addressed message");
         assert!(payload_len >= 2, "a worm needs a head and a tail");
         let id = MessageId::new(self.next_message_id);
         self.next_message_id += 1;
-        let flow = src.index() * self.topo.num_nodes() + dst.index();
+        let flow = src.index() * n + dst.index();
         let msg_seq = self.seq_counters[flow];
         self.seq_counters[flow] += 1;
-        let hops = self.topo.distance(src, dst);
+        let hops = self.tables.topo.distance(src, dst);
         let budget = self.cfg.routing.misroute_budget() as usize;
         let channel = dst.index() % self.cfg.inject_channels;
         let msg = PendingMessage {
@@ -890,38 +902,22 @@ impl Network {
     pub fn step(&mut self) {
         let now = self.now;
 
-        // Live churn fires first, as serial orchestrator code shared
-        // by every stepper — dense, active, and sharded all see the
-        // same dead-link set for the whole cycle, which is what keeps
-        // them byte-identical under churn (DESIGN.md §13).
+        // Live churn fires first, as serial orchestrator code, so every
+        // phase of the cycle sees the same dead-link set under every
+        // driver (DESIGN.md §13).
         self.apply_churn(now);
         if !self.ever_dead && self.faults.num_dead_links() > 0 {
             self.ever_dead = true;
         }
 
-        if self.reference_stepper {
-            self.phase_arrivals_dense(now);
-            self.phase_tokens(now);
-            if let Some(threshold) = self.cfg.path_wide_threshold {
-                self.phase_path_wide_dense(now, threshold);
-            }
-            self.phase_traffic(now);
-            self.phase_injection_dense(now);
-            self.phase_route_and_traverse_dense(now);
-        } else if self.plan.is_serial() && !self.force_sharded {
-            self.phase_arrivals_active(now);
-            self.phase_tokens(now);
-            if let Some(threshold) = self.cfg.path_wide_threshold {
-                self.phase_path_wide_active(now, threshold);
-            }
-            self.phase_traffic(now);
-            self.phase_injection_active(now);
-            self.phase_route_and_traverse_active(now);
-        } else {
-            // Spatially sharded stepper (DESIGN.md §12): byte-identical
-            // to the serial active path for any shard count.
-            self.step_sharded(now);
+        self.phase_arrivals(now);
+        self.phase_tokens(now);
+        if let Some(threshold) = self.cfg.path_wide_threshold {
+            self.phase_path_wide(now, threshold);
         }
+        self.phase_traffic(now);
+        self.phase_injection(now);
+        self.phase_route_and_traverse(now);
         self.phase_bookkeeping(now);
 
         self.now.tick();
@@ -937,7 +933,7 @@ impl Network {
             }
             if !self.reference_stepper {
                 // Skip stretches of provably idle cycles. Jumping to
-                // `end` exactly matches the dense stepper ticking
+                // `end` exactly matches the reference driver ticking
                 // no-op cycles until the loop bound.
                 self.fast_forward(end);
                 if self.now >= end {
@@ -1028,7 +1024,7 @@ impl Network {
             channel_utilization_max: util_max,
             cycles: self.now.as_u64(),
             warmup: self.cfg.warmup,
-            num_nodes: self.topo.num_nodes(),
+            num_nodes: self.tables.topo.num_nodes(),
             offered_load: self.offered_load,
             accepted_flits_per_node_cycle: self.throughput.flits_per_node_cycle(self.now),
             latency: self.latency.stats().clone(),
@@ -1073,11 +1069,11 @@ impl Network {
     /// and opens one drain tracker per event.
     ///
     /// Runs as serial orchestrator code at the top of [`Network::step`]
-    /// before any phase, so all three steppers observe the same
-    /// dead-link set for the whole cycle. Flits already in flight on a
-    /// killed link are *not* flushed here: corruption is assessed at
-    /// arrival time (`scan_link_arrivals` reads the live fault model),
-    /// exactly as with static faults.
+    /// before any phase, so every driver observes the same dead-link
+    /// set for the whole cycle. Flits already in flight on a killed
+    /// link are *not* flushed here: corruption is assessed at arrival
+    /// time (both arrivals bodies read the live fault model), exactly
+    /// as with static faults.
     fn apply_churn(&mut self, now: Cycle) {
         match self.faults.next_churn_at() {
             Some(at) if at <= now => {}
@@ -1085,15 +1081,16 @@ impl Network {
         }
         let mut firings = std::mem::take(&mut self.churn_firings);
         firings.clear();
-        let topo = Arc::clone(&self.topo);
-        self.faults_mut().apply_churn_due(&*topo, now, &mut firings);
-        let num_vcs = self.routing.num_vcs();
+        let tables = Arc::clone(&self.tables);
+        self.faults_mut()
+            .apply_churn_due(&*tables.topo, now, &mut firings);
+        let num_vcs = self.tables.routing.num_vcs();
         for f in &firings {
             let mut affected: Vec<MessageId> = Vec::new();
             for &id in &f.killed {
                 let li = self.link_by_id[id.index()] as usize;
-                let (dst, dst_port) = self.link_head[li];
-                if let Some((src, src_port)) = self.in_upstream[dst][dst_port.index()] {
+                let (dst, dst_port) = self.tables.link_head[li];
+                if let Some((src, src_port)) = self.tables.in_upstream[dst][dst_port.index()] {
                     self.routers[src].set_dead_out(src_port);
                     // Worms holding the upstream output are stranded
                     // mid-transmission by this kill.
@@ -1117,13 +1114,12 @@ impl Network {
             }
             for &id in &f.revived {
                 let li = self.link_by_id[id.index()] as usize;
-                let (dst, dst_port) = self.link_head[li];
-                if let Some((src, src_port)) = self.in_upstream[dst][dst_port.index()] {
+                let (dst, dst_port) = self.tables.link_head[li];
+                if let Some((src, src_port)) = self.tables.in_upstream[dst][dst_port.index()] {
                     self.routers[src].clear_dead_out(src_port);
                     // Re-arm the upstream endpoint: a worm parked there
-                    // waiting out the dead port must be reconsidered by
-                    // the active stepper (dense sweeps everything
-                    // anyway; extra set members are no-op skips, so
+                    // waiting out the dead port must be reconsidered
+                    // (extra set members are no-op visits, so
                     // byte-identity holds).
                     self.arm_router(src);
                 }
@@ -1155,35 +1151,29 @@ impl Network {
     // Phases
     // ------------------------------------------------------------------
 
-    /// Dense arrivals: sweep every link in original-index order
-    /// (skipping empty ones — a pure data check, not scheduling).
-    fn phase_arrivals_dense(&mut self, now: Cycle) {
-        for li in 0..self.links.len() {
-            if self.links[self.link_perm[li] as usize].occupied == 0 {
-                continue;
-            }
-            self.scan_link_arrivals(now, li);
-        }
-    }
-
-    /// Active arrivals: only links in the active set, ascending (the
-    /// dense sweep order), and only when a flit can actually be due
-    /// (`link_wake <= now`). Links drained empty leave the set; the
-    /// rest re-arm with a freshly computed wake.
-    fn phase_arrivals_active(&mut self, now: Cycle) {
+    /// Ordered arrivals: the whole fabric's links in ascending
+    /// *original* index, every due flit delivered into its downstream
+    /// router — fault injection, killed-worm filtering, corruption
+    /// detection, then acceptance — with effects applied in place.
+    /// Taken by every driver on a cycle an arrival may draw the fault
+    /// RNG or kill a worm (`arrivals_parallel_ok` is false): both
+    /// happen in pop order on one sequential stream, so the scan is
+    /// global and serial. Shares its visit list, pop and re-arm steps
+    /// with the quiet-cycle kernel.
+    fn arrivals_ordered(&mut self, now: Cycle) {
+        let visit_all = self.reference_stepper;
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
-        for set in &mut self.link_sets {
-            set.drain_sorted_into(&mut ids);
+        for (s, set) in self.link_sets.iter_mut().enumerate() {
+            let all = self.link_bounds[s]..self.link_bounds[s + 1];
+            kernel::visit_list(&mut ids, set, all, visit_all);
         }
         if self.link_sets.len() > 1 {
-            // Per-shard drains are permuted-index-sorted; the global
-            // scan order must be ascending by *original* index (the
-            // dense order). Serial one-shard runs skip this: the
-            // permutation is the identity and one sorted drain is
-            // already in order.
+            // Per-shard lists are permuted-index-sorted; the scan
+            // order is ascending by original index. A one-shard plan
+            // skips this: its permutation is the identity.
             for id in ids.iter_mut() {
-                *id = self.link_orig[*id as usize];
+                *id = self.tables.link_orig[*id as usize];
             }
             ids.sort_unstable();
             for id in ids.iter_mut() {
@@ -1195,111 +1185,72 @@ impl Network {
             if self.links[pi].occupied == 0 {
                 continue; // purged empty since it was armed
             }
-            if self.link_wake[pi] > now {
-                // Nothing due yet; the dense scan would peek every
-                // lane and break immediately.
-                self.link_sets[self.link_shard[pi] as usize].insert(pi32);
+            let set = self.link_shard[pi] as usize;
+            if !visit_all && self.link_wake[pi] > now {
+                self.link_sets[set].insert(pi32); // nothing due yet
                 continue;
             }
-            self.scan_link_arrivals(now, self.link_orig[pi] as usize);
-            if self.links[pi].occupied > 0 {
-                if let Some(wake) = self
-                    .links[pi]
-                    .lanes
-                    .iter()
-                    .filter_map(|lane| lane.front().map(|&(arrive, _)| arrive))
-                    .min()
-                {
-                    self.link_wake[pi] = wake;
-                }
-                self.link_sets[self.link_shard[pi] as usize].insert(pi32);
-            }
+            self.scan_link_ordered(now, pi);
+            kernel::rearm_link(
+                &self.links[pi],
+                &mut self.link_wake[pi],
+                &mut self.link_sets[set],
+                pi32,
+            );
         }
         self.ids_scratch = ids;
     }
 
-    /// Delivers every due flit of link `li` into its downstream
-    /// router: fault injection, killed-worm filtering, corruption
-    /// detection, then acceptance. Shared by both steppers.
-    fn scan_link_arrivals(&mut self, now: Cycle, li: usize) {
-        {
-            let pi = self.link_perm[li] as usize;
-            let (dst_node, dst_port) = self.link_head[li];
-            for v in 0..self.links[pi].lanes.len() {
-                let vc = VcId::from_index(v);
-                loop {
-                    // Wormhole channels are stall-holding: a flit
-                    // stays in the channel's pipeline latches while
-                    // the downstream buffer is full (the `link_depth`
-                    // share of the credits covers exactly this
-                    // occupancy).
-                    let killed = match self.links[pi].lanes[v].front() {
-                        Some(&(arrive, ref flit)) if arrive <= now => {
-                            let killed = self.killed.contains(flit.worm);
-                            if !killed && self.routers[dst_node].vc_is_full(dst_port, vc) {
-                                break;
-                            }
-                            killed
-                        }
-                        _ => break,
-                    };
-                    let Some((_, mut flit)) = self.links[pi].lanes[v].pop_front() else {
-                        break; // unreachable: front() just succeeded
-                    };
-                    self.links[pi].occupied -= 1;
-                    flit.hops = flit.hops.saturating_add(1);
-
-                    // Fault injection: dead links corrupt every flit
-                    // (the detectable-failure model); healthy links
-                    // corrupt at the transient rate.
-                    let link_id = self.link_ids[li];
-                    if self.faults.is_dead(link_id)
-                        || self.faults.corrupts_flit(&mut self.fault_rng)
-                    {
-                        if !flit.corrupted {
-                            self.counters.flits_corrupted += 1;
-                        }
-                        flit.corrupted = true;
+    /// One link of the ordered scan (`pi` is its permuted index).
+    fn scan_link_ordered(&mut self, now: Cycle, pi: usize) {
+        let li = self.tables.link_orig[pi] as usize;
+        let (dst_node, dst_port) = self.tables.link_head[li];
+        let link_id = self.tables.link_ids[li];
+        for v in 0..self.links[pi].lanes.len() {
+            let vc = VcId::from_index(v);
+            while let Some((mut flit, killed)) = kernel::pop_due(
+                &mut self.links[pi],
+                v,
+                now,
+                &self.killed,
+                &self.routers[dst_node],
+                dst_port,
+            ) {
+                // Fault injection: dead links corrupt every flit (the
+                // detectable-failure model); healthy links corrupt at
+                // the transient rate.
+                if self.faults.is_dead(link_id) || self.faults.corrupts_flit(&mut self.fault_rng) {
+                    if !flit.corrupted {
+                        self.counters.flits_corrupted += 1;
                     }
-
-                    // `killed` is still current: nothing between the
-                    // peek and here touches the registry.
-                    if killed {
-                        self.counters.flits_dropped_killed += 1;
-                        self.live_flits -= 1;
-                        self.credit_into(dst_node, dst_port, vc);
-                        continue;
-                    }
-
-                    if flit.corrupted && self.cfg.protocol.detects_faults() {
-                        if self.faults.detects_corruption(&mut self.fault_rng) {
-                            self.counters.flits_dropped_killed += 1;
-                            self.live_flits -= 1;
-                            self.credit_into(dst_node, dst_port, vc);
-                            let worm = flit.worm;
-                            self.trace.emit(|| Event::CorruptionDetected {
-                                at: now,
-                                link: link_id,
-                                message: worm.message,
-                                attempt: worm.attempt,
-                            });
-                            self.kill_worm_at(
-                                now,
-                                dst_node,
-                                dst_port,
-                                vc,
-                                flit.worm,
-                                KillCause::Fault,
-                            );
-                            continue;
-                        }
-                        self.counters.detections_missed += 1;
-                    }
-
-                    self.routers[dst_node].accept(now, dst_port, vc, flit);
-                    self.arm_router(dst_node);
-                    self.last_progress = now;
+                    flit.corrupted = true;
                 }
+                let detected = !killed
+                    && flit.corrupted
+                    && self.cfg.protocol.detects_faults()
+                    && self.faults.detects_corruption(&mut self.fault_rng);
+                if killed || detected {
+                    self.counters.flits_dropped_killed += 1;
+                    self.live_flits -= 1;
+                    self.credit_into(dst_node, dst_port, vc);
+                    if detected {
+                        let worm = flit.worm;
+                        self.trace.emit(|| Event::CorruptionDetected {
+                            at: now,
+                            link: link_id,
+                            message: worm.message,
+                            attempt: worm.attempt,
+                        });
+                        self.kill_worm_at(now, dst_node, dst_port, vc, worm, KillCause::Fault);
+                    }
+                    continue;
+                }
+                if flit.corrupted && self.cfg.protocol.detects_faults() {
+                    self.counters.detections_missed += 1;
+                }
+                self.routers[dst_node].accept(now, dst_port, vc, flit);
+                self.arm_router(dst_node);
+                self.last_progress = now;
             }
         }
     }
@@ -1308,10 +1259,10 @@ impl Network {
     /// `(node, in_port)`, restoring their credits — teardown of the
     /// stall-holding link stage.
     fn purge_link_into(&mut self, node: usize, in_port: PortId, vc: VcId, worm: cr_router::WormId) {
-        let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] else {
+        let Some((up_node, up_out)) = self.tables.in_upstream[node][in_port.index()] else {
             return;
         };
-        let Some(li) = self.out_link[up_node][up_out.index()] else {
+        let Some(li) = self.tables.out_link[up_node][up_out.index()] else {
             return;
         };
         let pi = self.link_perm[li] as usize;
@@ -1329,8 +1280,8 @@ impl Network {
 
     fn phase_tokens(&mut self, now: Cycle) {
         if self.fwd_tokens.is_empty() && self.bwd_tokens.is_empty() {
-            // Provably a no-op (both steppers): the walk loops run
-            // zero iterations and nothing else is touched.
+            // Provably a no-op: the walk loops run zero iterations
+            // and nothing else is touched.
             return;
         }
         if self.cfg.ablations.instant_teardown {
@@ -1386,22 +1337,22 @@ impl Network {
         }
     }
 
-    fn phase_path_wide_dense(&mut self, now: Cycle, threshold: u64) {
-        for node in 0..self.routers.len() {
-            self.path_wide_one(now, threshold, node);
+    /// Path-wide detection: a stalled worm needs a buffered flit, so
+    /// only routers in the active set can trigger (the reference
+    /// driver asks every router anyway). The set is iterated sorted
+    /// but *not* drained — the route kernel owns its drain-and-rebuild.
+    /// Kills are rare and walk cross-shard teardown chains, so this
+    /// stays serial; they arm injectors, never routers, so each set is
+    /// stable while walked.
+    fn phase_path_wide(&mut self, now: Cycle, threshold: u64) {
+        if self.reference_stepper {
+            for node in 0..self.routers.len() {
+                self.path_wide_one(now, threshold, node);
+            }
+            return;
         }
-    }
-
-    /// Active path-wide detection: a stalled worm needs a buffered
-    /// flit, so only routers in the active set can trigger. The set
-    /// is iterated sorted but *not* drained — the route/traverse
-    /// phase owns its drain-and-rebuild. Kills never insert routers,
-    /// so the membership is stable across the walk.
-    fn phase_path_wide_active(&mut self, now: Cycle, threshold: u64) {
         // Walking the per-shard sets in shard order visits nodes in
-        // global ascending order (contiguous node ranges). Kills arm
-        // injectors, never routers, so each set is stable while
-        // walked.
+        // global ascending order (contiguous node ranges).
         for s in 0..self.router_sets.len() {
             self.router_sets[s].sort();
             for k in 0..self.router_sets[s].len() {
@@ -1431,6 +1382,8 @@ impl Network {
         self.stall_scratch = stalled;
     }
 
+    /// Fires due trace events and polls the Bernoulli sources.
+    /// `send_message` stamps `created: self.now`, which is `now`.
     fn phase_traffic(&mut self, now: Cycle) {
         while self.scheduled.front().is_some_and(|e| e.at <= now) {
             let Some(e) = self.scheduled.pop_front() else {
@@ -1445,270 +1398,8 @@ impl Network {
             if let Some(req) = self.sources[n].poll() {
                 let src = NodeId::from_index(n);
                 self.send_message(src, req.dst, idx32(req.length));
-                // send_message stamps `created: self.now`, which is
-                // `now` — correct.
             }
         }
-        let _ = now;
-    }
-
-    fn phase_injection_dense(&mut self, now: Cycle) {
-        for n in 0..self.routers.len() {
-            for c in 0..self.cfg.inject_channels {
-                self.step_injector_one(now, n, c);
-            }
-        }
-    }
-
-    /// Active injection: only injectors with a worm in hand or a
-    /// queue, ascending flat id — identical to the dense (node,
-    /// channel) order. Every way an idle injector gains work (enqueue,
-    /// backward-kill re-queue) goes through an arming wrapper in an
-    /// earlier phase, so the set is complete when drained; in-phase
-    /// kills only concern the injector being stepped.
-    fn phase_injection_active(&mut self, now: Cycle) {
-        let chans = self.cfg.inject_channels;
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        // Shards own contiguous node-id ranges, so concatenating the
-        // per-shard sorted drains in shard order is globally ascending.
-        for set in &mut self.injector_sets {
-            set.drain_sorted_into(&mut ids);
-        }
-        for &id in &ids {
-            let (n, c) = (id as usize / chans, id as usize % chans);
-            self.step_injector_one(now, n, c);
-            if self.injectors[n][c].has_step_work() {
-                self.injector_sets[self.node_shard[n] as usize].insert(id);
-            }
-        }
-        self.ids_scratch = ids;
-    }
-
-    /// One injector's cycle, with all the network-side bookkeeping.
-    /// `step` is a no-op that draws no RNG whenever
-    /// [`Injector::has_step_work`] is false — the skip condition.
-    fn step_injector_one(&mut self, now: Cycle, n: usize, c: usize) {
-        let out = self.injectors[n][c].step(now, &mut self.routers[n]);
-        if out.injected_flit {
-            self.last_progress = now;
-            self.live_flits += 1;
-            self.arm_router(n);
-            if out.injected_pad {
-                self.counters.pad_flits_injected += 1;
-            } else {
-                self.counters.payload_flits_injected += 1;
-            }
-        }
-        if out.restarted {
-            self.counters.retransmissions += 1;
-        }
-        if let Some((worm, dst)) = out.started {
-            self.trace.emit(|| Event::Inject {
-                at: now,
-                src: NodeId::from_index(n),
-                dst,
-                message: worm.message,
-                attempt: worm.attempt,
-            });
-        }
-        if let Some(worm) = out.committed {
-            self.trace.emit(|| Event::Commit {
-                at: now,
-                src: NodeId::from_index(n),
-                message: worm.message,
-                attempt: worm.attempt,
-            });
-        }
-        if let Some(worm) = out.kill {
-            self.counters.kills_source_timeout += 1;
-            let port = self.routers[n].inject_port(c);
-            self.kill_worm_at(now, n, port, VcId::new(0), worm, KillCause::SourceTimeout);
-            let retx = self.injector_on_killed(n, c, now, worm);
-            self.emit_retransmit(now, worm.message, retx);
-        }
-    }
-
-    fn phase_route_and_traverse_dense(&mut self, now: Cycle) {
-        for n in 0..self.routers.len() {
-            self.route_one(now, n);
-        }
-        for n in 0..self.routers.len() {
-            self.orphan_credits_one(n);
-        }
-        for n in 0..self.routers.len() {
-            self.traverse_one(now, n);
-        }
-        self.apply_deferred_credits();
-        // Finished link-stall streaks become LinkStall events. The
-        // routers only record streaks while tracing (the per-cause
-        // counters are always on), so this drain is trace-gated too.
-        if self.trace.enabled() {
-            for n in 0..self.routers.len() {
-                self.drain_streaks_one(n);
-            }
-        }
-    }
-
-    /// Active route/traverse: drain-and-rebuild over the router set.
-    /// The four sub-stages keep the dense phase barriers (all routing
-    /// completes before any orphan credit returns, all credits before
-    /// any traversal), each walking the same member list ascending —
-    /// so per-router RNG state, upstream credit interleaving and
-    /// trace-event order match the dense sweep exactly. Routers not
-    /// in the set are empty with no open streaks, for which every
-    /// sub-stage is a no-op that draws no RNG. Nothing in this phase
-    /// arms a router, so the drained list is complete.
-    fn phase_route_and_traverse_active(&mut self, now: Cycle) {
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        // Contiguous node ranges per shard: concatenated sorted drains
-        // are globally ascending.
-        for set in &mut self.router_sets {
-            set.drain_sorted_into(&mut ids);
-        }
-        for &n in &ids {
-            self.route_one(now, n as usize);
-        }
-        for &n in &ids {
-            self.orphan_credits_one(n as usize);
-        }
-        for &n in &ids {
-            self.traverse_one(now, n as usize);
-        }
-        self.apply_deferred_credits();
-        if self.trace.enabled() {
-            for &n in &ids {
-                self.drain_streaks_one(n as usize);
-            }
-        }
-        for &n in &ids {
-            let r = &self.routers[n as usize];
-            if r.total_occupancy() > 0 || r.has_open_streaks() {
-                self.router_sets[self.node_shard[n as usize] as usize].insert(n);
-            }
-        }
-        self.ids_scratch = ids;
-    }
-
-    /// Routing/VC-allocation for one router; orphan drops leave the
-    /// network, so they come off the live-flit count.
-    fn route_one(&mut self, now: Cycle, n: usize) {
-        let killed = &self.killed;
-        let is_killed = |w: cr_router::WormId| killed.contains(w);
-        let orphans =
-            self.routers[n].route_and_allocate(now, &*self.routing, &*self.topo, &is_killed);
-        self.live_flits -= orphans;
-    }
-
-    /// Returns the upstream credits for one router's orphan drops.
-    fn orphan_credits_one(&mut self, n: usize) {
-        let orphans = self.routers[n].take_orphan_credits();
-        for (port, vc) in orphans {
-            self.credit_into(n, port, vc);
-        }
-    }
-
-    /// Switch traversal for one router: departing flits move onto
-    /// links (re-arming them) or into the receiver, credits return
-    /// upstream, deliveries retire messages.
-    fn traverse_one(&mut self, now: Cycle, n: usize) {
-        let mut traversals = std::mem::take(&mut self.traversal_scratch);
-        traversals.clear();
-        {
-            let killed = &self.killed;
-            let is_killed = |w: cr_router::WormId| killed.contains(w);
-            self.routers[n].traverse_into(now, &is_killed, &mut traversals);
-        }
-        for k in 0..traversals.len() {
-            let t = traversals[k];
-            self.last_progress = now;
-            if self.routers[n].port_kind(t.from_port) == PortKind::Node {
-                // Credit-return latency: the freed slot is advertised
-                // upstream at the end of the traverse sub-stage, not
-                // mid-sweep, so no router's routing/traversal decision
-                // this cycle can observe a credit released by a
-                // lower-numbered router the same cycle. This is also
-                // what makes per-shard traversal order-free: credits
-                // buffered by every shard commit together at the
-                // barrier (DESIGN.md §12).
-                self.credit_scratch.push((idx32(n), t.from_port, t.from_vc));
-            }
-            match t.target {
-                RouteTarget::Link { port, vc } => {
-                    let Some(li) = self.out_link[n][port.index()] else {
-                        // Routing only offers connected ports;
-                        // stay loud in debug, drop defensively in
-                        // release rather than killing the sweep
-                        // worker.
-                        debug_assert!(false, "route to disconnected port");
-                        continue;
-                    };
-                    if now.as_u64() >= self.cfg.warmup {
-                        self.link_flits[li] += 1;
-                    }
-                    // Router -> link: net zero for the live count.
-                    self.push_onto_link(li, vc, now + self.cfg.channel_latency, t.flit);
-                }
-                RouteTarget::Eject { .. } => {
-                    // The flit left the fabric, whether delivered or
-                    // discarded below.
-                    self.live_flits -= 1;
-                    if self.killed.contains(t.flit.worm) {
-                        self.counters.flits_dropped_killed += 1;
-                        self.receivers[n].discard(t.flit.worm);
-                        continue;
-                    }
-                    let delivered = self.receivers[n].on_flit(now, t.flit);
-                    for m in delivered {
-                        self.counters.messages_delivered += 1;
-                        self.counters.payload_flits_delivered += u64::from(m.payload_len);
-                        if m.corrupt {
-                            self.counters.corrupt_payload_delivered += 1;
-                        }
-                        self.latency.record(m.created, now);
-                        self.throughput
-                            .record_flits(now, m.payload_len as usize);
-                        self.trace.emit(|| Event::Deliver {
-                            at: now,
-                            src: m.src,
-                            dst: m.dst,
-                            message: m.id,
-                            attempts: m.attempts,
-                            latency: now.saturating_since(m.created),
-                        });
-                        if let Some((sn, sc)) = self.source_of(m.id) {
-                            self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
-                            self.injector_on_delivered(sn, sc, m.id);
-                        }
-                        if self.record_deliveries {
-                            self.delivery_log.push(m);
-                        }
-                    }
-                }
-            }
-        }
-        self.traversal_scratch = traversals;
-    }
-
-    /// Converts one router's finished stall streaks into `LinkStall`
-    /// trace events (only called while tracing).
-    fn drain_streaks_one(&mut self, n: usize) {
-        let mut streaks = std::mem::take(&mut self.streak_scratch);
-        streaks.clear();
-        self.routers[n].drain_streaks_into(&mut streaks);
-        for s in &streaks {
-            if let Some(li) = self.out_link[n][s.port.index()] {
-                let link = self.link_ids[li];
-                self.trace.emit(|| Event::LinkStall {
-                    at: s.since,
-                    link,
-                    cause: s.cause,
-                    cycles: s.cycles,
-                });
-            }
-        }
-        self.streak_scratch = streaks;
     }
 
     fn phase_bookkeeping(&mut self, now: Cycle) {
@@ -1719,7 +1410,7 @@ impl Network {
             // Retire delivered messages from open churn trackers.
             // Deliveries only happen on stepped cycles and bookkeeping
             // runs on every stepped cycle, so `drained_at` lands on
-            // the same cycle under every stepper.
+            // the same cycle under every driver.
             let sources = &self.worm_sources;
             for t in &mut self.churn_trackers {
                 if t.drained_at.is_some() {
@@ -1744,7 +1435,7 @@ impl Network {
     /// cycle `now`. Both prunes are monotone in `now` (an entry
     /// removed at `t` is removed at every `t' > t`), so one catch-up
     /// call at the last skipped prune cycle is equivalent to the
-    /// dense stepper's sequence of prunes — the fast-forward path
+    /// reference driver's sequence of prunes — the fast-forward path
     /// relies on exactly that.
     fn prune_registries(&mut self, now: Cycle) {
         let lifetime = self.registry_lifetime;
@@ -1863,6 +1554,11 @@ impl Network {
     // Kill machinery
     // ------------------------------------------------------------------
 
+    /// Kills `worm` at an in-fabric kill point (fault detection or
+    /// path-wide stall): registry insert, then teardown in both
+    /// directions. Source-timeout kills never come here — their kill
+    /// point is the injection FIFO, and the injection kernel handles
+    /// them whole.
     fn kill_worm_at(
         &mut self,
         now: Cycle,
@@ -1900,18 +1596,14 @@ impl Network {
             Some(RouteTarget::Eject { .. }) => self.receivers[node].discard(worm),
             None => {}
         }
-        // And from the kill point toward the source (no-op for
-        // source-initiated kills, whose kill point is the injection
-        // FIFO itself).
-        if cause != KillCause::SourceTimeout {
-            let t = Token {
-                worm,
-                node,
-                port,
-                vc,
-            };
-            self.continue_backward(now, t);
-        }
+        // And from the kill point toward the source.
+        let t = Token {
+            worm,
+            node,
+            port,
+            vc,
+        };
+        self.continue_backward(now, t);
     }
 
     /// Moves a backward token one hop toward the source; notifies the
@@ -1919,12 +1611,12 @@ impl Network {
     /// drained behind the worm's tail).
     fn continue_backward(&mut self, now: Cycle, t: Token) {
         if self.routers[t.node].port_kind(t.port) == PortKind::Inject {
-            let channel = t.port.index() - self.topo.num_ports(NodeId::from_index(t.node));
+            let channel = t.port.index() - self.tables.topo.num_ports(NodeId::from_index(t.node));
             let retx = self.injector_on_killed(t.node, channel, now, t.worm);
             self.emit_retransmit(now, t.worm.message, retx);
             return;
         }
-        let up = self.in_upstream[t.node][t.port.index()];
+        let up = self.tables.in_upstream[t.node][t.port.index()];
         if let Some((up_node, up_out)) = up {
             if let Some((ip, iv)) = self.routers[up_node].output_owner(up_out, t.vc) {
                 if self.routers[up_node].worm_of(ip, iv) == Some(t.worm) {
@@ -1941,7 +1633,7 @@ impl Network {
         // The upstream chain has already released (the tail passed):
         // notify the source directly.
         crate::network::debug_worm(t.worm, || {
-            let up = self.in_upstream[t.node][t.port.index()];
+            let up = self.tables.in_upstream[t.node][t.port.index()];
             format!("  BWD stop at n{} {} {}: upstream {:?}", t.node, t.port, t.vc, up)
         });
         self.notify_source(now, t.worm);
@@ -1990,28 +1682,15 @@ impl Network {
 
     /// Returns one credit to the router feeding `(node, in_port, vc)`.
     fn credit_into(&mut self, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] {
+        if let Some((up_node, up_out)) = self.tables.in_upstream[node][in_port.index()] {
             self.routers[up_node].add_credit(up_out, vc);
         }
     }
 
-    /// Commits the credits buffered by the traverse sub-stage (see
-    /// `traverse_one`): the end-of-stage barrier of the one-cycle
-    /// credit-return latency.
-    fn apply_deferred_credits(&mut self) {
-        let mut credits = std::mem::take(&mut self.credit_scratch);
-        for &(node, in_port, vc) in &credits {
-            self.credit_into(node as usize, in_port, vc);
-        }
-        credits.clear();
-        self.credit_scratch = credits;
-    }
-
     fn downstream_of(&self, node: usize, out_port: PortId) -> Option<(usize, PortId)> {
-        let li = self.out_link[node][out_port.index()]?;
-        Some(self.link_head[li])
+        let li = self.tables.out_link[node][out_port.index()]?;
+        Some(self.tables.link_head[li])
     }
-
 }
 
 impl Drop for Network {

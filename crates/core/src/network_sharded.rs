@@ -1,124 +1,72 @@
-//! Spatially sharded stepper: the active-set cycle phases fanned out
-//! over contiguous node-id shards on a persistent [`pool::Team`],
-//! byte-identical to the serial stepper (DESIGN.md §12).
+//! Drivers and barriers: how the phase kernels (`network_kernel.rs`)
+//! are invoked over the shard plan, and the only place their
+//! cross-component effects are applied (DESIGN.md §12).
 //!
-//! # How identity is preserved
+//! # The policy
+//!
+//! Effects of a phase are buffered per shard and applied in shard
+//! order at the phase barrier. Every driver follows it — a serial run
+//! is the one-shard plan — so a phase has one body, and the order in
+//! which shards *execute* can never be observed: only the order in
+//! which their sinks *drain* can, and that is fixed.
 //!
 //! Every shard owns a contiguous node-id range (`cr_sim::shard::Plan`)
 //! and, with it, the routers, injectors and receivers of those nodes
 //! plus every link whose *destination* lies in the range (arrivals
 //! mutate the destination router, so links live with their heads; link
 //! state is stored permuted so each shard's links are one contiguous
-//! chunk). Four phases run as one team task per shard — arrivals,
-//! injection, routing + orphan-credit collection, and switch traversal
-//! — and everything a task would have to touch outside its shard is
-//! buffered in its [`ShardScratch`] instead: upstream credit returns,
-//! departing flits (a struct-of-arrays push buffer), teardown tokens,
-//! killed-registry inserts, trace events, deliveries, and counter
-//! deltas. At each phase barrier the buffers drain **in shard order**,
-//! which — because shards are contiguous id ranges walked ascending —
-//! reproduces exactly the global ascending order of the serial sweep.
-//! Between the phase fan-outs the serial sub-phases (kill tokens,
-//! path-wide detection, traffic, bookkeeping) run unchanged on the
-//! orchestrator thread.
+//! chunk). Because shards are contiguous id ranges walked ascending,
+//! draining the sinks in shard order reproduces the global ascending
+//! order of a one-shard sweep — which is why reports and trace streams
+//! are byte-identical at any shard count.
 //!
-//! # Ownership across the fan-out
+//! # Drivers
 //!
-//! The team's workers are long-lived, so tasks must be `'static`: no
-//! borrows of the network cross the dispatch boundary. Instead each
-//! shard's mutable state is stored in per-shard chunks
-//! ([`cr_sim::shard::Sharded`]) that [`Network::take_shard`] moves
-//! into the task as a [`ShardWork`] value and the task returns when
-//! done; the read-only tables ride along as `Arc` clones inside one
-//! [`SharedCtx`] per fan-out. Every `SharedCtx` is dropped before the
-//! barrier code runs, so the serially-mutated registries (`killed`,
-//! `faults`) are uniquely owned again whenever `Arc::make_mut` touches
-//! them.
+//! [`Network::fan_out`] runs one kernel over every shard, by one of
+//! two routes that differ only in who holds the state meanwhile:
 //!
-//! Two structural properties make the fan-out sound:
+//! * **inline** — the kernel is called directly on `&mut` chunk slices
+//!   of the network, shard after shard on the calling thread. Taken by
+//!   a one-shard plan and by any plan whose team would be one thread
+//!   wide.
+//! * **team** — each shard's chunks move into a `'static` task as a
+//!   [`ShardWork`] (the persistent [`pool::Team`]'s workers outlive
+//!   any borrow), the task builds the same view from what it owns,
+//!   calls the same kernel, and hands the state back. The read-only
+//!   context rides along as three `Arc` clones, dropped with the task,
+//!   so the serially-mutated registries (`killed`, `faults`) are
+//!   uniquely owned again whenever barrier code touches them.
 //!
-//! * **Credit-return latency.** The traverse sub-stage's upstream
-//!   credit returns are buffered and committed at the end of the
-//!   sub-stage *in both steppers* (see `traverse_one`), so no
-//!   same-cycle decision can observe a credit freed by another router
-//!   this cycle — and therefore no cross-shard read order exists to
-//!   preserve.
-//! * **Quiet-cycle arrivals commute.** The parallel arrivals path is
-//!   taken exactly when no arrival this cycle can draw the fault RNG
-//!   or kill a worm — checked per cycle by
-//!   [`Network::arrivals_parallel_ok`] (no transient corruption, and
-//!   under fault-detecting protocols no dead link with a due flit and
-//!   no possibly-roaming corrupted flit); otherwise the phase falls
-//!   back to the serial global-order scan for the whole cycle.
+//! The reference driver ([`Network::set_reference_stepper`]) is
+//! orthogonal: it changes what the kernels *visit* (everything, wakes
+//! ignored), not how they are invoked.
+//!
+//! # Arrivals
+//!
+//! The one phase with two bodies. On a quiet cycle — no arrival can
+//! draw the fault RNG or kill a worm, [`Network::arrivals_parallel_ok`]
+//! — per-link work is confined to the link and its destination router
+//! and the kernel fans out like any other. Otherwise corruption and
+//! detection draw from one sequential RNG stream in pop order and
+//! detection kills walk cross-shard teardown chains, so the whole
+//! cycle takes the ordered global scan instead, under every driver.
 
-use super::{LinkState, Network, Token, SOURCE_GONE};
+use super::kernel::{self, Ctx, Kernel, ShardScratch, ShardView};
+use super::{debug_worm, LinkState, Network, SOURCE_GONE};
 use crate::injector::Injector;
-use crate::killmap::KilledMap;
-use crate::receiver::{DeliveredMessage, Receiver};
-use crate::report::NetCounters;
-use cr_faults::FaultModel;
-use cr_router::{
-    Flit, LinkStallStreak, PortKind, RouteTarget, Router, RoutingFunction, Traversal, WormId,
-};
+use crate::receiver::Receiver;
+use cr_router::Router;
 use cr_sim::pool;
 use cr_sim::sched::ActiveSet;
-use cr_sim::trace::{Event, KillCause};
-use cr_sim::{Cycle, NodeId, PortId, VcId};
-use cr_topology::Topology;
+use cr_sim::trace::Event;
+use cr_sim::{Cycle, VcId};
 use std::sync::Arc;
-
-/// Per-shard mutation buffers, drained at each phase barrier in shard
-/// order. One per shard, persistent across cycles so the Vec
-/// capacities amortize.
-#[derive(Default)]
-pub(crate) struct ShardScratch {
-    /// Drained active-set members being walked this phase (router ids
-    /// persist from the route fan-out to the traverse fan-out).
-    ids: Vec<u32>,
-    /// Per-router switch-traversal output, reused across routers.
-    traversals: Vec<Traversal>,
-    /// Finished link-stall streaks, reused across routers.
-    streaks: Vec<LinkStallStreak>,
-    /// Struct-of-arrays buffer of flits departing onto links:
-    /// original link index, lane, flit. Applied (in order) at the
-    /// traverse barrier — this is the cross-shard flit handoff.
-    push_li: Vec<u32>,
-    /// Lane (virtual channel) per push.
-    push_vc: Vec<u8>,
-    /// Flit payload per push.
-    push_flit: Vec<Flit>,
-    /// Upstream credit returns, already resolved to (upstream node,
-    /// upstream output port, vc) — credits commute, so per-shard
-    /// buffers applied in shard order equal the serial interleaving.
-    credits: Vec<(u32, PortId, VcId)>,
-    /// Messages completed by this shard's receivers, in traversal
-    /// order; all delivery side effects run at the barrier.
-    delivered: Vec<DeliveredMessage>,
-    /// Forward teardown tokens from source-timeout kills.
-    tokens: Vec<Token>,
-    /// Worms killed this phase (all at the current cycle).
-    kills: Vec<WormId>,
-    /// Trace events in shard-local emission order (empty when tracing
-    /// is off).
-    events: Vec<Event>,
-    /// `LinkStall` events, kept separate because the serial stepper
-    /// emits all streaks after all deliveries.
-    streak_events: Vec<Event>,
-    /// Counter increments (plain sums; merge order cannot matter).
-    counters: NetCounters,
-    /// Net change to the live-flit count.
-    live_delta: i64,
-    /// Net change to the undrained-injector count.
-    undrained_delta: i64,
-    /// Whether anything in this shard made forward progress.
-    progress: bool,
-}
 
 /// One shard's owned mutable state, moved into a team task for the
 /// duration of a fan-out and handed back as the task's return value.
 /// Taking all of it for every fan-out is O(1) per field (`mem::take`
 /// of the chunk vectors) and sidesteps per-phase borrow plumbing.
-pub(crate) struct ShardWork {
+struct ShardWork {
     routers: Vec<Router>,
     links: Vec<LinkState>,
     wake: Vec<Cycle>,
@@ -137,67 +85,7 @@ fn apply_delta(value: &mut usize, delta: i64) {
     *value = next.max(0) as usize;
 }
 
-/// Read-only context shared by every shard task of one fan-out:
-/// `Arc` clones of the immutable tables (plus the registries that are
-/// only mutated serially, between fan-outs). Dropped before the
-/// barrier so the registries are uniquely owned again.
-struct SharedCtx {
-    now: Cycle,
-    link_orig: Arc<Vec<u32>>,
-    link_head: Arc<Vec<(usize, PortId)>>,
-    link_ids: Arc<Vec<cr_sim::LinkId>>,
-    out_link: Arc<Vec<Vec<Option<usize>>>>,
-    in_upstream: Arc<Vec<Vec<Option<(usize, PortId)>>>>,
-    killed: Arc<KilledMap>,
-    faults: Arc<FaultModel>,
-    routing: Arc<dyn RoutingFunction>,
-    topo: Arc<dyn Topology>,
-    trace_on: bool,
-    chans: usize,
-}
-
-impl SharedCtx {
-    /// Buffers a credit for the router feeding `(node, in_port, vc)`
-    /// (the shard-safe analogue of `Network::credit_into`).
-    fn buffer_credit(&self, scratch: &mut ShardScratch, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] {
-            scratch.credits.push((crate::network::idx32(up_node), up_out, vc));
-        }
-    }
-}
-
 impl Network {
-    /// Worker threads for the phase fan-outs: the explicit override if
-    /// set, else the machine's available parallelism (always capped at
-    /// the shard count by the team sizing).
-    fn shard_workers(&self) -> usize {
-        self.shard_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
-
-    /// The fan-out context for the current cycle: `Arc` clones of the
-    /// shared tables. Rebuilt per fan-out (cheap) because `killed`
-    /// changes between the injection and route fan-outs.
-    fn shared_ctx(&self, now: Cycle) -> Arc<SharedCtx> {
-        Arc::new(SharedCtx {
-            now,
-            link_orig: Arc::clone(&self.link_orig),
-            link_head: Arc::clone(&self.link_head),
-            link_ids: Arc::clone(&self.link_ids),
-            out_link: Arc::clone(&self.out_link),
-            in_upstream: Arc::clone(&self.in_upstream),
-            killed: Arc::clone(&self.killed),
-            faults: Arc::clone(&self.faults),
-            routing: Arc::clone(&self.routing),
-            topo: Arc::clone(&self.topo),
-            trace_on: self.trace.enabled(),
-            chans: self.cfg.inject_channels,
-        })
-    }
-
     /// Moves shard `s`'s owned state out of the network (to hand to a
     /// team task). Every take is O(1); the placeholder left behind is
     /// never observed because the orchestrator blocks on the fan-out.
@@ -228,60 +116,119 @@ impl Network {
         self.shard_scratch[s] = w.scratch;
     }
 
-    /// Runs one fan-out on the persistent team (spawned lazily on
-    /// first use): moves every shard's state into a task, dispatches
-    /// the batch, and moves the results back. `task` must be the pure
-    /// per-shard phase body — it sees only its `ShardWork` and the
-    /// shared context.
-    fn team_fan_out(
-        &mut self,
-        now: Cycle,
-        task: fn(&SharedCtx, &mut ShardWork, usize, usize),
-    ) {
+    /// The team, when fan-outs take the team route (taken out of the
+    /// network for the length of the fan-out). A one-shard plan never
+    /// does unless forced; a wider plan spawns its team here on first
+    /// use — the only point the worker count is resolved, so the
+    /// `available_parallelism` probe is paid once per team, not per
+    /// fan-out — and takes the route when that team has more than the
+    /// calling thread to offer.
+    fn team_route(&mut self) -> Option<pool::Team> {
         let num_shards = self.plan.num_shards();
-        let ctx = self.shared_ctx(now);
-        let mut tasks = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let ctx = Arc::clone(&ctx);
-            let mut work = self.take_shard(s);
-            let node_lo = self.plan.range(s).start;
-            let links_lo = self.link_bounds[s];
-            tasks.push(move || {
-                task(&ctx, &mut work, node_lo, links_lo);
-                work
-            });
+        if num_shards == 1 && !self.force_sharded {
+            return None;
         }
-        drop(ctx);
-        let workers = self.shard_workers().min(num_shards);
-        let team = self.team.get_or_insert_with(|| pool::Team::new(workers));
-        let results = team.run(tasks);
-        for (s, work) in results.into_iter().enumerate() {
-            self.put_shard(s, work);
+        let threads = self.shard_threads;
+        let team = self.team.get_or_insert_with(|| {
+            let workers = threads.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            });
+            pool::Team::new(workers.min(num_shards))
+        });
+        if self.force_sharded || team.parallelism() > 1 {
+            self.team.take()
+        } else {
+            None
         }
     }
 
-    /// One cycle of the sharded stepper: the serial phase list with
-    /// arrivals, injection, routing and traversal fanned out per
-    /// shard. Byte-identical to `Network::step`'s serial active path.
-    pub(super) fn step_sharded(&mut self, now: Cycle) {
-        self.sharded_arrivals(now);
-        self.phase_tokens(now);
-        if let Some(threshold) = self.cfg.path_wide_threshold {
-            // Walks the per-shard router sets in shard order (global
-            // ascending) on the orchestrator: kills are rare and walk
-            // cross-shard teardown chains, so they stay serial.
-            self.phase_path_wide_active(now, threshold);
+    /// Runs `kernel` once per shard, leaving its effects in the
+    /// shards' sinks for the caller's barrier (see the module docs for
+    /// the two routes).
+    fn fan_out(&mut self, now: Cycle, kernel: Kernel) {
+        let (trace_on, visit_all) = (self.trace.enabled(), self.reference_stepper);
+        let num_shards = self.plan.num_shards();
+        let Some(team) = self.team_route() else {
+            let ctx = Ctx {
+                now,
+                tables: &self.tables,
+                killed: &self.killed,
+                faults: &self.faults,
+                trace_on,
+                visit_all,
+            };
+            for s in 0..num_shards {
+                let mut view = ShardView {
+                    routers: self.routers.chunk_mut(s),
+                    links: self.links.chunk_mut(s),
+                    wake: self.link_wake.chunk_mut(s),
+                    injectors: self.injectors.chunk_mut(s),
+                    receivers: self.receivers.chunk_mut(s),
+                    router_set: &mut self.router_sets[s],
+                    link_set: &mut self.link_sets[s],
+                    injector_set: &mut self.injector_sets[s],
+                    node_lo: self.plan.range(s).start,
+                    links_lo: self.link_bounds[s],
+                };
+                kernel(&ctx, &mut view, &mut self.shard_scratch[s]);
+            }
+            return;
+        };
+        let mut tasks = Vec::with_capacity(num_shards);
+        for s in 0..num_shards {
+            let tables = Arc::clone(&self.tables);
+            let killed = Arc::clone(&self.killed);
+            let faults = Arc::clone(&self.faults);
+            let mut w = self.take_shard(s);
+            let (node_lo, links_lo) = (self.plan.range(s).start, self.link_bounds[s]);
+            tasks.push(move || {
+                let ctx = Ctx {
+                    now,
+                    tables: &tables,
+                    killed: &killed,
+                    faults: &faults,
+                    trace_on,
+                    visit_all,
+                };
+                let mut view = ShardView {
+                    routers: &mut w.routers,
+                    links: &mut w.links,
+                    wake: &mut w.wake,
+                    injectors: &mut w.injectors,
+                    receivers: &mut w.receivers,
+                    router_set: &mut w.router_set,
+                    link_set: &mut w.link_set,
+                    injector_set: &mut w.injector_set,
+                    node_lo,
+                    links_lo,
+                };
+                kernel(&ctx, &mut view, &mut w.scratch);
+                w
+            });
         }
-        self.phase_traffic(now);
-        self.sharded_injection(now);
-        self.sharded_route_and_traverse(now);
+        for (s, w) in team.run(tasks).into_iter().enumerate() {
+            self.put_shard(s, w);
+        }
+        self.team = Some(team);
+    }
+
+    /// The phase barrier: runs `apply` over every shard's sink in
+    /// shard order.
+    fn at_barrier(&mut self, mut apply: impl FnMut(&mut Network, &mut ShardScratch)) {
+        let mut sinks = std::mem::take(&mut self.shard_scratch);
+        for fx in &mut sinks {
+            apply(self, fx);
+        }
+        self.shard_scratch = sinks;
     }
 
     // --------------------------------------------------------------
     // Arrivals
     // --------------------------------------------------------------
 
-    /// Whether this cycle's arrivals can run as parallel shard tasks:
+    /// Whether this cycle's arrivals can take the quiet-cycle kernel:
     /// true exactly when no arrival can draw the fault RNG or kill a
     /// worm *this cycle*, so per-link work is confined to the link and
     /// its (shard-owned) destination router.
@@ -291,21 +238,21 @@ impl Network {
     /// couple of field reads; the per-dead-link scan only runs for
     /// detecting protocols with faults present):
     ///
-    /// * Transient corruption draws RNG on every arrival: serial.
+    /// * Transient corruption draws RNG on every arrival: ordered.
     /// * Non-detecting protocols never detect, kill, or draw the
     ///   detection RNG — corruption itself is a deterministic flag
-    ///   flip on the shard-owned flit: parallel.
+    ///   flip on the shard-owned flit: quiet.
     /// * Detecting protocols with no dead link now and none ever:
-    ///   nothing is corrupted, detection never fires: parallel.
+    ///   nothing is corrupted, detection never fires: quiet.
     /// * A nonzero detection-miss rate may have let a corrupted flit
     ///   survive a past dead-link arrival and roam (`ever_dead`), and
     ///   its eventual arrival anywhere draws the detection RNG:
-    ///   serial from the first kill onward.
+    ///   ordered from the first kill onward.
     /// * Miss rate zero: corrupted flits never survive their
     ///   corrupting arrival, so only a *currently* dead link with a
     ///   flit due this cycle (`wake <= now`; wakes are never
     ///   stale-late) can fire detection — detection kills walk
-    ///   cross-shard teardown chains, so such cycles run serial. FCR
+    ///   cross-shard teardown chains, so such cycles are ordered. FCR
     ///   storms therefore fan out on every cycle where no dead link
     ///   has a due flit, which is most of them.
     fn arrivals_parallel_ok(&self, now: Cycle) -> bool {
@@ -331,102 +278,76 @@ impl Network {
         true
     }
 
-    fn sharded_arrivals(&mut self, now: Cycle) {
+    pub(super) fn phase_arrivals(&mut self, now: Cycle) {
         if !self.arrivals_parallel_ok(now) {
-            self.phase_arrivals_active(now);
+            self.arrivals_ordered(now);
             return;
         }
-        self.team_fan_out(now, arrivals_task);
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            self.apply_shard_credits(&mut scratch);
-            self.apply_shard_deltas(now, &mut scratch);
-            self.shard_scratch[s] = scratch;
-        }
+        self.fan_out(now, kernel::arrivals_quiet);
+        self.at_barrier(|net, fx| {
+            net.apply_credits(fx);
+            net.apply_deltas(now, fx);
+        });
     }
 
     // --------------------------------------------------------------
     // Injection
     // --------------------------------------------------------------
 
-    fn sharded_injection(&mut self, now: Cycle) {
-        self.team_fan_out(now, injection_task);
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            // Serial order per injector: Kill event (buffered in
-            // `events`), registry insert, forward token push. Nothing
-            // in this phase reads the registry or the token lists, so
-            // grouping the applies per kind is state-identical.
-            for i in 0..scratch.kills.len() {
-                let worm = scratch.kills[i];
-                super::debug_worm(worm, || {
-                    format!("{now} KILL {worm} cause SourceTimeout (sharded)")
-                });
-                self.killed_mut().insert(worm, now);
+    pub(super) fn phase_injection(&mut self, now: Cycle) {
+        self.fan_out(now, kernel::injection);
+        self.at_barrier(|net, fx| {
+            // Per injector the kernel emitted: Kill event (buffered in
+            // `events`), registry insert, forward token. Nothing in
+            // the phase reads the registry or the token lists, so
+            // applying them grouped by kind is state-identical.
+            for worm in fx.kills.drain(..) {
+                debug_worm(worm, || format!("{now} KILL {worm} cause SourceTimeout"));
+                net.killed_mut().insert(worm, now);
             }
-            scratch.kills.clear();
-            self.fwd_tokens.append(&mut scratch.tokens);
-            self.apply_shard_deltas(now, &mut scratch);
-            self.shard_scratch[s] = scratch;
-        }
+            net.fwd_tokens.append(&mut fx.tokens);
+            net.apply_deltas(now, fx);
+        });
     }
 
     // --------------------------------------------------------------
     // Routing + switch traversal
     // --------------------------------------------------------------
 
-    fn sharded_route_and_traverse(&mut self, now: Cycle) {
-        // Fan-out 1: routing/VC-allocation, then orphan-credit
-        // collection, per shard (the serial sub-stage barrier between
-        // the two only orders router-local state).
-        self.team_fan_out(now, route_task);
+    pub(super) fn phase_route_and_traverse(&mut self, now: Cycle) {
+        self.fan_out(now, kernel::route);
         // Barrier: orphan credits must be visible before any traversal
-        // reads its credit counters (the serial sub-stage order).
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            self.apply_shard_credits(&mut scratch);
-            apply_delta(&mut self.live_flits, scratch.live_delta);
-            scratch.live_delta = 0;
-            self.shard_scratch[s] = scratch;
-        }
-        // Fan-out 2: switch traversal over the same drained id lists.
-        self.team_fan_out(now, traverse_task);
+        // reads its credit counters (the orphan-drop count rides in the
+        // sink to the traverse barrier).
+        self.at_barrier(|net, fx| net.apply_credits(fx));
+        self.fan_out(now, kernel::traverse);
         // Traverse barrier, in shard order: link pushes (the
-        // cross-shard flit handoff, applied in the exact serial
-        // order: routers ascending, traversals in emission order),
-        // then deliveries with all their side effects, then the
-        // deferred credits, then counter deltas. Pushes, deliveries
-        // and credits touch disjoint state, so their relative grouping
-        // cannot be observed.
-        let channel_latency = self.cfg.channel_latency;
-        let warmup = self.cfg.warmup;
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            for i in 0..scratch.push_li.len() {
-                let li = scratch.push_li[i] as usize;
-                if now.as_u64() >= warmup {
-                    self.link_flits[li] += 1;
+        // cross-shard flit handoff — routers ascending, traversals in
+        // emission order), then deliveries with all their side
+        // effects, then the held-back credits, then counter deltas.
+        // Pushes, deliveries and credits touch disjoint state, so
+        // their relative grouping cannot be observed.
+        self.at_barrier(|net, fx| {
+            for i in 0..fx.push_li.len() {
+                let li = fx.push_li[i] as usize;
+                if now.as_u64() >= net.cfg.warmup {
+                    net.link_flits[li] += 1;
                 }
-                self.push_onto_link(
-                    li,
-                    VcId::new(scratch.push_vc[i]),
-                    now + channel_latency,
-                    scratch.push_flit[i],
-                );
+                let arrive = now + net.cfg.channel_latency;
+                net.push_onto_link(li, VcId::new(fx.push_vc[i]), arrive, fx.push_flit[i]);
             }
-            scratch.push_li.clear();
-            scratch.push_vc.clear();
-            scratch.push_flit.clear();
-            for i in 0..scratch.delivered.len() {
-                let m = scratch.delivered[i];
-                self.counters.messages_delivered += 1;
-                self.counters.payload_flits_delivered += u64::from(m.payload_len);
+            fx.push_li.clear();
+            fx.push_vc.clear();
+            fx.push_flit.clear();
+            for m in fx.delivered.drain(..) {
+                net.counters.messages_delivered += 1;
+                net.counters.payload_flits_delivered += u64::from(m.payload_len);
                 if m.corrupt {
-                    self.counters.corrupt_payload_delivered += 1;
+                    net.counters.corrupt_payload_delivered += 1;
                 }
-                self.latency.record(m.created, now);
-                self.throughput.record_flits(now, m.payload_len as usize);
-                self.trace.emit(|| Event::Deliver {
+                net.latency.record(m.created, now);
+                net.throughput.record_flits(now, m.payload_len as usize);
+                net.trace.emit(|| Event::Deliver {
                     at: now,
                     src: m.src,
                     dst: m.dst,
@@ -434,344 +355,51 @@ impl Network {
                     attempts: m.attempts,
                     latency: now.saturating_since(m.created),
                 });
-                if let Some((sn, sc)) = self.source_of(m.id) {
-                    self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
-                    self.injector_on_delivered(sn, sc, m.id);
+                if let Some((sn, sc)) = net.source_of(m.id) {
+                    net.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
+                    net.injector_on_delivered(sn, sc, m.id);
                 }
-                if self.record_deliveries {
-                    self.delivery_log.push(m);
+                if net.record_deliveries {
+                    net.delivery_log.push(m);
                 }
             }
-            scratch.delivered.clear();
-            self.apply_shard_credits(&mut scratch);
-            self.apply_shard_deltas(now, &mut scratch);
-            self.shard_scratch[s] = scratch;
-        }
-        // The serial stepper emits every finished stall streak after
-        // every delivery, so the streak events drain in a second pass.
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            for ev in scratch.streak_events.drain(..) {
-                self.trace.emit(|| ev);
+            net.apply_credits(fx);
+            net.apply_deltas(now, fx);
+        });
+        // Every finished stall streak is emitted after every delivery
+        // of the cycle, so the streak events drain in a second pass.
+        self.at_barrier(|net, fx| {
+            for ev in fx.streak_events.drain(..) {
+                net.trace.emit(|| ev);
             }
-            self.shard_scratch[s] = scratch;
-        }
+        });
     }
 
     // --------------------------------------------------------------
     // Barrier helpers
     // --------------------------------------------------------------
 
-    /// Commits a shard's buffered upstream credit returns. Credits
-    /// are commutative increments, so shard order equals the serial
-    /// interleaving.
-    fn apply_shard_credits(&mut self, scratch: &mut ShardScratch) {
-        for &(up_node, up_out, vc) in &scratch.credits {
+    /// Commits a shard's buffered upstream credit returns.
+    fn apply_credits(&mut self, fx: &mut ShardScratch) {
+        for (up_node, up_out, vc) in fx.credits.drain(..) {
             self.routers[up_node as usize].add_credit(up_out, vc);
         }
-        scratch.credits.clear();
     }
 
     /// Commits a shard's counter deltas, progress flag and buffered
     /// trace events.
-    fn apply_shard_deltas(&mut self, now: Cycle, scratch: &mut ShardScratch) {
-        self.counters.merge(&scratch.counters);
-        scratch.counters = NetCounters::default();
-        apply_delta(&mut self.live_flits, scratch.live_delta);
-        scratch.live_delta = 0;
-        apply_delta(&mut self.undrained_injectors, scratch.undrained_delta);
-        scratch.undrained_delta = 0;
-        if scratch.progress {
+    fn apply_deltas(&mut self, now: Cycle, fx: &mut ShardScratch) {
+        self.counters.merge(&std::mem::take(&mut fx.counters));
+        apply_delta(&mut self.live_flits, std::mem::take(&mut fx.live_delta));
+        apply_delta(
+            &mut self.undrained_injectors,
+            std::mem::take(&mut fx.undrained_delta),
+        );
+        if std::mem::take(&mut fx.progress) {
             self.last_progress = now;
-            scratch.progress = false;
         }
-        for ev in scratch.events.drain(..) {
+        for ev in fx.events.drain(..) {
             self.trace.emit(|| ev);
         }
     }
-}
-
-/// Arrivals for one shard: the serial `scan_link_arrivals` specialized
-/// to the quiet-cycle gate (no RNG draw, no kill, no trace event),
-/// walking the shard's links ascending.
-fn arrivals_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, links_lo: usize) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    ids.clear();
-    work.link_set.drain_sorted_into(&mut ids);
-    for &pi32 in &ids {
-        let pi = pi32 as usize;
-        let local = pi - links_lo;
-        if work.links[local].occupied == 0 {
-            continue; // purged empty since it was armed
-        }
-        if work.wake[local] > now {
-            work.link_set.insert(pi32);
-            continue;
-        }
-        let li = ctx.link_orig[pi] as usize;
-        let (dst_node, dst_port) = ctx.link_head[li];
-        let dst_local = dst_node - node_lo;
-        let link_dead = ctx.faults.is_dead(ctx.link_ids[li]);
-        for v in 0..work.links[local].lanes.len() {
-            let vc = VcId::from_index(v);
-            loop {
-                let killed = match work.links[local].lanes[v].front() {
-                    Some(&(arrive, ref flit)) if arrive <= now => {
-                        let killed = ctx.killed.contains(flit.worm);
-                        if !killed && work.routers[dst_local].vc_is_full(dst_port, vc) {
-                            break;
-                        }
-                        killed
-                    }
-                    _ => break,
-                };
-                let Some((_, mut flit)) = work.links[local].lanes[v].pop_front() else {
-                    break; // unreachable: front() just succeeded
-                };
-                work.links[local].occupied -= 1;
-                flit.hops = flit.hops.saturating_add(1);
-                if link_dead {
-                    // Dead link on a parallel cycle: the gate proves
-                    // the protocol is non-detecting (a detecting
-                    // protocol with a due flit on a dead link forces
-                    // serial), so the flit is corrupted and carried on
-                    // — the integrity-violation baseline.
-                    if !flit.corrupted {
-                        work.scratch.counters.flits_corrupted += 1;
-                    }
-                    flit.corrupted = true;
-                }
-                if killed {
-                    work.scratch.counters.flits_dropped_killed += 1;
-                    work.scratch.live_delta -= 1;
-                    ctx.buffer_credit(&mut work.scratch, dst_node, dst_port, vc);
-                    continue;
-                }
-                work.routers[dst_local].accept(now, dst_port, vc, flit);
-                work.router_set.insert(crate::network::idx32(dst_node));
-                work.scratch.progress = true;
-            }
-        }
-        if work.links[local].occupied > 0 {
-            if let Some(wake) = work.links[local]
-                .lanes
-                .iter()
-                .filter_map(|lane| lane.front().map(|&(arrive, _)| arrive))
-                .min()
-            {
-                work.wake[local] = wake;
-            }
-            work.link_set.insert(pi32);
-        }
-    }
-    work.scratch.ids = ids;
-}
-
-/// Injection for one shard: the serial `step_injector_one` with the
-/// source-timeout kill path inlined (a source kill only touches the
-/// worm's own node — flush at the inject port releases no upstream
-/// credit — plus the buffered registry insert and forward token).
-fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
-    let now = ctx.now;
-    let chans = ctx.chans;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    ids.clear();
-    work.injector_set.drain_sorted_into(&mut ids);
-    for &id in &ids {
-        let (n, c) = (id as usize / chans, id as usize % chans);
-        let local = n - node_lo;
-        let out = work.injectors[local][c].step(now, &mut work.routers[local]);
-        if out.injected_flit {
-            work.scratch.progress = true;
-            work.scratch.live_delta += 1;
-            work.router_set.insert(crate::network::idx32(n));
-            if out.injected_pad {
-                work.scratch.counters.pad_flits_injected += 1;
-            } else {
-                work.scratch.counters.payload_flits_injected += 1;
-            }
-        }
-        if out.restarted {
-            work.scratch.counters.retransmissions += 1;
-        }
-        if ctx.trace_on {
-            if let Some((worm, dst)) = out.started {
-                work.scratch.events.push(Event::Inject {
-                    at: now,
-                    src: NodeId::from_index(n),
-                    dst,
-                    message: worm.message,
-                    attempt: worm.attempt,
-                });
-            }
-            if let Some(worm) = out.committed {
-                work.scratch.events.push(Event::Commit {
-                    at: now,
-                    src: NodeId::from_index(n),
-                    message: worm.message,
-                    attempt: worm.attempt,
-                });
-            }
-        }
-        if let Some(worm) = out.kill {
-            work.scratch.counters.kills_source_timeout += 1;
-            work.scratch.kills.push(worm);
-            if ctx.trace_on {
-                work.scratch.events.push(Event::Kill {
-                    at: now,
-                    node: NodeId::from_index(n),
-                    message: worm.message,
-                    attempt: worm.attempt,
-                    cause: KillCause::SourceTimeout,
-                });
-            }
-            // `flush_and_credit` at an inject port: no upstream
-            // credits, no feeding link to purge.
-            let port = work.routers[local].inject_port(c);
-            let res = work.routers[local].flush_worm(port, VcId::new(0), worm);
-            work.scratch.live_delta -= res.flushed as i64;
-            debug_assert_eq!(work.routers[local].port_kind(port), PortKind::Inject);
-            match res.released {
-                Some(RouteTarget::Link { port: op, vc: ov }) => {
-                    if let Some(li) = ctx.out_link[n][op.index()] {
-                        let (next_node, next_port) = ctx.link_head[li];
-                        work.scratch.tokens.push(Token {
-                            worm,
-                            node: next_node,
-                            port: next_port,
-                            vc: ov,
-                        });
-                    }
-                }
-                Some(RouteTarget::Eject { .. }) => work.receivers[local].discard(worm),
-                None => {}
-            }
-            // `injector_on_killed` with the undrained count buffered.
-            let was_drained = work.injectors[local][c].is_drained();
-            let retx = work.injectors[local][c].on_killed(now, worm);
-            match (was_drained, work.injectors[local][c].is_drained()) {
-                (true, false) => work.scratch.undrained_delta += 1,
-                (false, true) => work.scratch.undrained_delta -= 1,
-                _ => {}
-            }
-            work.injector_set.insert(id);
-            if ctx.trace_on {
-                if let Some((attempt, resume_at)) = retx {
-                    work.scratch.events.push(Event::RetransmitScheduled {
-                        at: now,
-                        message: worm.message,
-                        attempt,
-                        resume_at,
-                    });
-                }
-            }
-        }
-        if work.injectors[local][c].has_step_work() {
-            work.injector_set.insert(id);
-        }
-    }
-    work.scratch.ids = ids;
-}
-
-/// Routing/VC-allocation plus orphan-credit collection for one shard.
-/// The drained router ids stay in `scratch.ids` for the traverse
-/// fan-out (the serial phase drains the set once for all four
-/// sub-stages).
-fn route_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    ids.clear();
-    work.router_set.drain_sorted_into(&mut ids);
-    let killed = &ctx.killed;
-    let is_killed = |w: WormId| killed.contains(w);
-    for &n in &ids {
-        let local = n as usize - node_lo;
-        let orphans =
-            work.routers[local].route_and_allocate(now, &*ctx.routing, &*ctx.topo, &is_killed);
-        work.scratch.live_delta -= orphans as i64;
-    }
-    for &n in &ids {
-        let local = n as usize - node_lo;
-        let orphans = work.routers[local].take_orphan_credits();
-        for (port, vc) in orphans {
-            ctx.buffer_credit(&mut work.scratch, n as usize, port, vc);
-        }
-    }
-    work.scratch.ids = ids;
-}
-
-/// Switch traversal for one shard, over the ids drained by
-/// [`route_task`]: departing flits buffer into the struct-of-arrays
-/// push buffer (links may belong to another shard) or deliver into the
-/// shard's own receivers; upstream credits buffer per the
-/// credit-return latency; finished stall streaks buffer as events.
-fn traverse_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    let mut traversals = std::mem::take(&mut work.scratch.traversals);
-    let killed = &ctx.killed;
-    let is_killed = |w: WormId| killed.contains(w);
-    for &n in &ids {
-        let local = n as usize - node_lo;
-        traversals.clear();
-        work.routers[local].traverse_into(now, &is_killed, &mut traversals);
-        for k in 0..traversals.len() {
-            let t = traversals[k];
-            work.scratch.progress = true;
-            if work.routers[local].port_kind(t.from_port) == PortKind::Node {
-                ctx.buffer_credit(&mut work.scratch, n as usize, t.from_port, t.from_vc);
-            }
-            match t.target {
-                RouteTarget::Link { port, vc } => {
-                    let Some(li) = ctx.out_link[n as usize][port.index()] else {
-                        debug_assert!(false, "route to disconnected port");
-                        continue;
-                    };
-                    work.scratch.push_li.push(crate::network::idx32(li));
-                    work.scratch.push_vc.push(vc.as_u8());
-                    work.scratch.push_flit.push(t.flit);
-                }
-                RouteTarget::Eject { .. } => {
-                    work.scratch.live_delta -= 1;
-                    if ctx.killed.contains(t.flit.worm) {
-                        work.scratch.counters.flits_dropped_killed += 1;
-                        work.receivers[local].discard(t.flit.worm);
-                        continue;
-                    }
-                    let delivered = work.receivers[local].on_flit(now, t.flit);
-                    work.scratch.delivered.extend(delivered);
-                }
-            }
-        }
-    }
-    if ctx.trace_on {
-        let mut streaks = std::mem::take(&mut work.scratch.streaks);
-        for &n in &ids {
-            let local = n as usize - node_lo;
-            streaks.clear();
-            work.routers[local].drain_streaks_into(&mut streaks);
-            for st in &streaks {
-                if let Some(li) = ctx.out_link[n as usize][st.port.index()] {
-                    work.scratch.streak_events.push(Event::LinkStall {
-                        at: st.since,
-                        link: ctx.link_ids[li],
-                        cause: st.cause,
-                        cycles: st.cycles,
-                    });
-                }
-            }
-        }
-        work.scratch.streaks = streaks;
-    }
-    for &n in &ids {
-        let local = n as usize - node_lo;
-        let r = &work.routers[local];
-        if r.total_occupancy() > 0 || r.has_open_streaks() {
-            work.router_set.insert(n);
-        }
-    }
-    ids.clear();
-    work.scratch.ids = ids;
-    work.scratch.traversals = traversals;
 }

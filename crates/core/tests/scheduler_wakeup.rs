@@ -8,7 +8,9 @@
 //! wake-up (an injector sleeping through its backoff resume, a link
 //! arrival never scanned, a router left out of a phase) would make the
 //! runs diverge: a different drain outcome, a different final clock,
-//! or a different report. `cr_sim::check` shrinks any counterexample.
+//! or a different report. A second property switches drivers at
+//! random points of one run. `cr_sim::check` shrinks any
+//! counterexample.
 
 use cr_core::{Network, NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
 use cr_sim::check::{check, Config, Source};
@@ -92,38 +94,61 @@ fn random_networks_never_lose_a_wakeup() {
     });
 }
 
-/// Switching steppers mid-run is legal: the active sets are maintained
-/// in both modes, so a network stepped densely for a while must
-/// continue — and finish — identically under the active scheduler.
+/// Switching drivers mid-run is legal, in any order and at any point:
+/// every driver runs the same phase kernels and leaves the active sets
+/// exact, so a run chopped into random segments — each picking
+/// (reference | active) × (forced team hand-off on | off) × (1 | 2
+/// worker threads), over a 1-, 2- or 3-shard plan — must finish with
+/// the same report, clock and trace stream as the plain serial active
+/// run.
 #[test]
 fn mid_run_stepper_switch_is_seamless() {
-    check("scheduler_switch", Config::cases(20), |src| {
+    const BUDGET: u64 = 60_000;
+    check("scheduler_switch", Config::cases(30), |src| {
         let (mut b, plan) = random_case(src);
-        let mut active = b.build();
-        let mut mixed = b.build();
-        mixed.set_reference_stepper(true);
-
+        b.trace(1 << 14);
+        let mut plain = b.shards(1).build();
+        let mut mixed = b.shards(src.usize_in(1..4)).build();
         for &(from, to, len) in &plan {
-            active.send_message(NodeId::new(from), NodeId::new(to), len);
+            plain.send_message(NodeId::new(from), NodeId::new(to), len);
             mixed.send_message(NodeId::new(from), NodeId::new(to), len);
         }
-        // Dense prefix of random length, then hand over to the
-        // active-set stepper for the rest of the drain.
-        let prefix = src.usize_in(0..120) as u64;
-        let a_done = active.run_until_quiescent(60_000);
-        let mut steps = 0;
-        while steps < prefix && !mixed.is_deadlocked() && mixed.flits_in_flight() > 0 {
-            mixed.step();
-            steps += 1;
-        }
-        mixed.set_reference_stepper(false);
-        // Align the cycle budget so both runs cap out at the same end
-        // cycle regardless of how long the dense prefix was.
-        let m_done = mixed.run_until_quiescent(60_000u64.saturating_sub(mixed.now().as_u64()));
+        let p_done = plain.run_until_quiescent(BUDGET);
 
-        assert_eq!(a_done, m_done, "drain outcomes diverge after switch");
-        let a = active.report().to_json();
+        // Random segments of bare steps (no fast-forward, so a segment
+        // can end mid-worm), then whatever the last segment's driver
+        // is finishes the drain with fast-forward allowed.
+        for _ in 0..src.usize_in(1..7) {
+            mixed.set_reference_stepper(src.bool_any());
+            mixed.set_force_sharded(src.bool_any());
+            mixed.set_shard_threads(Some(src.usize_in(1..3)));
+            for _ in 0..src.usize_in(0..60) {
+                if mixed.is_deadlocked() || mixed.flits_in_flight() == 0 {
+                    break;
+                }
+                mixed.step();
+            }
+        }
+        // Align the cycle budget so both runs cap out at the same end
+        // cycle regardless of how many cycles the segments stepped.
+        let m_done = mixed.run_until_quiescent(BUDGET.saturating_sub(mixed.now().as_u64()));
+
+        assert_eq!(p_done, m_done, "drain outcomes diverge after switches");
+        assert_eq!(
+            plain.now(),
+            mixed.now(),
+            "final clocks diverge after switches"
+        );
+        let p = plain.report().to_json();
         let m = mixed.report().to_json();
-        assert!(a == m, "reports diverge after switch\nactive:\n{a}\nmixed:\n{m}");
+        assert!(
+            p == m,
+            "reports diverge after switches\nplain:\n{p}\nmixed:\n{m}"
+        );
+        assert_eq!(
+            plain.take_trace_events(),
+            mixed.take_trace_events(),
+            "trace streams diverge after switches"
+        );
     });
 }

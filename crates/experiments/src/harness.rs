@@ -287,44 +287,97 @@ impl Scale {
     /// changes. A `--churn <plan.json>` flag (via [`set_churn_plan`])
     /// installs a live kill/revive schedule on every network built;
     /// the plan's JSON schema is documented in `EXPERIMENTS.md`.
+    ///
+    /// A missing or unparsable value for any of these flags exits
+    /// with status 2 and a diagnostic rather than running with
+    /// defaults. Flags the harness does not know are left to the
+    /// binary.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--jobs" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    set_jobs(n);
-                }
-            } else if let Some(n) = a.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-                set_jobs(n);
-            } else if a == "--shards" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    set_shards(n);
-                }
-            } else if let Some(n) = a.strip_prefix("--shards=").and_then(|v| v.parse().ok()) {
-                set_shards(n);
-            } else if a == "--trace" {
-                if let Some(p) = it.next() {
-                    apply_trace_arg(p);
-                }
-            } else if let Some(p) = a.strip_prefix("--trace=") {
-                apply_trace_arg(p);
-            } else if a == "--churn" {
-                if let Some(p) = it.next() {
-                    apply_churn_arg(p);
-                }
-            } else if let Some(p) = a.strip_prefix("--churn=") {
-                apply_churn_arg(p);
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let parsed = match parse_common_args(&args) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
             }
+        };
+        if let Some(n) = parsed.jobs {
+            set_jobs(n);
         }
-        if args.iter().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
+        if let Some(n) = parsed.shards {
+            set_shards(n);
+        }
+        if let Some(p) = &parsed.trace {
+            apply_trace_arg(p);
+        }
+        if let Some(p) = &parsed.churn {
+            apply_churn_arg(p);
+        }
+        parsed.scale
+    }
+}
+
+/// The flags every experiment binary shares, parsed but not applied.
+#[derive(Debug, PartialEq)]
+struct CommonArgs {
+    scale: Scale,
+    jobs: Option<usize>,
+    shards: Option<usize>,
+    trace: Option<String>,
+    churn: Option<String>,
+}
+
+/// Parses the shared harness flags out of `args` (the process
+/// arguments without the program name). `--flag value` and
+/// `--flag=value` are both accepted and the last occurrence wins;
+/// arguments that are not harness flags are skipped, since binaries
+/// add their own.
+///
+/// # Errors
+///
+/// A harness flag with no value, or a `--jobs` / `--shards` value
+/// that is not a non-negative integer.
+fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
+    let mut out = CommonArgs {
+        scale: Scale::Paper,
+        jobs: None,
+        shards: None,
+        trace: None,
+        churn: None,
+    };
+    let count = |flag: &str, v: &str| {
+        v.parse::<usize>()
+            .map_err(|_| format!("invalid {flag} value '{v}': expected a non-negative integer"))
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        if !matches!(flag, "--jobs" | "--shards" | "--trace" | "--churn") {
+            continue;
+        }
+        let value = match inline {
+            Some(v) => v,
+            None => it
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value"))?
+                .as_str(),
+        };
+        match flag {
+            "--jobs" => out.jobs = Some(count(flag, value)?),
+            "--shards" => out.shards = Some(count(flag, value)?),
+            "--trace" => out.trace = Some(value.to_string()),
+            _ => out.churn = Some(value.to_string()),
         }
     }
+    if args.iter().any(|a| a == "--tiny") {
+        out.scale = Scale::Tiny;
+    } else if args.iter().any(|a| a == "--quick") {
+        out.scale = Scale::Quick;
+    }
+    Ok(out)
 }
 
 /// One measured point of a sweep, distilled from a [`SimReport`].
@@ -455,6 +508,66 @@ mod tests {
         assert_eq!(SweepRunner::new(0).jobs(), 1);
         assert_eq!(SweepRunner::new(6).jobs(), 6);
         assert!(SweepRunner::current().jobs() >= 1);
+    }
+
+    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_common_args(&args)
+    }
+
+    #[test]
+    fn common_args_parse_both_spellings_and_skip_unknown_flags() {
+        let got = parse(&[
+            "--quick",
+            "--jobs",
+            "3",
+            "--emit-plan",
+            "plan.json",
+            "--shards=4",
+            "--dense",
+            "--trace=t.jsonl",
+            "--churn",
+            "c.json",
+        ])
+        .expect("well-formed flags");
+        assert_eq!(
+            got,
+            CommonArgs {
+                scale: Scale::Quick,
+                jobs: Some(3),
+                shards: Some(4),
+                trace: Some("t.jsonl".into()),
+                churn: Some("c.json".into()),
+            }
+        );
+        let bare = parse(&[]).expect("no flags");
+        assert_eq!(
+            (bare.scale, bare.jobs, bare.shards),
+            (Scale::Paper, None, None)
+        );
+        assert_eq!(
+            parse(&["--tiny", "--quick"]).map(|a| a.scale),
+            Ok(Scale::Tiny)
+        );
+    }
+
+    #[test]
+    fn common_args_reject_bad_and_missing_values() {
+        for (args, needle) in [
+            (&["--jobs", "abc"][..], "invalid --jobs value 'abc'"),
+            (&["--jobs=-1"][..], "invalid --jobs value '-1'"),
+            (&["--shards="][..], "invalid --shards value ''"),
+            (
+                &["--shards", "--tiny"][..],
+                "invalid --shards value '--tiny'",
+            ),
+            (&["--tiny", "--jobs"][..], "--jobs needs a value"),
+            (&["--trace"][..], "--trace needs a value"),
+            (&["--jobs", "2", "--churn"][..], "--churn needs a value"),
+        ] {
+            let err = parse(args).expect_err("malformed flags must not parse");
+            assert!(err.contains(needle), "{args:?}: got '{err}'");
+        }
     }
 
     #[test]

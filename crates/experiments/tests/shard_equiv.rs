@@ -239,6 +239,52 @@ fn single_shard_through_team_twin_matches() {
     }
 }
 
+/// The reference driver composes with a shard plan: FCR with dead
+/// links (so both arrivals bodies run — ordered on cycles a dead link
+/// has a flit due, the quiet kernel otherwise) stepped by the
+/// visit-everything driver over two shards and real worker threads
+/// must match the serial active run, report, clock and trace stream.
+#[test]
+fn reference_driver_on_two_shards_twin_matches() {
+    let build = || {
+        let mut b = Scale::Tiny.builder();
+        let mut faults = FaultModel::new();
+        let topo = KAryNCube::torus(Scale::Tiny.radix(), 2);
+        faults
+            .kill_random_links_connected(&topo, 2, &mut SimRng::from_seed(0xFA))
+            .expect("fault plan must keep the network connected");
+        b.routing(RoutingKind::AdaptiveMisroute {
+            vcs: 1,
+            extra_hops: 4,
+        })
+        .protocol(ProtocolKind::Fcr)
+        .faults(faults)
+        .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), 0.2)
+        .trace(4096)
+        .seed(0x52);
+        b
+    };
+    let mut serial = build().build();
+    let s = serial.run(Scale::Tiny.cycles()).to_json();
+    assert!(s.contains("counters"), "empty report");
+
+    let mut reference = build().shards(2).build();
+    assert_eq!(reference.num_shards(), 2);
+    reference.set_reference_stepper(true);
+    reference.set_shard_threads(Some(2));
+    let r = reference.run(Scale::Tiny.cycles()).to_json();
+    assert!(
+        s == r,
+        "serial active and reference-at-shards(2) reports differ\nserial:\n{s}\nreference:\n{r}"
+    );
+    assert_eq!(serial.now(), reference.now(), "clock differs");
+    assert_eq!(
+        serial.take_trace_events(),
+        reference.take_trace_events(),
+        "trace event streams differ"
+    );
+}
+
 /// Constructing and dropping sharded networks must not leak worker
 /// threads: the persistent team is joined in `Network::drop` before
 /// the shard state it references is freed. 100 construct/step/drop

@@ -29,6 +29,7 @@ pub const SPAWN_EXEMPT_FILES: &[&str] = &["crates/sim/src/pool.rs"];
 pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/network.rs",
     "crates/core/src/network_sharded.rs",
+    "crates/core/src/network_kernel.rs",
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
@@ -52,6 +53,7 @@ pub const PANIC_RULE_FILES: &[&str] = &[
 pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/network.rs",
     "crates/core/src/network_sharded.rs",
+    "crates/core/src/network_kernel.rs",
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",

@@ -145,19 +145,7 @@ where
 {
     let n = tasks.len();
     if jobs <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for (i, task) in tasks.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    return Err(PoolError {
-                        task_index: i,
-                        message: panic_message(&payload),
-                    })
-                }
-            }
-        }
-        return Ok(out);
+        return run_inline(tasks);
     }
 
     let workers = jobs.min(n);
@@ -188,32 +176,58 @@ where
             });
         }
         drop(tx);
+        // The channel closes only after every worker has reported.
+        collect_in_order(n, rx.into_iter().flatten())
+    })
+}
 
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_error: Option<PoolError> = None;
-        for batch in rx {
-            for (i, result) in batch {
-                match result {
-                    Ok(v) => out[i] = Some(v),
-                    Err(message) => {
-                        if first_error.as_ref().is_none_or(|e| i < e.task_index) {
-                            first_error = Some(PoolError {
-                                task_index: i,
-                                message,
-                            });
-                        }
-                    }
+/// The serial fallback shared by [`try_run`] and [`Team::try_run`]:
+/// runs `tasks` in submission order on the calling thread, stopping at
+/// the first panic.
+fn run_inline<T, F: FnOnce() -> T>(tasks: Vec<F>) -> Result<Vec<T>, PoolError> {
+    let mut out = Vec::with_capacity(tasks.len());
+    for (i, task) in tasks.into_iter().enumerate() {
+        match catch_unwind(AssertUnwindSafe(task)) {
+            Ok(v) => out.push(v),
+            Err(payload) => {
+                return Err(PoolError {
+                    task_index: i,
+                    message: panic_message(&payload),
+                })
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Puts the `n` index-tagged `results` of a parallel batch back into
+/// submission order, or reports the lowest failing index.
+fn collect_in_order<T>(
+    n: usize,
+    results: impl Iterator<Item = (usize, Result<T, String>)>,
+) -> Result<Vec<T>, PoolError> {
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut first_error: Option<PoolError> = None;
+    for (i, result) in results {
+        match result {
+            Ok(v) => out[i] = Some(v),
+            Err(message) => {
+                if first_error.as_ref().is_none_or(|e| i < e.task_index) {
+                    first_error = Some(PoolError {
+                        task_index: i,
+                        message,
+                    });
                 }
             }
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out
-                .into_iter()
-                .map(|v| v.expect("channel closed only after all tasks reported"))
-                .collect()),
-        }
-    })
+    }
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(out
+            .into_iter()
+            .map(|v| v.expect("every task of the batch reported exactly once"))
+            .collect()),
+    }
 }
 
 /// Pops the next task for worker `w`: its own deque front first, then
@@ -412,19 +426,7 @@ impl Team {
     {
         let n = tasks.len();
         if self.workers.is_empty() || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            for (i, task) in tasks.into_iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(task)) {
-                    Ok(v) => out.push(v),
-                    Err(payload) => {
-                        return Err(PoolError {
-                            task_index: i,
-                            message: panic_message(&payload),
-                        })
-                    }
-                }
-            }
-            return Ok(out);
+            return run_inline(tasks);
         }
 
         // Result delivery rides inside each job, so the shared batch
@@ -464,36 +466,17 @@ impl Team {
         // parked.
         team_run_batch(&batch);
 
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_error: Option<PoolError> = None;
-        for _ in 0..n {
-            let (i, result) = rx
-                .recv()
-                .expect("every team job sends exactly one result before dropping its sender");
-            match result {
-                Ok(v) => out[i] = Some(v),
-                Err(message) => {
-                    if first_error.as_ref().is_none_or(|e| i < e.task_index) {
-                        first_error = Some(PoolError {
-                            task_index: i,
-                            message,
-                        });
-                    }
-                }
-            }
-        }
-
+        let results = collect_in_order(
+            n,
+            (0..n).map(|_| {
+                rx.recv()
+                    .expect("every team job sends exactly one result before dropping its sender")
+            }),
+        );
         // Retire the batch so no worker holds it across the gap to the
         // next dispatch (its task slots are already empty).
         lock(&self.shared.state).batch = None;
-
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out
-                .into_iter()
-                .map(|v| v.expect("all team results received"))
-                .collect()),
-        }
+        results
     }
 }
 

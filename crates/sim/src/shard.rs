@@ -271,6 +271,13 @@ impl<T> Sharded<T> {
         (c, index - self.offsets[c])
     }
 
+    /// Chunk `c` as a mutable slice: the in-place counterpart of
+    /// [`Sharded::take_chunk`], for callers that work on the chunk
+    /// without moving it.
+    pub fn chunk_mut(&mut self, c: usize) -> &mut [T] {
+        &mut self.chunks[c]
+    }
+
     /// Moves chunk `c` out, leaving it empty. Pair with
     /// [`Sharded::put_chunk`] before the next flat access to that
     /// range.
@@ -423,6 +430,9 @@ mod tests {
         assert_eq!(s[9], 9);
         s.put_chunk(1, mid);
         assert_eq!(s.iter().copied().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        s.chunk_mut(2)[0] = 70;
+        assert_eq!(s.chunk_mut(1), [4, 5, 6]);
+        assert_eq!(s[7], 70);
     }
 
     #[test]

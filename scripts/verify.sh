@@ -63,6 +63,14 @@ echo "verify: cr-check battery closed, mutations falsified, counterexample repla
 
 cargo test -q --offline --workspace
 
+# The benchmark is a package of its own (cr-perf/, outside this
+# workspace): its tests and its verify pass — every workload's report
+# byte-identical across the reference, active and two-shard drivers,
+# every scheduled message delivered exactly once — gate here too.
+cargo test -q --offline --manifest-path cr-perf/Cargo.toml
+cargo run --release --offline --quiet --manifest-path cr-perf/Cargo.toml -- verify
+echo "verify: cr-perf tests green, cr-perf verify passed"
+
 # Documentation is part of tier-1: broken intra-doc links or missing
 # rustdoc (cr-topology and cr-router deny missing_docs) fail verify.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace > /dev/null
