@@ -267,8 +267,7 @@ impl ProtocolStep for CheckNet {
     fn inject(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> FlowKey {
         // Mirror send_message's flow/sequence assignment *before* the
         // call increments the counter.
-        let flow = src.index() * self.net.tables.topo.num_nodes() + dst.index();
-        let msg_seq = self.net.seq_counters[flow];
+        let msg_seq = *self.net.flow_seq(src, dst);
         let id = self.net.send_message(src, dst, payload_len);
         let key = (src.as_u32(), dst.as_u32(), msg_seq);
         self.labels.insert(id, key);
@@ -282,7 +281,7 @@ impl ProtocolStep for CheckNet {
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.tables.link_head[li];
-        if let Some((src, src_port)) = self.net.tables.in_upstream[dst][dst_port.index()] {
+        if let Some((src, src_port)) = self.net.tables.in_upstream(dst, dst_port) {
             self.net.routers[src].set_dead_out(src_port);
         }
     }
@@ -292,7 +291,7 @@ impl ProtocolStep for CheckNet {
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.tables.link_head[li];
-        if let Some((src, src_port)) = self.net.tables.in_upstream[dst][dst_port.index()] {
+        if let Some((src, src_port)) = self.net.tables.in_upstream(dst, dst_port) {
             self.net.routers[src].clear_dead_out(src_port);
             self.net.arm_router(src);
         }
@@ -482,7 +481,7 @@ impl ProtocolStep for CheckNet {
         // capacity forever; a surplus would overflow buffers.
         for li in 0..net.links.len() {
             let (dst, dst_port) = net.tables.link_head[li];
-            let Some((src, src_port)) = net.tables.in_upstream[dst][dst_port.index()] else {
+            let Some((src, src_port)) = net.tables.in_upstream(dst, dst_port) else {
                 continue;
             };
             let pi = net.link_perm[li] as usize;

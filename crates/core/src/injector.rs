@@ -18,7 +18,7 @@
 
 use crate::config::{Ablations, ProtocolKind};
 use crate::retransmit::RetransmitScheme;
-use cr_router::flit::worm_flits;
+use cr_router::flit::worm_flit_at;
 use cr_router::{Router, WormId};
 use cr_sim::{Cycle, MessageId, NodeId, SimRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -260,7 +260,7 @@ impl Injector {
         // Regenerating the flit for the current position is cheap and
         // keeps no per-attempt buffer around (the hardware keeps the
         // message in the source's memory anyway).
-        let flit = worm_flits(
+        let flit = worm_flit_at(
             c.worm,
             c.msg.src,
             c.msg.dst,
@@ -268,12 +268,8 @@ impl Injector {
             pad,
             c.msg.msg_seq,
             c.msg.created,
-        )
-        .nth(c.next as usize);
-        let Some(flit) = flit else {
-            debug_assert!(false, "flit cursor past worm length");
-            return out;
-        };
+            c.next,
+        );
 
         if router.try_inject(now, self.channel, flit) {
             out.injected_flit = true;

@@ -67,7 +67,9 @@ impl KilledMap {
     }
 
     pub(crate) fn contains(&self, key: WormId) -> bool {
-        self.find(key).is_some()
+        // Most of most runs no worm is dead: answer the per-flit
+        // probes without hashing.
+        self.len != 0 && self.find(key).is_some()
     }
 
     /// Index of the slot holding `key`, if present.

@@ -63,7 +63,7 @@ use cr_sim::trace::{Event, KillCause, TraceSink, TraceStats};
 use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
 use cr_traffic::TrafficSource;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 #[path = "network_kernel.rs"]
@@ -130,20 +130,49 @@ struct ChurnTracker {
 struct Tables {
     topo: Box<dyn Topology>,
     routing: Box<dyn RoutingFunction>,
-    /// `out_link[node][port]` = link index leaving that port.
-    out_link: Vec<Vec<Option<usize>>>,
+    /// Row length of the two per-(node, port) tables below:
+    /// `topo.max_ports()`. One flat array each, so a lookup is one
+    /// multiply-add and one load, not two dependent ones.
+    stride: usize,
+    /// `out_link[node * stride + port]` = link index leaving that
+    /// port ([`NONE`] where unconnected); read via
+    /// [`Tables::out_link`].
+    out_link: Vec<u32>,
     /// `link_head[link]` = (dst node, dst input port).
     link_head: Vec<(usize, PortId)>,
     /// `link_ids[link]` = the topology's `LinkId` (fault-model key).
     link_ids: Vec<cr_sim::LinkId>,
-    /// `in_upstream[node][in_port]` = (upstream node, upstream output
-    /// port).
-    in_upstream: Vec<Vec<Option<(usize, PortId)>>>,
+    /// `in_upstream[node * stride + in_port]` = (upstream node,
+    /// upstream output port), node [`NONE`] where unconnected; read
+    /// via [`Tables::in_upstream`].
+    in_upstream: Vec<(u32, PortId)>,
     /// Inverse of `Network::link_perm`: permuted index -> original
     /// link index.
     link_orig: Vec<u32>,
     /// Injection channels per node (`cfg.inject_channels`).
     chans: usize,
+}
+
+/// "No entry" in the flat `u32` wiring tables.
+const NONE: u32 = u32::MAX;
+
+impl Tables {
+    /// Flat slot of `(node, port)`, or `None` past the row.
+    fn slot(&self, node: usize, port: PortId) -> Option<usize> {
+        (port.index() < self.stride).then(|| node * self.stride + port.index())
+    }
+
+    /// Index of the link leaving `node` via output `port`.
+    fn out_link(&self, node: usize, port: PortId) -> Option<usize> {
+        let li = self.out_link[self.slot(node, port)?];
+        (li != NONE).then_some(li as usize)
+    }
+
+    /// The (node, output port) feeding `node`'s input `in_port`.
+    fn in_upstream(&self, node: usize, in_port: PortId) -> Option<(usize, PortId)> {
+        let (up_node, up_out) = self.in_upstream[self.slot(node, in_port)?];
+        (up_node != NONE).then_some((up_node as usize, up_out))
+    }
 }
 
 /// A complete simulated network. Build one with
@@ -192,8 +221,11 @@ pub struct Network {
     worm_sources: Vec<u32>,
     /// Future trace events, time-sorted (front = next due).
     scheduled: VecDeque<cr_traffic::TraceEvent>,
-    /// `seq_counters[src * n + dst]` = next per-flow sequence number.
-    seq_counters: Vec<u64>,
+    /// Next per-flow sequence number, keyed `(src, dst)`; read and
+    /// bumped through [`Network::flow_seq`]. Sparse: a fabric has
+    /// `n²` flows but a run touches only those that carry a message,
+    /// and a dense table is 32 GiB at 256×256.
+    seq_counters: BTreeMap<(u32, u32), u64>,
     next_message_id: u64,
     /// Per-cycle path-wide stall list, reused across cycles.
     stall_scratch: Vec<(PortId, VcId, WormId)>,
@@ -389,23 +421,21 @@ impl Network {
         // Link tables.
         let descs = topo.links();
         let mut links = Vec::with_capacity(descs.len());
-        let mut out_link: Vec<Vec<Option<usize>>> = (0..n)
-            .map(|i| vec![None; topo.num_ports(NodeId::from_index(i))])
-            .collect();
+        let stride = topo.max_ports();
+        let mut out_link = vec![NONE; n * stride];
         let mut link_head = Vec::with_capacity(descs.len());
         let mut link_ids = Vec::with_capacity(descs.len());
-        let mut in_upstream: Vec<Vec<Option<(usize, PortId)>>> = (0..n)
-            .map(|i| vec![None; topo.num_ports(NodeId::from_index(i))])
-            .collect();
+        let mut in_upstream = vec![(NONE, PortId::new(0)); n * stride];
         for (idx, d) in descs.iter().enumerate() {
             links.push(LinkState {
                 lanes: (0..num_vcs).map(|_| VecDeque::new()).collect(),
                 occupied: 0,
             });
-            out_link[d.src.index()][d.src_port.index()] = Some(idx);
+            out_link[d.src.index() * stride + d.src_port.index()] = idx32(idx);
             link_head.push((d.dst.index(), d.dst_port));
             link_ids.push(d.id);
-            in_upstream[d.dst.index()][d.dst_port.index()] = Some((d.src.index(), d.src_port));
+            in_upstream[d.dst.index() * stride + d.dst_port.index()] =
+                (d.src.as_u32(), d.src_port);
         }
 
         // Group link *state* storage by owning shard (the shard of the
@@ -513,6 +543,7 @@ impl Network {
             tables: Arc::new(Tables {
                 topo,
                 routing,
+                stride,
                 out_link,
                 link_head,
                 link_ids,
@@ -540,7 +571,7 @@ impl Network {
             bwd_scratch: Vec::new(),
             worm_sources: Vec::new(),
             scheduled: VecDeque::new(),
-            seq_counters: vec![0; n * n],
+            seq_counters: BTreeMap::new(),
             next_message_id: 0,
             stall_scratch: Vec::new(),
             trace,
@@ -661,11 +692,10 @@ impl Network {
     /// output port feeds it.
     pub fn link_stall_stats(&self) -> Vec<(cr_sim::LinkId, LinkStats)> {
         let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.links.len()];
-        for (n, ports) in self.tables.out_link.iter().enumerate() {
-            let stats = self.routers[n].link_stats();
-            for (p, li) in ports.iter().enumerate() {
-                if let (Some(li), Some(s)) = (li, stats.get(p)) {
-                    out[*li] = (self.tables.link_ids[*li], *s);
+        for (n, router) in self.routers.iter().enumerate() {
+            for (p, s) in router.link_stats().iter().enumerate() {
+                if let Some(li) = self.tables.out_link(n, PortId::from_index(p)) {
+                    out[li] = (self.tables.link_ids[li], *s);
                 }
             }
         }
@@ -829,6 +859,14 @@ impl Network {
         }
     }
 
+    /// The next sequence number of flow `src -> dst` (0 for a flow
+    /// that has carried nothing yet).
+    fn flow_seq(&mut self, src: NodeId, dst: NodeId) -> &mut u64 {
+        self.seq_counters
+            .entry((src.as_u32(), dst.as_u32()))
+            .or_insert(0)
+    }
+
     /// Queues a message for transmission, bypassing the traffic
     /// sources — the programmatic send API used by the examples.
     ///
@@ -846,9 +884,9 @@ impl Network {
         assert!(payload_len >= 2, "a worm needs a head and a tail");
         let id = MessageId::new(self.next_message_id);
         self.next_message_id += 1;
-        let flow = src.index() * n + dst.index();
-        let msg_seq = self.seq_counters[flow];
-        self.seq_counters[flow] += 1;
+        let seq = self.flow_seq(src, dst);
+        let msg_seq = *seq;
+        *seq += 1;
         let hops = self.tables.topo.distance(src, dst);
         let budget = self.cfg.routing.misroute_budget() as usize;
         let channel = dst.index() % self.cfg.inject_channels;
@@ -1090,7 +1128,7 @@ impl Network {
             for &id in &f.killed {
                 let li = self.link_by_id[id.index()] as usize;
                 let (dst, dst_port) = self.tables.link_head[li];
-                if let Some((src, src_port)) = self.tables.in_upstream[dst][dst_port.index()] {
+                if let Some((src, src_port)) = self.tables.in_upstream(dst, dst_port) {
                     self.routers[src].set_dead_out(src_port);
                     // Worms holding the upstream output are stranded
                     // mid-transmission by this kill.
@@ -1115,7 +1153,7 @@ impl Network {
             for &id in &f.revived {
                 let li = self.link_by_id[id.index()] as usize;
                 let (dst, dst_port) = self.tables.link_head[li];
-                if let Some((src, src_port)) = self.tables.in_upstream[dst][dst_port.index()] {
+                if let Some((src, src_port)) = self.tables.in_upstream(dst, dst_port) {
                     self.routers[src].clear_dead_out(src_port);
                     // Re-arm the upstream endpoint: a worm parked there
                     // waiting out the dead port must be reconsidered
@@ -1259,10 +1297,10 @@ impl Network {
     /// `(node, in_port)`, restoring their credits — teardown of the
     /// stall-holding link stage.
     fn purge_link_into(&mut self, node: usize, in_port: PortId, vc: VcId, worm: cr_router::WormId) {
-        let Some((up_node, up_out)) = self.tables.in_upstream[node][in_port.index()] else {
+        let Some((up_node, up_out)) = self.tables.in_upstream(node, in_port) else {
             return;
         };
-        let Some(li) = self.tables.out_link[up_node][up_out.index()] else {
+        let Some(li) = self.tables.out_link(up_node, up_out) else {
             return;
         };
         let pi = self.link_perm[li] as usize;
@@ -1616,7 +1654,7 @@ impl Network {
             self.emit_retransmit(now, t.worm.message, retx);
             return;
         }
-        let up = self.tables.in_upstream[t.node][t.port.index()];
+        let up = self.tables.in_upstream(t.node, t.port);
         if let Some((up_node, up_out)) = up {
             if let Some((ip, iv)) = self.routers[up_node].output_owner(up_out, t.vc) {
                 if self.routers[up_node].worm_of(ip, iv) == Some(t.worm) {
@@ -1633,7 +1671,7 @@ impl Network {
         // The upstream chain has already released (the tail passed):
         // notify the source directly.
         crate::network::debug_worm(t.worm, || {
-            let up = self.tables.in_upstream[t.node][t.port.index()];
+            let up = self.tables.in_upstream(t.node, t.port);
             format!("  BWD stop at n{} {} {}: upstream {:?}", t.node, t.port, t.vc, up)
         });
         self.notify_source(now, t.worm);
@@ -1682,13 +1720,13 @@ impl Network {
 
     /// Returns one credit to the router feeding `(node, in_port, vc)`.
     fn credit_into(&mut self, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = self.tables.in_upstream[node][in_port.index()] {
+        if let Some((up_node, up_out)) = self.tables.in_upstream(node, in_port) {
             self.routers[up_node].add_credit(up_out, vc);
         }
     }
 
     fn downstream_of(&self, node: usize, out_port: PortId) -> Option<(usize, PortId)> {
-        let li = self.tables.out_link[node][out_port.index()]?;
+        let li = self.tables.out_link(node, out_port)?;
         Some(self.tables.link_head[li])
     }
 }

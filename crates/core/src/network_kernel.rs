@@ -116,7 +116,7 @@ pub(super) struct ShardScratch {
 impl ShardScratch {
     /// Buffers a credit for the router feeding `(node, in_port, vc)`.
     fn credit(&mut self, tables: &Tables, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = tables.in_upstream[node][in_port.index()] {
+        if let Some((up_node, up_out)) = tables.in_upstream(node, in_port) {
             self.credits.push((idx32(up_node), up_out, vc));
         }
     }
@@ -308,7 +308,7 @@ pub(super) fn injection(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScr
             fx.live_delta -= res.flushed as i64;
             match res.released {
                 Some(RouteTarget::Link { port: op, vc }) => {
-                    if let Some(li) = ctx.tables.out_link[n][op.index()] {
+                    if let Some(li) = ctx.tables.out_link(n, op) {
                         let (node, port) = ctx.tables.link_head[li];
                         fx.tokens.push(Token {
                             worm,
@@ -397,7 +397,7 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
             }
             match t.target {
                 RouteTarget::Link { port, vc } => {
-                    let Some(li) = ctx.tables.out_link[n][port.index()] else {
+                    let Some(li) = ctx.tables.out_link(n, port) else {
                         // Routing only offers connected ports; stay
                         // loud in debug, drop defensively in release
                         // rather than killing the sweep worker.
@@ -425,7 +425,7 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
             streaks.clear();
             router.drain_streaks_into(&mut streaks);
             for s in &streaks {
-                if let Some(li) = ctx.tables.out_link[n][s.port.index()] {
+                if let Some(li) = ctx.tables.out_link(n, s.port) {
                     fx.streak_events.push(Event::LinkStall {
                         at: s.since,
                         link: ctx.tables.link_ids[li],

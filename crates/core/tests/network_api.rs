@@ -243,3 +243,35 @@ fn trace_scheduling_composes_with_bernoulli_traffic() {
     assert!(report.counters.messages_generated as usize >= trace.len());
     assert!(!report.deadlocked);
 }
+
+/// A 256×256 torus has 2³² flows; the per-flow sequence counters must
+/// be sparse for it to assemble at all (a dense table is 32 GiB), and
+/// must still number each flow's messages 0, 1, 2, … independently.
+#[test]
+fn torus_256x256_assembles_and_numbers_flows() {
+    let topo = KAryNCube::torus(256, 2);
+    let (a, b, c) = (
+        topo.node_at(&[0, 0]),
+        topo.node_at(&[3, 2]),
+        topo.node_at(&[255, 255]),
+    );
+    let mut net = NetworkBuilder::new(topo)
+        .routing(RoutingKind::Adaptive { vcs: 1 })
+        .protocol(ProtocolKind::Cr)
+        .warmup(0)
+        .seed(1)
+        .build();
+    net.set_record_deliveries(true);
+    net.send_message(a, b, 4);
+    net.send_message(a, b, 4);
+    net.send_message(c, a, 4);
+    net.send_message(a, b, 4);
+    assert!(net.run_until_quiescent(10_000));
+    let mut seqs: Vec<_> = net
+        .take_delivery_log()
+        .iter()
+        .map(|d| (d.src, d.dst, d.msg_seq))
+        .collect();
+    seqs.sort();
+    assert_eq!(seqs, vec![(a, b, 0), (a, b, 1), (a, b, 2), (c, a, 0)]);
+}

@@ -214,29 +214,51 @@ pub fn worm_flits(
     created: Cycle,
 ) -> impl Iterator<Item = Flit> {
     assert!(payload_len >= 2, "a worm needs a head and a tail flit");
+    (0..payload_len + pad)
+        .map(move |seq| worm_flit_at(worm, src, dst, payload_len, pad, msg_seq, created, seq))
+}
+
+/// The `seq`-th flit of the worm [`worm_flits`] generates from the
+/// same arguments — what an injector replaying its message from source
+/// memory builds each cycle, without walking the flits before it.
+///
+/// # Panics
+///
+/// Panics if `payload_len < 2` or `seq` is past the worm's last flit.
+#[allow(clippy::too_many_arguments)]
+pub fn worm_flit_at(
+    worm: WormId,
+    src: NodeId,
+    dst: NodeId,
+    payload_len: u32,
+    pad: u32,
+    msg_seq: u64,
+    created: Cycle,
+    seq: u32,
+) -> Flit {
+    assert!(payload_len >= 2, "a worm needs a head and a tail flit");
     let worm_len = payload_len + pad;
-    (0..worm_len).map(move |seq| {
-        let kind = if seq == 0 {
-            FlitKind::Head
-        } else if seq == worm_len - 1 {
-            FlitKind::Tail
-        } else if seq >= payload_len {
-            FlitKind::Pad
-        } else {
-            FlitKind::Body
-        };
-        Flit::new(
-            worm,
-            kind,
-            src,
-            dst,
-            seq,
-            msg_seq,
-            worm_len,
-            payload_len,
-            created,
-        )
-    })
+    assert!(seq < worm_len, "flit {seq} past a {worm_len}-flit worm");
+    let kind = if seq == 0 {
+        FlitKind::Head
+    } else if seq == worm_len - 1 {
+        FlitKind::Tail
+    } else if seq >= payload_len {
+        FlitKind::Pad
+    } else {
+        FlitKind::Body
+    };
+    Flit::new(
+        worm,
+        kind,
+        src,
+        dst,
+        seq,
+        msg_seq,
+        worm_len,
+        payload_len,
+        created,
+    )
 }
 
 #[cfg(test)]

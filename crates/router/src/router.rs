@@ -13,6 +13,13 @@
 //! * the **routing/allocation** and **switch-traversal** pipeline
 //!   stages, invoked once per cycle by the network.
 //!
+//! Both stages walk *worklists*, not the whole router: the input VCs
+//! that are non-empty with no route, and the output ports with an
+//! allocated VC or an open stall streak. A worm padded to span its
+//! path keeps most visited routers streaming one body flit through
+//! one output, so almost everything else is idle almost always
+//! (DESIGN.md §10, "Inside the router").
+//!
 //! The router is deliberately protocol-agnostic: it neither times out
 //! nor kills. The CR/FCR machinery drives it through
 //! [`Router::flush_worm`] (teardown) and the counters it exposes.
@@ -218,19 +225,78 @@ impl InputVc {
             last_progress: Cycle::ZERO,
         }
     }
+
+    /// Non-empty with no route: the allocation stage has something to
+    /// do here (route a header, drop an orphan, or wait out a kill).
+    fn is_unrouted(&self) -> bool {
+        self.route.is_none() && !self.buf.is_empty()
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    /// The input VC currently holding this output channel.
-    allocated_to: Option<(PortId, VcId)>,
+    /// Flat index of the input VC currently holding this output
+    /// channel.
+    allocated_to: Option<usize>,
     /// Free buffer slots at the downstream input VC.
     credits: usize,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct EjectPort {
-    allocated_to: Option<(PortId, VcId)>,
+    /// Flat index of the input VC holding this ejection port.
+    allocated_to: Option<usize>,
+}
+
+/// A set over a small fixed universe `0..n`, one bit per member — the
+/// shape of the router's two worklists. Membership changes are O(1),
+/// the size is kept incrementally, and [`BitSet::next_in`] walks the
+/// members of a range in ascending order a word at a time, so a stage
+/// that visits only members costs `O(n / 64 + members)`, not `O(n)`.
+#[derive(Debug)]
+struct BitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BitSet {
+    fn new(universe: usize) -> Self {
+        BitSet {
+            words: vec![0; universe.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.words[i / 64];
+        if on != (*word & bit != 0) {
+            *word ^= bit;
+            if on {
+                self.len += 1;
+            } else {
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The smallest member in `from..to`, if any.
+    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        let mut i = from;
+        while i < to {
+            let rest = self.words[i / 64] >> (i % 64);
+            if rest != 0 {
+                let member = i + rest.trailing_zeros() as usize;
+                return (member < to).then_some(member);
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        None
+    }
 }
 
 /// The wormhole router for one node. See the module docs for the
@@ -239,20 +305,21 @@ struct EjectPort {
 pub struct Router {
     node: NodeId,
     cfg: RouterConfig,
-    /// inputs[port][vc]; injection ports have a single VC.
-    inputs: Vec<Vec<InputVc>>,
-    /// outputs[port][vc] for neighbor ports only.
-    outputs: Vec<Vec<OutputVc>>,
+    /// Every input VC in one flat array (see [`Router::in_idx`]):
+    /// neighbor port `p`'s VC `v` at `p * num_vcs + v`, then one
+    /// single-VC entry per injection port.
+    inputs: Vec<InputVc>,
+    /// `outputs[port * num_vcs + vc]` for neighbor ports only.
+    outputs: Vec<OutputVc>,
     ejects: Vec<EjectPort>,
     dead_out: Vec<bool>,
     counters: RouterCounters,
     rng: SimRng,
     /// (port, vc) pairs whose orphan drop needs an upstream credit.
     orphan_credits: Vec<(PortId, VcId)>,
-    /// The flattened `(port, vc)` input list, precomputed once: the
-    /// allocation stage's round-robin walks it every cycle, and the
-    /// input geometry never changes after construction.
-    input_list: Vec<(usize, usize)>,
+    /// Flat input index -> `(port, vc)`; the input geometry never
+    /// changes after construction.
+    input_list: Vec<(PortId, VcId)>,
     /// Routing-candidate scratch, reused across headers and cycles.
     candidates: Vec<Candidate>,
     /// Per-cycle "input port already supplied a flit" flags, reused
@@ -275,6 +342,16 @@ pub struct Router {
     /// How many entries of `stall_open` are `Some` — O(1) answer to
     /// [`Router::has_open_streaks`].
     open_streaks: usize,
+    /// Allocation worklist: exactly the flat input indices whose VC
+    /// [`InputVc::is_unrouted`]. Every other VC is one
+    /// [`Router::route_and_allocate`] would step over untouched, so
+    /// the stage walks this set only (DESIGN.md §10).
+    unrouted: BitSet,
+    /// Traversal worklist: exactly the neighbor output ports with an
+    /// allocated VC or an open stall streak. For any other port the
+    /// traversal stage forwards nothing and `note_link_cycle` has
+    /// nothing to count or close, so it walks this set only.
+    busy_out: BitSet,
 }
 
 impl Router {
@@ -286,36 +363,33 @@ impl Router {
     /// [`RouterConfig::validate`]).
     pub fn new(node: NodeId, cfg: RouterConfig, rng: SimRng) -> Self {
         cfg.validate();
-        let mut inputs = Vec::with_capacity(cfg.num_node_ports + cfg.num_inject);
-        for _ in 0..cfg.num_node_ports {
-            inputs.push(
-                (0..cfg.num_vcs)
-                    .map(|_| InputVc::new(cfg.buffer_depth))
-                    .collect(),
-            );
+        let mut inputs = Vec::with_capacity(cfg.num_node_ports * cfg.num_vcs + cfg.num_inject);
+        let mut input_list = Vec::with_capacity(inputs.capacity());
+        for p in 0..cfg.num_node_ports {
+            for v in 0..cfg.num_vcs {
+                inputs.push(InputVc::new(cfg.buffer_depth));
+                input_list.push((PortId::from_index(p), VcId::from_index(v)));
+            }
         }
-        for _ in 0..cfg.num_inject {
-            inputs.push(vec![InputVc::new(cfg.inject_depth)]);
+        for i in 0..cfg.num_inject {
+            inputs.push(InputVc::new(cfg.inject_depth));
+            input_list.push((
+                PortId::from_index(cfg.num_node_ports + i),
+                VcId::from_index(0),
+            ));
         }
-        let outputs = (0..cfg.num_node_ports)
-            .map(|_| {
-                (0..cfg.num_vcs)
-                    .map(|_| OutputVc {
-                        allocated_to: None,
-                        credits: cfg.buffer_depth + cfg.link_depth,
-                    })
-                    .collect()
-            })
-            .collect();
-        let input_list: Vec<(usize, usize)> = inputs
-            .iter()
-            .enumerate()
-            .flat_map(|(p, vcs)| (0..vcs.len()).map(move |v| (p, v)))
-            .collect();
-        let num_inputs = inputs.len();
+        let outputs = vec![
+            OutputVc {
+                allocated_to: None,
+                credits: cfg.buffer_depth + cfg.link_depth,
+            };
+            cfg.num_node_ports * cfg.num_vcs
+        ];
         Router {
             node,
             cfg,
+            unrouted: BitSet::new(inputs.len()),
+            busy_out: BitSet::new(cfg.num_node_ports),
             inputs,
             outputs,
             ejects: vec![EjectPort::default(); cfg.num_eject],
@@ -325,7 +399,7 @@ impl Router {
             orphan_credits: Vec::new(),
             input_list,
             candidates: Vec::new(),
-            input_used: vec![false; num_inputs],
+            input_used: vec![false; cfg.num_node_ports + cfg.num_inject],
             link_stats: vec![LinkStats::default(); cfg.num_node_ports],
             stall_open: vec![None; cfg.num_node_ports],
             finished_streaks: Vec::new(),
@@ -333,6 +407,77 @@ impl Router {
             occupancy: 0,
             open_streaks: 0,
         }
+    }
+
+    /// Flat index of input VC `(port, vc)` in `inputs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair names no input VC of this router (a flat
+    /// index computed from it would alias another VC).
+    fn in_idx(&self, port: PortId, vc: VcId) -> usize {
+        let (p, v) = (port.index(), vc.index());
+        let ports = self.cfg.num_node_ports;
+        if p < ports {
+            assert!(v < self.cfg.num_vcs, "no {vc} on {port} at {}", self.node);
+            p * self.cfg.num_vcs + v
+        } else {
+            assert!(
+                p < ports + self.cfg.num_inject && v == 0,
+                "no input {port} {vc} at {}",
+                self.node
+            );
+            ports * self.cfg.num_vcs + (p - ports)
+        }
+    }
+
+    /// Flat index of output VC `(port, vc)` in `outputs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair names no neighbor output VC.
+    fn out_idx(&self, port: PortId, vc: VcId) -> usize {
+        assert!(
+            port.index() < self.cfg.num_node_ports && vc.index() < self.cfg.num_vcs,
+            "no output {port} {vc} at {}",
+            self.node
+        );
+        port.index() * self.cfg.num_vcs + vc.index()
+    }
+
+    fn input(&self, port: PortId, vc: VcId) -> &InputVc {
+        &self.inputs[self.in_idx(port, vc)]
+    }
+
+    /// Whether neighbor output `port` belongs on the traversal
+    /// worklist: some VC of it is allocated, or a stall streak is open.
+    fn port_is_busy(&self, port: usize) -> bool {
+        let vcs = self.cfg.num_vcs;
+        self.stall_open[port].is_some()
+            || self.outputs[port * vcs..(port + 1) * vcs]
+                .iter()
+                .any(|o| o.allocated_to.is_some())
+    }
+
+    /// Re-derives `port`'s membership in the traversal worklist.
+    fn refresh_busy(&mut self, port: usize) {
+        let busy = self.port_is_busy(port);
+        self.busy_out.set(port, busy);
+    }
+
+    /// Dense recount of both worklists against the state they
+    /// summarize — the `debug_assert` cross-check, like the ones on
+    /// `occupancy` and `open_streaks`.
+    fn worklists_exact(&self) -> bool {
+        let unrouted = |k: usize| self.inputs[k].is_unrouted();
+        let busy = |port: usize| self.port_is_busy(port);
+        let (inputs, ports) = (0..self.inputs.len(), 0..self.cfg.num_node_ports);
+        inputs
+            .clone()
+            .all(|k| unrouted(k) == self.unrouted.contains(k))
+            && inputs.filter(|&k| unrouted(k)).count() == self.unrouted.len
+            && ports.clone().all(|p| busy(p) == self.busy_out.contains(p))
+            && ports.filter(|&p| busy(p)).count() == self.busy_out.len
     }
 
     /// The node this router serves.
@@ -391,6 +536,22 @@ impl Router {
             .unwrap_or(false)
     }
 
+    /// Pushes `flit` into flat input `k`, handing it back when the
+    /// FIFO is full. The one place a VC can go from empty to
+    /// non-empty, hence one of the worklist's mutation sites.
+    fn push_input(&mut self, now: Cycle, k: usize, flit: Flit) -> Result<(), Flit> {
+        let ivc = &mut self.inputs[k];
+        if ivc.buf.is_empty() {
+            ivc.last_progress = now;
+        }
+        ivc.buf.push(flit).map_err(|full| full.0)?;
+        self.occupancy += 1;
+        if ivc.route.is_none() {
+            self.unrouted.set(k, true);
+        }
+        Ok(())
+    }
+
     /// Accepts a flit arriving on a neighbor input channel.
     ///
     /// # Panics
@@ -399,149 +560,160 @@ impl Router {
     /// router violated credit flow control, which is a simulator bug,
     /// never a legal network state.
     pub fn accept(&mut self, now: Cycle, port: PortId, vc: VcId, flit: Flit) {
-        let ivc = &mut self.inputs[port.index()][vc.index()];
-        if ivc.buf.is_empty() {
-            ivc.last_progress = now;
-        }
-        ivc.buf
-            .push(flit)
+        let k = self.in_idx(port, vc);
+        if self.push_input(now, k, flit).is_err() {
             // cr-lint: allow(panic-discipline, reason = "documented invariant: a full buffer here means upstream violated credit flow control, which is a simulator bug and must abort loudly, never a recoverable network state")
-            .unwrap_or_else(|_| panic!("credit violation at {} {port} {vc}", self.node));
-        self.occupancy += 1;
+            panic!("credit violation at {} {port} {vc}", self.node);
+        }
     }
 
     /// Free space in injection channel `i`'s FIFO.
     pub fn injection_free(&self, i: usize) -> usize {
-        let port = self.inject_port(i);
-        self.inputs[port.index()][0].buf.free()
+        self.input(self.inject_port(i), VcId::new(0)).buf.free()
     }
 
     /// Pushes a flit into injection channel `i`; returns `false`
     /// (leaving the flit with the caller) when the FIFO is full —
     /// which is exactly the back-pressure the CR injector watches.
     pub fn try_inject(&mut self, now: Cycle, i: usize, flit: Flit) -> bool {
-        let port = self.inject_port(i);
-        let ivc = &mut self.inputs[port.index()][0];
-        if ivc.buf.is_empty() {
-            ivc.last_progress = now;
-        }
-        let ok = ivc.buf.push(flit).is_ok();
-        if ok {
-            self.occupancy += 1;
-        }
-        ok
+        let k = self.in_idx(self.inject_port(i), VcId::new(0));
+        self.push_input(now, k, flit).is_ok()
     }
 
     /// Routing and virtual-channel allocation stage: every input VC
     /// whose head-of-line flit is an unrouted header tries to acquire
     /// an output VC (or an ejection port, at the destination).
     ///
-    /// Iteration order rotates with `now` for fairness.
+    /// Only the allocation worklist is walked — VCs that are empty or
+    /// already hold a route have nothing to allocate — in input order
+    /// rotated with `now` for fairness. A router whose worklist is
+    /// empty returns at once, having drawn no randomness.
     ///
     /// Returns the number of orphan flits dropped this call (the
     /// network subtracts them from its in-flight flit counter;
     /// inject-port orphans produce no `orphan_credits` entry, so the
     /// credit list cannot stand in for this count).
-    pub fn route_and_allocate(
+    pub fn route_and_allocate<F: Fn(WormId) -> bool + ?Sized>(
         &mut self,
         now: Cycle,
         routing: &dyn RoutingFunction,
         topo: &dyn Topology,
-        is_killed: &dyn Fn(WormId) -> bool,
+        is_killed: &F,
     ) -> usize {
-        let n = self.input_list.len();
-        if n == 0 {
+        if self.unrouted_inputs() == 0 {
             return 0;
         }
-        let mut orphans_dropped = 0;
+        let n = self.inputs.len();
         let offset = (now.as_u64() as usize) % n;
+        let mut orphans_dropped = 0;
         // The candidate scratch has to leave `self` for the loop body
         // to borrow the router mutably alongside it.
         let mut candidates = std::mem::take(&mut self.candidates);
-        for k in 0..n {
-            let (p, v) = self.input_list[(k + offset) % n];
-            if self.inputs[p][v].route.is_some() {
-                continue;
-            }
-            let Some(front) = self.inputs[p][v].buf.front().copied() else {
-                continue;
-            };
-            if is_killed(front.worm) {
-                // Teardown in progress: the kill token will flush this.
-                continue;
-            }
-            if !front.is_head() {
-                // A non-head flit with no route: its worm was torn down
-                // while this flit was in flight and it slipped past the
-                // killed registry. Drop defensively.
-                let Some(f) = self.inputs[p][v].buf.pop() else {
-                    continue; // unreachable: front() just succeeded
-                };
-                debug_assert!(!f.is_head());
-                self.occupancy -= 1;
-                orphans_dropped += 1;
-                self.counters.orphan_flits_dropped += 1;
-                if p < self.cfg.num_node_ports {
-                    self.orphan_credits
-                        .push((PortId::from_index(p), VcId::from_index(v)));
-                }
-                continue;
-            }
-            // Ejection?
-            if front.dst == self.node {
-                if let Some(e) = self
-                    .ejects
-                    .iter()
-                    .position(|ej| ej.allocated_to.is_none())
-                {
-                    self.ejects[e].allocated_to =
-                        Some((PortId::from_index(p), VcId::from_index(v)));
-                    let ivc = &mut self.inputs[p][v];
-                    ivc.route = Some(RouteTarget::Eject { port: e });
-                    ivc.worm = Some(front.worm);
-                    self.counters.headers_routed += 1;
-                }
-                continue;
-            }
-            // Network routing.
-            candidates.clear();
-            let mut ctx = RouteCtx {
-                topo,
-                node: self.node,
-                flit: &front,
-                dead_out: &self.dead_out,
-                rng: &mut self.rng,
-            };
-            routing.candidates(&mut ctx, &mut candidates);
-            if candidates.is_empty() {
-                self.counters.unroutable_headers += 1;
-                continue;
-            }
-            let grant = candidates.iter().copied().find(|c: &Candidate| {
-                self.outputs[c.port.index()][c.vc.index()]
-                    .allocated_to
-                    .is_none()
-            });
-            if let Some(c) = grant {
-                self.outputs[c.port.index()][c.vc.index()].allocated_to =
-                    Some((PortId::from_index(p), VcId::from_index(v)));
-                let ivc = &mut self.inputs[p][v];
-                ivc.route = Some(RouteTarget::Link {
-                    port: c.port,
-                    vc: c.vc,
-                });
-                ivc.worm = Some(front.worm);
-                if c.escape {
-                    self.counters.escape_allocations += 1;
-                    if let Some(front) = ivc.buf.front_mut() {
-                        front.escaped = true;
-                    }
-                }
-                self.counters.headers_routed += 1;
+        // Visiting a VC only ever changes that VC's own membership, so
+        // walking the live set never skips or repeats a member.
+        for (lo, hi) in [(offset, n), (0, offset)] {
+            let mut at = lo;
+            while let Some(k) = self.unrouted.next_in(at, hi) {
+                at = k + 1;
+                orphans_dropped += self.route_one(k, routing, topo, is_killed, &mut candidates);
             }
         }
         self.candidates = candidates;
         orphans_dropped
+    }
+
+    /// One worklist member's turn in the allocation stage; returns the
+    /// number of orphan flits dropped (0 or 1).
+    fn route_one<F: Fn(WormId) -> bool + ?Sized>(
+        &mut self,
+        k: usize,
+        routing: &dyn RoutingFunction,
+        topo: &dyn Topology,
+        is_killed: &F,
+        candidates: &mut Vec<Candidate>,
+    ) -> usize {
+        debug_assert!(self.inputs[k].is_unrouted());
+        let Some(front) = self.inputs[k].buf.front().copied() else {
+            return 0; // unreachable: members are non-empty
+        };
+        if is_killed(front.worm) {
+            // Teardown in progress: the kill token will flush this.
+            return 0;
+        }
+        if !front.is_head() {
+            // A non-head flit with no route: its worm was torn down
+            // while this flit was in flight and it slipped past the
+            // killed registry. Drop defensively.
+            let ivc = &mut self.inputs[k];
+            let popped = ivc.buf.pop();
+            debug_assert!(popped.is_some_and(|f| !f.is_head()));
+            if ivc.buf.is_empty() {
+                self.unrouted.set(k, false);
+            }
+            self.occupancy -= 1;
+            self.counters.orphan_flits_dropped += 1;
+            let (port, vc) = self.input_list[k];
+            if self.port_kind(port) == PortKind::Node {
+                self.orphan_credits.push((port, vc));
+            }
+            return 1;
+        }
+        // Ejection?
+        if front.dst == self.node {
+            if let Some(e) = self.ejects.iter().position(|ej| ej.allocated_to.is_none()) {
+                self.ejects[e].allocated_to = Some(k);
+                self.grant(k, RouteTarget::Eject { port: e }, front.worm);
+            }
+            return 0;
+        }
+        // Network routing.
+        candidates.clear();
+        let mut ctx = RouteCtx {
+            topo,
+            node: self.node,
+            flit: &front,
+            dead_out: &self.dead_out,
+            rng: &mut self.rng,
+        };
+        routing.candidates(&mut ctx, candidates);
+        if candidates.is_empty() {
+            self.counters.unroutable_headers += 1;
+            return 0;
+        }
+        let free = |c: &Candidate| {
+            let owner = self.outputs[self.out_idx(c.port, c.vc)].allocated_to;
+            owner.is_none()
+        };
+        if let Some(c) = candidates.iter().copied().find(free) {
+            let o = self.out_idx(c.port, c.vc);
+            self.outputs[o].allocated_to = Some(k);
+            self.busy_out.set(c.port.index(), true);
+            self.grant(
+                k,
+                RouteTarget::Link {
+                    port: c.port,
+                    vc: c.vc,
+                },
+                front.worm,
+            );
+            if c.escape {
+                self.counters.escape_allocations += 1;
+                if let Some(front) = self.inputs[k].buf.front_mut() {
+                    front.escaped = true;
+                }
+            }
+        }
+        0
+    }
+
+    /// Records that the header of `worm` at the front of flat input
+    /// `k` won `target`; the VC leaves the allocation worklist.
+    fn grant(&mut self, k: usize, target: RouteTarget, worm: WormId) {
+        let ivc = &mut self.inputs[k];
+        ivc.route = Some(target);
+        ivc.worm = Some(worm);
+        self.unrouted.set(k, false);
+        self.counters.headers_routed += 1;
     }
 
     /// Switch-traversal stage: each output port and each ejection port
@@ -556,47 +728,116 @@ impl Router {
     ///
     /// Returns the departing flits; the caller moves them onto links or
     /// into receivers and returns credits upstream.
-    pub fn traverse(&mut self, now: Cycle, is_killed: &dyn Fn(WormId) -> bool) -> Vec<Traversal> {
+    pub fn traverse<F: Fn(WormId) -> bool + ?Sized>(
+        &mut self,
+        now: Cycle,
+        is_killed: &F,
+    ) -> Vec<Traversal> {
         let mut out = Vec::new();
         self.traverse_into(now, is_killed, &mut out);
         out
     }
 
+    /// Pops the front flit of flat input `k` for `owner`'s allocated
+    /// target, if it may move this cycle: the input port has not
+    /// already supplied a flit, the owner is not being torn down, and
+    /// the front flit is the owner's. A tail releases the VC's route
+    /// (the caller releases the output side), which may put the VC
+    /// back on the allocation worklist.
+    ///
+    /// `Err(frozen)` means nothing moved; `frozen` is `true` when a
+    /// killed owner is holding buffered flits in place.
+    fn pop_for_traversal<F: Fn(WormId) -> bool + ?Sized>(
+        &mut self,
+        now: Cycle,
+        k: usize,
+        is_killed: &F,
+    ) -> Result<Flit, bool> {
+        let ivc = &mut self.inputs[k];
+        let Some(owner) = ivc.worm else {
+            return Err(false);
+        };
+        // Frozen: the owner is being torn down; only its kill token
+        // may release this channel. (The front flit may even belong to
+        // a live successor worm whose tailward predecessor flits were
+        // swallowed by the killed registry — it waits here until the
+        // token clears the stale route.)
+        if is_killed(owner) {
+            return Err(!ivc.buf.is_empty());
+        }
+        let Some(front) = ivc.buf.front() else {
+            return Err(false);
+        };
+        debug_assert_eq!(
+            front.worm, owner,
+            "channel owner and buffered worm diverged at {}",
+            self.node
+        );
+        if front.worm != owner {
+            return Err(false); // defensive in release builds
+        }
+        let Some(flit) = ivc.buf.pop() else {
+            return Err(false); // unreachable: front() just succeeded
+        };
+        ivc.last_progress = now;
+        if flit.is_tail() {
+            ivc.route = None;
+            ivc.worm = None;
+            if !ivc.buf.is_empty() {
+                self.unrouted.set(k, true);
+            }
+        }
+        self.occupancy -= 1;
+        self.counters.flits_forwarded += 1;
+        Ok(flit)
+    }
+
     /// [`Router::traverse`] into a caller-owned buffer (appended, not
     /// cleared), so the per-cycle network loop can reuse one allocation
     /// across all routers and cycles.
-    pub fn traverse_into(
+    ///
+    /// Only the traversal worklist is walked: a neighbor output port
+    /// with no allocated VC and no open stall streak forwards nothing
+    /// and has no link-stats cycle to attribute.
+    pub fn traverse_into<F: Fn(WormId) -> bool + ?Sized>(
         &mut self,
         now: Cycle,
-        is_killed: &dyn Fn(WormId) -> bool,
+        is_killed: &F,
         out: &mut Vec<Traversal>,
     ) {
-        let input_used = &mut self.input_used;
-        input_used.fill(false);
+        debug_assert!(self.worklists_exact(), "worklists diverged");
+        self.input_used.fill(false);
 
         // Neighbor outputs: one flit per physical port per cycle,
         // round-robin over that port's VCs. Alongside the forwarding
         // decision, attribute the port's cycle for the link-stats
         // layer: `sent` when a flit crossed, else the first
         // ready-but-blocked VC's stall cause (if any).
-        for port in 0..self.cfg.num_node_ports {
-            let nvcs = self.cfg.num_vcs;
-            let start = (now.as_u64() as usize) % nvcs;
+        let nvcs = self.cfg.num_vcs;
+        let start = (now.as_u64() as usize) % nvcs;
+        let mut at = 0;
+        while let Some(port) = self.busy_out.next_in(at, self.cfg.num_node_ports) {
+            at = port + 1;
             let mut sent = false;
             let mut blocked: Option<StallCause> = None;
-            for k in 0..nvcs {
-                let vc = (start + k) % nvcs;
-                let Some((ip, iv)) = self.outputs[port][vc].allocated_to else {
+            for i in 0..nvcs {
+                // `(start + i) % nvcs` without the division.
+                let wrap = if start + i < nvcs { 0 } else { nvcs };
+                let vc = start + i - wrap;
+                let o = port * nvcs + vc;
+                let Some(k) = self.outputs[o].allocated_to else {
                     continue;
                 };
-                if input_used[ip.index()] || self.outputs[port][vc].credits == 0 {
+                let (ip, iv) = self.input_list[k];
+                let credits = self.outputs[o].credits;
+                if self.input_used[ip.index()] || credits == 0 {
                     if blocked.is_none() {
-                        let ivc = &self.inputs[ip.index()][iv.index()];
+                        let ivc = &self.inputs[k];
                         let ready = ivc
                             .worm
                             .is_some_and(|w| ivc.buf.front().is_some_and(|f| f.worm == w));
                         if ready {
-                            blocked = Some(if self.outputs[port][vc].credits == 0 {
+                            blocked = Some(if credits == 0 {
                                 StallCause::Backpressure
                             } else {
                                 StallCause::BusyChannel
@@ -605,46 +846,20 @@ impl Router {
                     }
                     continue;
                 }
-                let ivc = &mut self.inputs[ip.index()][iv.index()];
-                let Some(owner) = ivc.worm else {
-                    continue;
-                };
-                // Frozen: the owner is being torn down; only its kill
-                // token may release this channel. (The front flit may
-                // even belong to a live successor worm whose tailward
-                // predecessor flits were swallowed by the killed
-                // registry — it waits here until the token clears the
-                // stale route.)
-                if is_killed(owner) {
-                    if blocked.is_none() && !ivc.buf.is_empty() {
-                        blocked = Some(StallCause::BusyChannel);
+                let flit = match self.pop_for_traversal(now, k, is_killed) {
+                    Ok(flit) => flit,
+                    Err(frozen) => {
+                        if frozen && blocked.is_none() {
+                            blocked = Some(StallCause::BusyChannel);
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                let Some(front) = ivc.buf.front() else {
-                    continue;
                 };
-                debug_assert_eq!(
-                    front.worm, owner,
-                    "output owner and buffered worm diverged at {}",
-                    self.node
-                );
-                if front.worm != owner {
-                    continue; // defensive in release builds
-                }
-                let Some(flit) = ivc.buf.pop() else {
-                    continue; // unreachable: front() just succeeded
-                };
-                self.occupancy -= 1;
-                ivc.last_progress = now;
-                input_used[ip.index()] = true;
-                self.outputs[port][vc].credits -= 1;
+                self.input_used[ip.index()] = true;
+                self.outputs[o].credits -= 1;
                 if flit.is_tail() {
-                    ivc.route = None;
-                    ivc.worm = None;
-                    self.outputs[port][vc].allocated_to = None;
+                    self.outputs[o].allocated_to = None;
                 }
-                self.counters.flits_forwarded += 1;
                 out.push(Traversal {
                     flit,
                     from_port: ip,
@@ -669,46 +884,25 @@ impl Router {
                 sent,
                 blocked,
             );
+            self.refresh_busy(port);
         }
 
         // Ejection ports: one flit each per cycle.
         for e in 0..self.ejects.len() {
-            let Some((ip, iv)) = self.ejects[e].allocated_to else {
+            let Some(k) = self.ejects[e].allocated_to else {
                 continue;
             };
-            if input_used[ip.index()] {
+            let (ip, iv) = self.input_list[k];
+            if self.input_used[ip.index()] {
                 continue;
             }
-            let ivc = &mut self.inputs[ip.index()][iv.index()];
-            let Some(owner) = ivc.worm else {
+            let Ok(flit) = self.pop_for_traversal(now, k, is_killed) else {
                 continue;
             };
-            if is_killed(owner) {
-                continue;
-            }
-            let Some(front) = ivc.buf.front() else {
-                continue;
-            };
-            debug_assert_eq!(
-                front.worm, owner,
-                "eject owner and buffered worm diverged at {}",
-                self.node
-            );
-            if front.worm != owner {
-                continue; // defensive in release builds
-            }
-            let Some(flit) = ivc.buf.pop() else {
-                continue; // unreachable: front() just succeeded
-            };
-            self.occupancy -= 1;
-            ivc.last_progress = now;
-            input_used[ip.index()] = true;
+            self.input_used[ip.index()] = true;
             if flit.is_tail() {
-                ivc.route = None;
-                ivc.worm = None;
                 self.ejects[e].allocated_to = None;
             }
-            self.counters.flits_forwarded += 1;
             out.push(Traversal {
                 flit,
                 from_port: ip,
@@ -817,13 +1011,13 @@ impl Router {
     /// Panics if credits would exceed the downstream buffer depth
     /// (double-return bug).
     pub fn add_credit(&mut self, port: PortId, vc: VcId) {
-        let o = &mut self.outputs[port.index()][vc.index()];
+        let o = self.out_idx(port, vc);
         assert!(
-            o.credits < self.cfg.buffer_depth + self.cfg.link_depth,
+            self.outputs[o].credits < self.cfg.buffer_depth + self.cfg.link_depth,
             "credit overflow on {} {port} {vc}",
             self.node
         );
-        o.credits += 1;
+        self.outputs[o].credits += 1;
     }
 
     /// Removes every flit of `worm` from input VC `(port, vc)` and
@@ -834,7 +1028,8 @@ impl Router {
     /// next router and repeats, and returns `flushed` credits to the
     /// upstream router.
     pub fn flush_worm(&mut self, port: PortId, vc: VcId, worm: WormId) -> FlushResult {
-        let ivc = &mut self.inputs[port.index()][vc.index()];
+        let k = self.in_idx(port, vc);
+        let ivc = &mut self.inputs[k];
         let flushed = ivc.buf.retain(|f| f.worm != worm);
         self.occupancy -= flushed;
         self.counters.flits_flushed += flushed as u64;
@@ -842,15 +1037,20 @@ impl Router {
         if ivc.worm == Some(worm) {
             released = ivc.route.take();
             ivc.worm = None;
-            match released {
-                Some(RouteTarget::Link { port: op, vc: ov }) => {
-                    self.outputs[op.index()][ov.index()].allocated_to = None;
-                }
-                Some(RouteTarget::Eject { port: ep }) => {
-                    self.ejects[ep].allocated_to = None;
-                }
-                None => {}
+        }
+        // Both the flush and the release can move the VC on or off
+        // the allocation worklist.
+        self.unrouted.set(k, ivc.is_unrouted());
+        match released {
+            Some(RouteTarget::Link { port: op, vc: ov }) => {
+                let o = self.out_idx(op, ov);
+                self.outputs[o].allocated_to = None;
+                self.refresh_busy(op.index());
             }
+            Some(RouteTarget::Eject { port: ep }) => {
+                self.ejects[ep].allocated_to = None;
+            }
+            None => {}
         }
         FlushResult { flushed, released }
     }
@@ -858,50 +1058,51 @@ impl Router {
     /// The route target currently allocated to input VC `(port, vc)`,
     /// if any.
     pub fn route_of(&self, port: PortId, vc: VcId) -> Option<RouteTarget> {
-        self.inputs[port.index()][vc.index()].route
+        self.input(port, vc).route
     }
 
     /// The worm currently owning input VC `(port, vc)`, if any.
     pub fn worm_of(&self, port: PortId, vc: VcId) -> Option<WormId> {
-        self.inputs[port.index()][vc.index()].worm
+        self.input(port, vc).worm
     }
 
     /// Which input VC holds output `(port, vc)`, if any.
     pub fn output_owner(&self, port: PortId, vc: VcId) -> Option<(PortId, VcId)> {
-        self.outputs[port.index()][vc.index()].allocated_to
+        let k = self.outputs[self.out_idx(port, vc)].allocated_to?;
+        Some(self.input_list[k])
     }
 
     /// Current credit count of output `(port, vc)`.
     pub fn credits(&self, port: PortId, vc: VcId) -> usize {
-        self.outputs[port.index()][vc.index()].credits
+        self.outputs[self.out_idx(port, vc)].credits
     }
 
     /// Returns `true` if input VC `(port, vc)` has no free buffer
     /// slot (the arriving flit must wait in the channel latches).
     pub fn vc_is_full(&self, port: PortId, vc: VcId) -> bool {
-        self.inputs[port.index()][vc.index()].buf.is_full()
+        self.input(port, vc).buf.is_full()
     }
 
     /// Number of flits buffered in input VC `(port, vc)`.
     pub fn occupancy(&self, port: PortId, vc: VcId) -> usize {
-        self.inputs[port.index()][vc.index()].buf.len()
+        self.input(port, vc).buf.len()
     }
 
     /// The head-of-line flit of input VC `(port, vc)`, if any.
     pub fn front_flit(&self, port: PortId, vc: VcId) -> Option<&Flit> {
-        self.inputs[port.index()][vc.index()].buf.front()
+        self.input(port, vc).buf.front()
     }
 
     /// The flit at queue position `i` (0 = front) of input VC
     /// `(port, vc)`, or `None` past the back. The model checker walks
     /// whole buffers with this when encoding a canonical state.
     pub fn flit_at(&self, port: PortId, vc: VcId, i: usize) -> Option<&Flit> {
-        self.inputs[port.index()][vc.index()].buf.get(i)
+        self.input(port, vc).buf.get(i)
     }
 
     /// Which input VC holds ejection port `e`, if any.
     pub fn eject_owner(&self, e: usize) -> Option<(PortId, VcId)> {
-        self.ejects[e].allocated_to
+        Some(self.input_list[self.ejects[e].allocated_to?])
     }
 
     /// Position of this router's adaptive tie-break RNG, in 32-bit
@@ -917,11 +1118,7 @@ impl Router {
     pub fn total_occupancy(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
-            self.inputs
-                .iter()
-                .flatten()
-                .map(|ivc| ivc.buf.len())
-                .sum::<usize>(),
+            self.inputs.iter().map(|ivc| ivc.buf.len()).sum::<usize>(),
             "incremental occupancy diverged at {}",
             self.node
         );
@@ -942,6 +1139,24 @@ impl Router {
         self.open_streaks > 0
     }
 
+    /// Size of the allocation worklist: input VCs that are non-empty
+    /// with no route. [`Router::route_and_allocate`] is a no-op that
+    /// draws no randomness while this is zero. O(1): maintained at
+    /// every site that fills, drains, routes or releases a VC.
+    pub fn unrouted_inputs(&self) -> usize {
+        debug_assert!(self.worklists_exact(), "worklists diverged");
+        self.unrouted.len
+    }
+
+    /// Size of the traversal worklist: neighbor output ports with an
+    /// allocated VC or an open stall streak. While this is zero,
+    /// [`Router::traverse_into`] touches no neighbor output port.
+    /// O(1): maintained at every grant, release and streak change.
+    pub fn busy_outputs(&self) -> usize {
+        debug_assert!(self.worklists_exact(), "worklists diverged");
+        self.busy_out.len
+    }
+
     /// Input VCs that hold a worm but have not forwarded a flit for at
     /// least `threshold` cycles — the path-wide stall detector of the
     /// alternative kill scheme the paper compares against.
@@ -960,18 +1175,16 @@ impl Router {
         threshold: u64,
         out: &mut Vec<(PortId, VcId, WormId)>,
     ) {
-        for (p, vcs) in self.inputs.iter().enumerate() {
-            for (v, ivc) in vcs.iter().enumerate() {
-                if ivc.buf.is_empty() {
-                    continue;
-                }
-                let worm = match ivc.worm.or_else(|| ivc.buf.front().map(|f| f.worm)) {
-                    Some(w) => w,
-                    None => continue,
-                };
-                if now.saturating_since(ivc.last_progress) >= threshold {
-                    out.push((PortId::from_index(p), VcId::from_index(v), worm));
-                }
+        for (ivc, &(port, vc)) in self.inputs.iter().zip(&self.input_list) {
+            if ivc.buf.is_empty() {
+                continue;
+            }
+            let worm = match ivc.worm.or_else(|| ivc.buf.front().map(|f| f.worm)) {
+                Some(w) => w,
+                None => continue,
+            };
+            if now.saturating_since(ivc.last_progress) >= threshold {
+                out.push((port, vc, worm));
             }
         }
     }

@@ -2,8 +2,7 @@
 //! Compressionless Routing makes deadlock-free *without* virtual
 //! channels.
 
-use super::{rotate_by_rng, Candidate, RouteCtx, RoutingFunction};
-use cr_sim::VcId;
+use super::{rotate_by_rng, spread_over_vcs, Candidate, RouteCtx, RoutingFunction};
 
 /// Minimal fully-adaptive routing with optional misrouting.
 ///
@@ -67,8 +66,8 @@ impl MinimalAdaptive {
 
 impl RoutingFunction for MinimalAdaptive {
     fn candidates(&self, ctx: &mut RouteCtx<'_>, out: &mut Vec<Candidate>) {
-        let mut ports = ctx.live_minimal_ports();
-        if ports.is_empty() {
+        let base = out.len();
+        if ctx.push_live_minimal(out) == 0 {
             // Misroute: any live port, if the budget allows.
             let budget = match self.misroute_budget {
                 Some(b) => b,
@@ -83,29 +82,18 @@ impl RoutingFunction for MinimalAdaptive {
             }
             for p in 0..ctx.topo.num_ports(ctx.node) {
                 let port = cr_sim::PortId::new(p as u16);
-                if ctx.topo.neighbor(ctx.node, port).is_some()
-                    && !ctx.dead_out.get(p).copied().unwrap_or(false)
-                {
-                    ports.push(port);
+                if ctx.topo.neighbor(ctx.node, port).is_some() && !ctx.is_dead(port) {
+                    out.push(Candidate::on_vc0(port));
                 }
             }
-            if ports.is_empty() {
+            if out.len() == base {
                 return;
             }
         }
-        rotate_by_rng(&mut ports, ctx.rng);
+        rotate_by_rng(&mut out[base..], ctx.rng);
         // Offer every (port, vc) pair; rotate the VC start per port so
         // load spreads across lanes.
-        for port in ports {
-            let start = ctx.rng.pick_index(self.vcs).unwrap_or(0);
-            for i in 0..self.vcs {
-                out.push(Candidate {
-                    port,
-                    vc: VcId::new(((start + i) % self.vcs) as u8),
-                    escape: false,
-                });
-            }
-        }
+        spread_over_vcs(out, base, self.vcs, ctx.rng);
     }
 
     fn num_vcs(&self) -> usize {

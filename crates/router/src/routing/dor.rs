@@ -87,13 +87,15 @@ impl DimensionOrder {
     /// header in `ctx`, or `None` if the DOR port's link is dead
     /// (DOR cannot route around faults).
     pub(crate) fn dor_choice(&self, ctx: &RouteCtx<'_>) -> Option<(PortId, usize)> {
-        let mut ports = Vec::new();
-        ctx.topo
-            .minimal_ports_into(ctx.node, ctx.flit.dst, &mut ports);
         // Lowest port = lowest dimension, positive direction preferred
         // on ties: deterministic dimension order.
-        let port = *ports.first()?;
-        if ctx.dead_out.get(port.index()).copied().unwrap_or(false) {
+        let mut first = None;
+        ctx.topo
+            .for_each_minimal_port(ctx.node, ctx.flit.dst, &mut |p| {
+                first.get_or_insert(p);
+            });
+        let port = first?;
+        if ctx.is_dead(port) {
             return None;
         }
         let class = if self.torus && will_wrap(ctx, port) {
@@ -129,25 +131,18 @@ fn will_wrap(ctx: &RouteCtx<'_>, port: PortId) -> bool {
     let mut crossed = false;
     let mut steps = 0usize;
     loop {
-        let mut ports = Vec::new();
-        topo.minimal_ports_into(node, dst, &mut ports);
-        // Stay in the same dimension as the original port.
-        let same_dim: Vec<PortId> = ports
-            .into_iter()
-            .filter(|p| p.index() / 2 == port.index() / 2)
-            .collect();
-        // Keep the same direction if it is still minimal, otherwise
-        // this dimension is resolved.
-        let Some(&next_port) = same_dim
-            .iter()
-            .find(|p| p.index() % 2 == port.index() % 2)
-        else {
+        // Keep going while the original port — same dimension, same
+        // direction — is still minimal; otherwise this dimension is
+        // resolved.
+        let mut still_minimal = false;
+        topo.for_each_minimal_port(node, dst, &mut |p| still_minimal |= p == port);
+        if !still_minimal {
             return crossed;
-        };
-        if topo.is_wraparound(node, next_port) {
+        }
+        if topo.is_wraparound(node, port) {
             crossed = true;
         }
-        node = match topo.neighbor(node, next_port) {
+        node = match topo.neighbor(node, port) {
             Some(n) => n,
             None => return crossed,
         };

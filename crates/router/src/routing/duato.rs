@@ -8,8 +8,7 @@
 //! router counts escape-channel allocations, and the `tab_pds`
 //! experiment sweeps load and reports the escape frequency.
 
-use super::{rotate_by_rng, Candidate, DimensionOrder, RouteCtx, RoutingFunction};
-use cr_sim::VcId;
+use super::{rotate_by_rng, spread_over_vcs, Candidate, DimensionOrder, RouteCtx, RoutingFunction};
 
 /// Duato's deadlock-free adaptive routing (paper reference \[5\]).
 ///
@@ -76,18 +75,10 @@ impl RoutingFunction for DuatoProtocol {
     fn candidates(&self, ctx: &mut RouteCtx<'_>, out: &mut Vec<Candidate>) {
         // A worm that entered the escape network stays there.
         if !ctx.flit.escaped {
-            let mut ports = ctx.live_minimal_ports();
-            rotate_by_rng(&mut ports, ctx.rng);
-            for port in ports {
-                let start = ctx.rng.pick_index(self.adaptive_vcs).unwrap_or(0);
-                for i in 0..self.adaptive_vcs {
-                    out.push(Candidate {
-                        port,
-                        vc: VcId::new(((start + i) % self.adaptive_vcs) as u8),
-                        escape: false,
-                    });
-                }
-            }
+            let base = out.len();
+            ctx.push_live_minimal(out);
+            rotate_by_rng(&mut out[base..], ctx.rng);
+            spread_over_vcs(out, base, self.adaptive_vcs, ctx.rng);
         }
         // Escape candidates last: taking one is a "potential deadlock
         // situation" in the paper's methodology.

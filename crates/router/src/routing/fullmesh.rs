@@ -4,7 +4,6 @@
 //! HOTI'25).
 
 use super::{rotate_by_rng, Candidate, RouteCtx, RoutingFunction};
-use cr_sim::VcId;
 
 /// Ordered-detour routing on a full mesh: one virtual channel, no
 /// deadlock, no kills.
@@ -40,14 +39,8 @@ impl FullMeshOrdered {
 
 impl RoutingFunction for FullMeshOrdered {
     fn candidates(&self, ctx: &mut RouteCtx<'_>, out: &mut Vec<Candidate>) {
-        let vc = VcId::new(0);
         // The (unique) minimal port is the direct channel to dst.
-        let direct = ctx.live_minimal_ports();
-        out.extend(direct.iter().map(|&port| Candidate {
-            port,
-            vc,
-            escape: false,
-        }));
+        ctx.push_live_minimal(out);
         if ctx.flit.hops > 0 {
             // Already detoured (or just not at the source any more):
             // only the direct channel is legal.
@@ -58,18 +51,14 @@ impl RoutingFunction for FullMeshOrdered {
         let start = out.len();
         for p in 0..ctx.topo.num_ports(ctx.node) {
             let port = cr_sim::PortId::new(p as u16);
-            if ctx.dead_out.get(p).copied().unwrap_or(false) {
+            if ctx.is_dead(port) {
                 continue;
             }
             let Some(mid) = ctx.topo.neighbor(ctx.node, port) else {
                 continue;
             };
             if mid.index() > floor {
-                out.push(Candidate {
-                    port,
-                    vc,
-                    escape: false,
-                });
+                out.push(Candidate::on_vc0(port));
             }
         }
         // Spread detour load evenly; the direct channel keeps priority.

@@ -52,14 +52,38 @@ pub struct RouteCtx<'a> {
 }
 
 impl<'a> RouteCtx<'a> {
-    /// Minimal output ports toward the destination that are still
-    /// alive, in ascending port order.
+    /// Returns `true` if the outgoing link on `port` is known dead.
+    pub fn is_dead(&self, port: PortId) -> bool {
+        self.dead_out.get(port.index()).copied().unwrap_or(false)
+    }
+
+    /// Calls `sink` with every minimal output port toward the
+    /// destination that is still alive, in ascending port order.
+    /// Allocation-free.
+    pub fn for_each_live_minimal_port(&self, mut sink: impl FnMut(PortId)) {
+        self.topo
+            .for_each_minimal_port(self.node, self.flit.dst, &mut |p| {
+                if !self.is_dead(p) {
+                    sink(p);
+                }
+            });
+    }
+
+    /// The ports of [`RouteCtx::for_each_live_minimal_port`] in a
+    /// fresh vector — for tests and tools; routing functions on the
+    /// cycle path use the allocation-free form.
     pub fn live_minimal_ports(&self) -> Vec<PortId> {
         let mut ports = Vec::new();
-        self.topo
-            .minimal_ports_into(self.node, self.flit.dst, &mut ports);
-        ports.retain(|p| !self.dead_out.get(p.index()).copied().unwrap_or(false));
+        self.for_each_live_minimal_port(|p| ports.push(p));
         ports
+    }
+
+    /// Appends one candidate per live minimal port (ascending port
+    /// order, virtual channel 0, not escape) and returns how many.
+    pub(crate) fn push_live_minimal(&self, out: &mut Vec<Candidate>) -> usize {
+        let before = out.len();
+        self.for_each_live_minimal_port(|port| out.push(Candidate::on_vc0(port)));
+        out.len() - before
     }
 }
 
@@ -69,6 +93,13 @@ impl<'a> RouteCtx<'a> {
 /// lives in the header flit (`hops`, `escaped`), so that killing and
 /// retransmitting a message fully resets its routing state — a property
 /// Compressionless Routing relies on.
+///
+/// Implementations must not allocate in
+/// [`RoutingFunction::candidates`]: a blocked header is re-routed
+/// every cycle, so the call sits on the simulator's hottest path. The
+/// caller-owned `out` vector (whose capacity amortizes) is the only
+/// scratch space — see `spread_over_vcs` for how the adaptive
+/// functions expand a port list inside it (DESIGN.md §11).
 ///
 /// Implementations are stateless decision tables (all randomness comes
 /// through the caller-supplied `RouteCtx` RNG), and the sharded
@@ -90,6 +121,44 @@ pub trait RoutingFunction: std::fmt::Debug + Send + Sync {
 
     /// Short human-readable name for tables and logs.
     fn name(&self) -> &'static str;
+}
+
+impl Candidate {
+    /// A non-escape candidate on virtual channel 0 of `port`.
+    pub(crate) fn on_vc0(port: PortId) -> Self {
+        Candidate {
+            port,
+            vc: VcId::new(0),
+            escape: false,
+        }
+    }
+}
+
+/// Expands `out[base..]` — one candidate per port, already in offer
+/// order — into `vcs` candidates per port, in place: port `i` offers
+/// lanes `start_i, start_i + 1, …` (mod `vcs`) with `start_i` drawn
+/// from `rng`, so load spreads across lanes.
+///
+/// The draws happen in port order before anything moves (the draw
+/// order is observable), each parked in its port's `vc` field; the
+/// expansion then runs back to front, where slot `i * vcs + j` never
+/// lands on a port entry `< i` that is still to be read.
+pub(crate) fn spread_over_vcs(out: &mut Vec<Candidate>, base: usize, vcs: usize, rng: &mut SimRng) {
+    let ports = out.len() - base;
+    for c in &mut out[base..] {
+        c.vc = VcId::new(rng.pick_index(vcs).unwrap_or(0) as u8);
+    }
+    out.resize(base + ports * vcs, Candidate::on_vc0(PortId::new(0)));
+    for i in (0..ports).rev() {
+        let (port, start) = (out[base + i].port, out[base + i].vc.index());
+        for j in 0..vcs {
+            out[base + i * vcs + j] = Candidate {
+                port,
+                vc: VcId::new(((start + j) % vcs) as u8),
+                escape: false,
+            };
+        }
+    }
 }
 
 /// Rotates `items` left by a pseudo-random amount drawn from `rng` —

@@ -57,31 +57,28 @@ impl RoutingFunction for PlanarAdaptive {
     fn candidates(&self, ctx: &mut RouteCtx<'_>, out: &mut Vec<Candidate>) {
         // Minimal ports, in ascending order: X ports (0 = +x, 1 = -x)
         // come before Y ports (2 = +y, 3 = -y) by the cube convention.
-        let ports = ctx.live_minimal_ports();
-        if ports.is_empty() {
+        let base = out.len();
+        if ctx.push_live_minimal(out) == 0 {
             return;
         }
         // Which subnetwork? +y minimal => increasing; -y minimal =>
         // decreasing; no y offset => increasing (x only).
-        let has_plus_y = ports.contains(&PortId::new(2));
-        let has_minus_y = ports.contains(&PortId::new(3));
+        let offers = |p: u16| out[base..].iter().any(|c| c.port == PortId::new(p));
+        let minus_y = offers(3);
         debug_assert!(
-            !(has_plus_y && has_minus_y),
+            !(offers(2) && minus_y),
             "a mesh offers one minimal Y direction"
         );
-        let vc = if has_minus_y { VcId::new(1) } else { VcId::new(0) };
-        let mut offers: Vec<PortId> = ports
-            .into_iter()
-            .filter(|p| p.index() < 2 || *p == PortId::new(2) || *p == PortId::new(3))
-            .collect();
-        rotate_by_rng(&mut offers, ctx.rng);
-        for port in offers {
-            out.push(Candidate {
-                port,
-                vc,
-                escape: false,
-            });
+        let vc = VcId::new(u8::from(minus_y));
+        // Only the plane's four ports are ever offered; minimal ports
+        // ascend, so anything past them is a tail.
+        let in_plane = |c: &&Candidate| c.port.index() < 4;
+        let plane = out[base..].iter().take_while(in_plane).count();
+        out.truncate(base + plane);
+        for c in &mut out[base..] {
+            c.vc = vc;
         }
+        rotate_by_rng(&mut out[base..], ctx.rng);
     }
 
     fn num_vcs(&self) -> usize {

@@ -118,8 +118,8 @@ impl KAryNCube {
     ///
     /// On a torus, ties (`|offset| == radix/2` with even radix) resolve
     /// to the positive direction; minimal-adaptive routing treats both
-    /// directions as minimal in that case via
-    /// [`Topology::minimal_ports_into`].
+    /// directions as minimal in that case (see
+    /// [`KAryNCube::minimal_dirs`]).
     fn offset(&self, from: usize, to: usize) -> isize {
         let k = self.radix as isize;
         let d = to as isize - from as isize;
@@ -136,13 +136,22 @@ impl KAryNCube {
         d
     }
 
-    /// Both directions minimal in `dim` (torus with even radix and
-    /// exactly k/2 apart)?
-    fn tie(&self, from: usize, to: usize) -> bool {
-        self.wrap && self.radix.is_multiple_of(2) && {
-            let k = self.radix;
-            (to + k - from) % k == k / 2
+    /// Which directions are minimal from coordinate `from` to a
+    /// *different* coordinate `to` of one dimension, as `(+, -)`. Both
+    /// on a torus tie (even radix, exactly `k/2` apart). Agrees with
+    /// the sign of [`KAryNCube::offset`], without its division.
+    fn minimal_dirs(&self, from: u32, to: u32) -> (bool, bool) {
+        if !self.wrap {
+            return (to > from, to < from);
         }
+        let k = self.radix as u32;
+        // Hops to `to` going in the + direction; `k - fwd` going in -.
+        let fwd = if to > from {
+            to - from
+        } else {
+            k - (from - to)
+        };
+        (fwd <= k - fwd, fwd >= k - fwd)
     }
 
     fn port_dir(port: PortId) -> (usize, bool) {
@@ -225,21 +234,28 @@ impl Topology for KAryNCube {
             .sum()
     }
 
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId)) {
+        // Peel both ids one base-`radix` digit per dimension: one
+        // 32-bit div/mod pair each instead of a `radix.pow(d)` (and a
+        // `num_nodes()` power for the range check) per coordinate.
+        let k = self.radix as u32; // the node count fits u32, so k does
+        let (mut a, mut b) = (node.as_u32(), dst.as_u32());
         for d in 0..self.dims {
-            let from = self.coord(node, d);
-            let to = self.coord(dst, d);
+            let (from, to) = (a % k, b % k);
+            a /= k;
+            b /= k;
             if from == to {
                 continue;
             }
-            let off = self.offset(from, to);
-            if off > 0 || self.tie(from, to) {
-                out.push(PortId::new((2 * d) as u16));
+            let (plus, minus) = self.minimal_dirs(from, to);
+            if plus {
+                sink(PortId::new((2 * d) as u16));
             }
-            if off < 0 || self.tie(from, to) {
-                out.push(PortId::new((2 * d + 1) as u16));
+            if minus {
+                sink(PortId::new((2 * d + 1) as u16));
             }
         }
+        assert!(a == 0 && b == 0, "node out of range");
     }
 
     fn is_wraparound(&self, node: NodeId, port: PortId) -> bool {

@@ -291,7 +291,7 @@ impl Topology for FatTree {
         }
     }
 
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId)) {
         if node == dst {
             return;
         }
@@ -300,7 +300,7 @@ impl Topology for FatTree {
             let port = PortId::new(p as u16);
             if let Some(n) = self.neighbor(node, port) {
                 if self.distance(n, dst) + 1 == d {
-                    out.push(port);
+                    sink(port);
                 }
             }
         }

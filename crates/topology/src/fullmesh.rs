@@ -107,9 +107,9 @@ impl Topology for FullMesh {
         usize::from(src != dst)
     }
 
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId)) {
         if node != dst {
-            out.push(self.port_toward(node, dst));
+            sink(self.port_toward(node, dst));
         }
     }
 

@@ -222,14 +222,14 @@ impl Topology for GraphTopology {
         self.dist[src.index()][dst.index()] as usize
     }
 
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId)) {
         if node == dst {
             return;
         }
         let d = self.dist[node.index()][dst.index()];
         for (p, &n) in self.adjacency[node.index()].iter().enumerate() {
             if self.dist[n.index()][dst.index()] + 1 == d {
-                out.push(PortId::new(p as u16));
+                sink(PortId::new(p as u16));
             }
         }
     }

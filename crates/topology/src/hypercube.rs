@@ -79,11 +79,11 @@ impl Topology for Hypercube {
         (src.index() ^ dst.index()).count_ones() as usize
     }
 
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId)) {
         let diff = node.index() ^ dst.index();
         for d in 0..self.dims {
             if diff & (1 << d) != 0 {
-                out.push(PortId::new(d as u16));
+                sink(PortId::new(d as u16));
             }
         }
     }

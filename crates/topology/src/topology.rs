@@ -64,12 +64,20 @@ pub trait Topology: std::fmt::Debug + Send + Sync {
     /// Length (in hops) of a shortest path from `src` to `dst`.
     fn distance(&self, src: NodeId, dst: NodeId) -> usize;
 
-    /// Appends to `out` every output port at `node` that lies on some
-    /// minimal path toward `dst`. Appends nothing when `node == dst`.
+    /// Calls `sink` with every output port at `node` that lies on some
+    /// minimal path toward `dst`; never calls it when `node == dst`.
     ///
-    /// Ports must be appended in ascending port order, so that
-    /// `out.first()` is the dimension-order choice on cube topologies.
-    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>);
+    /// Ports must be yielded in ascending port order, so that the
+    /// first one is the dimension-order choice on cube topologies.
+    /// Implementations must not allocate: the routing functions call
+    /// this once per unrouted header per cycle.
+    fn for_each_minimal_port(&self, node: NodeId, dst: NodeId, sink: &mut dyn FnMut(PortId));
+
+    /// Appends the ports of [`Topology::for_each_minimal_port`] to
+    /// `out`.
+    fn minimal_ports_into(&self, node: NodeId, dst: NodeId, out: &mut Vec<PortId>) {
+        self.for_each_minimal_port(node, dst, &mut |p| out.push(p));
+    }
 
     /// Convenience wrapper around [`Topology::minimal_ports_into`]
     /// returning a fresh vector.

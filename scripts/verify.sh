@@ -68,8 +68,19 @@ cargo test -q --offline --workspace
 # byte-identical across the reference, active and two-shard drivers,
 # every scheduled message delivered exactly once — gate here too.
 cargo test -q --offline --manifest-path cr-perf/Cargo.toml
-cargo run --release --offline --quiet --manifest-path cr-perf/Cargo.toml -- verify
-echo "verify: cr-perf tests green, cr-perf verify passed"
+# Its six seed-1 report digests are pinned in scripts/perf_digests.txt:
+# a change that moves any simulated result must re-record them on
+# purpose (and say so in CHANGES.md), never drift silently.
+perf_digests="$(mktemp)"
+cargo run --release --offline --quiet --manifest-path cr-perf/Cargo.toml -- verify \
+    | tee /dev/stderr | awk '/^verify .* digest / { print $2, $NF }' > "$perf_digests"
+if ! diff scripts/perf_digests.txt "$perf_digests" >&2; then
+    echo "verify: FAIL — cr-perf verify digests differ from scripts/perf_digests.txt" >&2
+    rm -f "$perf_digests"
+    exit 1
+fi
+rm -f "$perf_digests"
+echo "verify: cr-perf tests green, cr-perf verify passed, digests match scripts/perf_digests.txt"
 
 # Documentation is part of tier-1: broken intra-doc links or missing
 # rustdoc (cr-topology and cr-router deny missing_docs) fail verify.
