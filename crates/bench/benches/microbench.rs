@@ -2,16 +2,19 @@
 //!
 //! These track the cost of simulating one kilocycle of a 4×4 torus
 //! under the three protocols at a light and a saturating load, plus
-//! the throughput of the pure routing functions. They guard against
-//! performance regressions in the inner loops that every experiment
-//! pays for. Results land in `target/bench/BENCH_<group>.json`.
+//! the throughput of the pure routing functions and of the per-flit
+//! registries (killed worms, armed components, dead links). They guard
+//! against performance regressions in the inner loops that every
+//! experiment pays for. Results land in `target/bench/BENCH_<group>.json`.
 
 use cr_bench::harness::Group;
 use cr_bench::reference_network;
-use cr_core::ProtocolKind;
+use cr_core::{KilledMap, ProtocolKind};
+use cr_faults::FaultModel;
 use cr_router::routing::{DimensionOrder, DuatoProtocol, MinimalAdaptive};
 use cr_router::{Flit, FlitKind, RouteCtx, RoutingFunction, WormId};
-use cr_sim::{Cycle, MessageId, NodeId, SimRng};
+use cr_sim::sched::ActiveSet;
+use cr_sim::{Cycle, LinkId, MessageId, NodeId, SimRng};
 use cr_topology::{KAryNCube, Topology};
 
 fn bench_network_stepping() {
@@ -88,7 +91,83 @@ fn bench_routing_functions() {
     g.finish();
 }
 
+/// The questions the cycle path asks per flit or per component: "is
+/// this worm killed?", "who is armed, in order?", "is this link dead?".
+/// Each sample is thousands of operations, so the per-call cost
+/// resolves above timer granularity.
+fn bench_registries() {
+    let mut g = Group::new("registry");
+
+    // The registry as a saturated run leaves it: 8k kills, pruned
+    // every 256 with a sliding horizon, then probed only by worms
+    // that are not in it — never-killed messages and the live
+    // (newer) attempt of killed ones.
+    let mut killed = KilledMap::new();
+    for i in 0..8_192u64 {
+        killed.insert(WormId::new(MessageId::new(i), 0), Cycle::new(i));
+        if i % 256 == 255 {
+            killed.retain(|at| at.as_u64() + 1_024 > i);
+        }
+    }
+    g.bench("killed_miss_after_churn", || {
+        let mut hits = 0usize;
+        for i in 0..5_000u64 {
+            let never = WormId::new(MessageId::new(8_192 + i), 0);
+            let newer = WormId::new(MessageId::new(8_191 - i), 1);
+            hits += usize::from(killed.contains(std::hint::black_box(never)));
+            hits += usize::from(killed.contains(std::hint::black_box(newer)));
+        }
+        assert_eq!(hits, 0);
+        hits
+    });
+
+    // Drain-and-rebuild of a 16k-id set (a 128x128 fabric's routers):
+    // a handful of members, then every fourth id.
+    let mut rng = SimRng::from_seed(5);
+    let sparse: Vec<u32> = (0..16)
+        .filter_map(|_| rng.pick_index(16_384))
+        .map(|i| i as u32)
+        .collect();
+    let dense: Vec<u32> = (0..16_384).step_by(4).rev().collect();
+    for (name, ids, rounds) in [
+        ("active_set_insert_drain_sparse", &sparse, 1_000),
+        ("active_set_insert_drain_dense", &dense, 10),
+    ] {
+        let mut set = ActiveSet::new(16_384);
+        let mut out = Vec::new();
+        g.bench(name, || {
+            let mut total = 0usize;
+            for _ in 0..rounds {
+                for &id in ids {
+                    set.insert(std::hint::black_box(id));
+                }
+                out.clear();
+                set.drain_sorted_into(&mut out);
+                total += out.len();
+            }
+            total
+        });
+    }
+
+    // A 32x32 torus's 4 096 link ids with 128 of them dead (the FCR
+    // storm's plan), probed across the whole id range.
+    let mut faults = FaultModel::new();
+    for i in 0..128 {
+        faults.kill_link(LinkId::new(i * 32 + 7));
+    }
+    g.bench("fault_is_dead_128_dead", || {
+        let mut dead = 0usize;
+        for id in 0..4_096 {
+            dead += usize::from(faults.is_dead(std::hint::black_box(LinkId::new(id))));
+        }
+        assert_eq!(dead, 128);
+        dead
+    });
+    g.finish();
+}
+
 fn main() {
     bench_network_stepping();
     bench_routing_functions();
+    bench_registries();
 }

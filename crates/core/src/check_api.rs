@@ -17,8 +17,8 @@
 //! Exhaustive search lives or dies on state merging: two interleavings
 //! reaching "the same" protocol state must hash identically. Raw
 //! simulator state does not cooperate — message ids grow monotonically,
-//! cycle counters advance, and the killed registry stores entries in
-//! insertion order. The encoder therefore normalizes:
+//! cycle counters advance, and the killed registry iterates by raw
+//! message id. The encoder therefore normalizes:
 //!
 //! * **Identity**: every [`MessageId`] is replaced by its *flow label*
 //!   `(src, dst, msg_seq)`, which names the same logical message in
@@ -28,8 +28,8 @@
 //!   `now % 256`, the phase of the registry-prune cadence
 //!   (`phase_bookkeeping` prunes on multiples of 256, so two states
 //!   differing only in that phase can genuinely diverge).
-//! * **Storage**: hash-map iteration order (the killed registry) is
-//!   sorted by flow label; everything else is walked in fixed
+//! * **Storage**: the killed registry's raw-id iteration order is
+//!   re-sorted by flow label; everything else is walked in fixed
 //!   structural order.
 //!
 //! Excluded on purpose: metrics, counters, trace state, per-link
@@ -405,7 +405,6 @@ impl ProtocolStep for CheckNet {
         let mut killed: Vec<(FlowKey, u32, u64)> = net
             .killed
             .entries()
-            .into_iter()
             .map(|(w, at)| (self.label(w.message), w.attempt, now.saturating_since(at)))
             .collect();
         killed.sort_unstable();

@@ -1,176 +1,96 @@
-//! An open-addressed `WormId -> Cycle` map for the killed registry.
+//! The killed registry: a `WormId -> Cycle` map whose misses cost one
+//! array load.
 //!
-//! The killed registry sits on the simulator's hottest path: every
-//! arriving flit, every routing decision and every switch traversal
-//! probes it. `std::collections::HashMap` answers those probes through
-//! SipHash and a pointer-chasing control-byte walk; this map instead
-//! exploits what we know about the key — a [`WormId`] is a dense
-//! message id plus a small attempt counter — and uses one multiply-mix
-//! hash with linear probing over a flat slot array. Semantics are
-//! *exactly* those of a `HashMap<WormId, Cycle>` (verified against the
-//! std map by property test), so swapping it in cannot change any
-//! simulation result; iteration order is never observable because the
-//! registry is only probed by key and pruned by a pure predicate.
+//! The registry sits on the simulator's hottest path — every arriving
+//! flit, every routing decision and every switch traversal asks "is
+//! this worm killed?" — and almost every answer is *no*: the flit
+//! belongs to a live worm, which is always a newer attempt than any
+//! killed predecessor of its message. So the map proper (a plain
+//! ordered `BTreeMap`) sits behind a dense **per-message high-water
+//! mark**, indexed by the dense monotonic [`MessageId`](cr_sim::MessageId):
 //!
-//! Deletions (the periodic [`KilledMap::retain`] prune) leave
-//! tombstones so probe chains stay intact; tombstones are dropped
-//! wholesale whenever the table rehashes.
+//! ```text
+//! mark[message] = 1 + the largest attempt ever inserted for message
+//! contains(w)   = 1 + w.attempt <= mark[w.message] && map.contains_key(&w)
+//! ```
+//!
+//! (`1 +` saturates, the same on both sides.) The filter is exact by
+//! construction, not by protocol invariant: an attempt above every
+//! attempt ever inserted cannot be in the map; anything else falls
+//! through to the map, which alone decides. The mark never shrinks: a prune leaves it in place, and a
+//! stale mark only sends more lookups to the map, never fewer.
+//!
+//! Semantics are *exactly* those of a `BTreeMap<WormId, Cycle>`
+//! (verified against one by property test), so the registry cannot
+//! change any simulation result.
 
 use cr_router::WormId;
 use cr_sim::Cycle;
+use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Empty,
-    Tombstone,
-    Full(WormId, Cycle),
+/// The killed registry: a map from killed worm ids to their kill
+/// cycle whose misses — the per-flit common case — cost one array
+/// load. Public so the bench crate can price it; the network owns the
+/// only instance that matters.
+#[derive(Debug, Clone, Default)]
+pub struct KilledMap {
+    /// `mark[message]`: [`mark_of`] the largest attempt ever inserted,
+    /// 0 = never inserted. Messages past the end were never inserted.
+    mark: Vec<u32>,
+    map: BTreeMap<WormId, Cycle>,
 }
 
-/// An open-addressed hash map from worm ids to their kill cycle.
-#[derive(Debug, Clone)]
-pub(crate) struct KilledMap {
-    /// Power-of-two slot array.
-    slots: Vec<Slot>,
-    /// Live entries.
-    len: usize,
-    /// Tombstones (deleted entries still occupying a probe slot).
-    tombstones: usize,
+fn slot(key: WormId) -> usize {
+    key.message.as_u64() as usize
 }
 
-const MIN_CAPACITY: usize = 16;
-
-/// splitmix64 finalizer — deterministic, seedless, and well-mixed for
-/// the sequential message ids that dominate the key distribution.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn hash(key: WormId) -> u64 {
-    mix(key.message.as_u64() ^ u64::from(key.attempt).rotate_left(32))
+/// `attempt + 1`. Both sides of the filter go through this, so the one
+/// attempt whose successor does not fit compares equal to its own mark
+/// and is left to the map like any other attempt at or below it.
+fn mark_of(attempt: u32) -> u32 {
+    attempt.saturating_add(1)
 }
 
 impl KilledMap {
-    pub(crate) fn new() -> Self {
-        KilledMap {
-            slots: vec![Slot::Empty; MIN_CAPACITY],
-            len: 0,
-            tombstones: 0,
-        }
+    /// Creates an empty registry.
+    pub fn new() -> Self {
+        KilledMap::default()
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
-    pub(crate) fn contains(&self, key: WormId) -> bool {
-        // Most of most runs no worm is dead: answer the per-flit
-        // probes without hashing.
-        self.len != 0 && self.find(key).is_some()
+    /// Whether `key` is in the registry.
+    pub fn contains(&self, key: WormId) -> bool {
+        self.mark
+            .get(slot(key))
+            .is_some_and(|&mark| mark_of(key.attempt) <= mark)
+            && self.map.contains_key(&key)
     }
 
-    /// Index of the slot holding `key`, if present.
-    fn find(&self, key: WormId) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = (hash(key) as usize) & mask;
-        loop {
-            match self.slots[i] {
-                Slot::Empty => return None,
-                Slot::Full(k, _) if k == key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
+    /// Inserts or updates, mirroring `BTreeMap::insert`.
+    pub fn insert(&mut self, key: WormId, value: Cycle) {
+        let slot = slot(key);
+        if slot >= self.mark.len() {
+            self.mark.resize(slot + 1, 0);
         }
+        self.mark[slot] = self.mark[slot].max(mark_of(key.attempt));
+        self.map.insert(key, value);
     }
 
-    /// Inserts or updates, mirroring `HashMap::insert`.
-    pub(crate) fn insert(&mut self, key: WormId, value: Cycle) {
-        // Keep occupancy (live + tombstones) under 7/8 so probe chains
-        // stay short and the scan below always terminates.
-        if (self.len + self.tombstones + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash(key) as usize) & mask;
-        let mut first_tombstone = None;
-        loop {
-            match self.slots[i] {
-                Slot::Empty => {
-                    let target = first_tombstone.unwrap_or(i);
-                    if matches!(self.slots[target], Slot::Tombstone) {
-                        self.tombstones -= 1;
-                    }
-                    self.slots[target] = Slot::Full(key, value);
-                    self.len += 1;
-                    return;
-                }
-                Slot::Tombstone => {
-                    first_tombstone.get_or_insert(i);
-                    i = (i + 1) & mask;
-                }
-                Slot::Full(k, _) => {
-                    if k == key {
-                        self.slots[i] = Slot::Full(key, value);
-                        return;
-                    }
-                    i = (i + 1) & mask;
-                }
-            }
-        }
-    }
-
-    /// All live entries, in storage order. Storage order depends on
-    /// insertion history, so callers that need a canonical view (the
-    /// model checker's state encoding) must sort by their own key.
-    pub(crate) fn entries(&self) -> Vec<(WormId, Cycle)> {
-        self.slots
-            .iter()
-            .filter_map(|s| match *s {
-                Slot::Full(k, v) => Some((k, v)),
-                _ => None,
-            })
-            .collect()
+    /// All live entries, ascending by raw worm id. Raw message ids
+    /// depend on injection order, so callers that need a canonical
+    /// view (the model checker's state encoding) sort by their own key.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (WormId, Cycle)> + '_ {
+        self.map.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Keeps entries whose value satisfies `pred` — the periodic
-    /// registry prune. Equivalent to `HashMap::retain` with a
-    /// value-only predicate (the registry's predicate never looks at
-    /// the key, so retention order cannot matter).
-    pub(crate) fn retain(&mut self, mut pred: impl FnMut(Cycle) -> bool) {
-        for slot in &mut self.slots {
-            if let Slot::Full(_, v) = *slot {
-                if !pred(v) {
-                    *slot = Slot::Tombstone;
-                    self.len -= 1;
-                    self.tombstones += 1;
-                }
-            }
-        }
-    }
-
-    /// Rehashes into a table sized for the live entries, dropping
-    /// tombstones. Grows only on live load; a prune-heavy interval
-    /// (many tombstones, few live) rebuilds at the same size.
-    fn grow(&mut self) {
-        let needed = (self.len + 1) * 8 / 7 + 1;
-        let mut capacity = MIN_CAPACITY;
-        while capacity < needed {
-            capacity *= 2;
-        }
-        let old = std::mem::replace(&mut self.slots, vec![Slot::Empty; capacity]);
-        self.tombstones = 0;
-        let mask = capacity - 1;
-        for slot in old {
-            if let Slot::Full(k, v) = slot {
-                let mut i = (hash(k) as usize) & mask;
-                while !matches!(self.slots[i], Slot::Empty) {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = Slot::Full(k, v);
-            }
-        }
+    /// registry prune.
+    pub fn retain(&mut self, mut pred: impl FnMut(Cycle) -> bool) {
+        self.map.retain(|_, v| pred(*v));
     }
 }
 
@@ -179,7 +99,6 @@ mod tests {
     use super::*;
     use cr_sim::check::{check, Config};
     use cr_sim::MessageId;
-    use std::collections::HashMap;
 
     fn worm(message: u64, attempt: u32) -> WormId {
         WormId::new(MessageId::new(message), attempt)
@@ -213,49 +132,63 @@ mod tests {
         assert_eq!(m.len(), 10_000);
         for i in 0..10_000 {
             assert!(m.contains(worm(i, (i % 3) as u32)), "lost {i}");
+            // One past the mark: answered without the map.
+            assert!(!m.contains(worm(i, (i % 3) as u32 + 1)));
         }
+        assert!(!m.contains(worm(10_000, 0)), "past the mark array");
     }
 
     #[test]
-    fn tombstones_do_not_break_probe_chains() {
+    fn prune_then_reinsert_under_a_stale_mark() {
         let mut m = KilledMap::new();
         for i in 0..1_000 {
-            m.insert(worm(i, 0), Cycle::new(i));
+            m.insert(worm(i, 2), Cycle::new(i));
         }
-        // Prune the even half; the odd half must stay findable even
-        // where its probe chains crossed now-deleted slots.
+        // Prune the even half: their marks stay at 3, so lookups below
+        // the mark reach the map, which says no.
         m.retain(|t| t.as_u64() % 2 == 1);
         assert_eq!(m.len(), 500);
         for i in 0..1_000 {
-            assert_eq!(m.contains(worm(i, 0)), i % 2 == 1, "key {i}");
+            assert_eq!(m.contains(worm(i, 2)), i % 2 == 1, "key {i}");
+            assert!(!m.contains(worm(i, 1)), "below the mark, never inserted");
         }
-        // Reinserting over tombstones reclaims them.
+        // Older attempts inserted after newer ones, under the old mark.
         for i in 0..1_000 {
             m.insert(worm(i, 0), Cycle::new(i + 1));
         }
-        assert_eq!(m.len(), 1_000);
+        assert_eq!(m.len(), 1_500);
+        assert!(m.contains(worm(4, 0)) && !m.contains(worm(4, 2)));
     }
 
-    /// The registry's exact workload shape against the std map:
-    /// interleaved inserts, lookups and value-predicate prunes agree
-    /// with `HashMap` at every step.
+    /// The registry's exact workload shape against a plain ordered
+    /// map: attempts inserted out of order, re-inserts, lookups on
+    /// both sides of the mark, message ids far apart and past the mark
+    /// array, interleaved prunes — all agree with `BTreeMap` at every
+    /// step.
     #[test]
-    fn matches_std_hashmap_model() {
-        check("killmap_matches_hashmap", Config::default(), |src| {
+    fn matches_btreemap_model() {
+        check("killmap_matches_btreemap", Config::default(), |src| {
             let mut m = KilledMap::new();
-            let mut model: HashMap<WormId, Cycle> = HashMap::new();
+            let mut model: BTreeMap<WormId, Cycle> = BTreeMap::new();
+            // Two clusters of message ids far apart, attempts at both
+            // ends of the range (the top one has no successor).
+            let key = |src: &mut cr_sim::check::Source<'_>| {
+                let message = src.u64_in(0..48) + [0, 100_000][src.usize_in(0..2)];
+                let attempt = src.u32_in(0..5) + [0, 0, 0, u32::MAX - 4][src.usize_in(0..4)];
+                worm(message, attempt)
+            };
             let ops = src.usize_in(0..400);
             for _ in 0..ops {
-                match src.weighted(&[5, 3, 1]) {
+                match src.weighted(&[5, 4, 1]) {
                     0 => {
-                        let k = worm(src.u64_in(0..64), src.u32_in(0..4));
+                        let k = key(src);
                         let v = Cycle::new(src.u64_in(0..1_000));
                         m.insert(k, v);
                         model.insert(k, v);
                     }
                     1 => {
-                        let k = worm(src.u64_in(0..64), src.u32_in(0..4));
-                        assert_eq!(m.contains(k), model.contains_key(&k));
+                        let k = key(src);
+                        assert_eq!(m.contains(k), model.contains_key(&k), "{k}");
                     }
                     _ => {
                         let horizon = src.u64_in(0..1_000);
@@ -265,7 +198,8 @@ mod tests {
                 }
                 assert_eq!(m.len(), model.len());
             }
-            for (&k, _) in &model {
+            assert!(m.entries().eq(model.iter().map(|(&k, &v)| (k, v))));
+            for &k in model.keys() {
                 assert!(m.contains(k));
             }
         });

@@ -63,6 +63,7 @@ pub use builder::NetworkBuilder;
 pub use network::check_api;
 pub use config::{Ablations, NetworkConfig, ProtocolKind, RoutingKind};
 pub use injector::{Injector, InjectorState, PendingMessage};
+pub use killmap::KilledMap;
 pub use network::Network;
 pub use receiver::{DeliveredMessage, Receiver};
 pub use report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, TraceSummary};

@@ -37,7 +37,7 @@
 //!
 //! By default the kernels are fed *sparse* visit lists: each phase
 //! walks only the components that can possibly do work this cycle,
-//! tracked in generation-stamped [`ActiveSet`]s (links with buffered
+//! tracked in bitset [`ActiveSet`]s (links with buffered
 //! flits, routers with occupancy or an open stall streak, injectors
 //! with a worm in hand or a queue), and the run loops *fast-forward*
 //! across stretches of cycles in which every phase is provably a
@@ -263,6 +263,11 @@ pub struct Network {
     /// Injectors (flat id `node * inject_channels + channel`) with a
     /// worm in hand or queued messages, one set per shard.
     injector_sets: Vec<ActiveSet>,
+    /// Receivers that may hold an open assembly (node ids), one set
+    /// per shard: recorded when `on_flit` leaves an assembly open,
+    /// drained and rebuilt by [`Network::prune_registries`], so the
+    /// periodic prune visits those and not every node.
+    receiver_sets: Vec<ActiveSet>,
     /// `link_wake[link]` = earliest front-of-lane arrival estimate.
     /// Min-updated on every push; may go stale-*early* after purges
     /// (harmless: the link is rescanned and the wake recomputed) but
@@ -523,6 +528,7 @@ impl Network {
             injector_sets: (0..num_shards)
                 .map(|_| ActiveSet::new(n * cfg.inject_channels))
                 .collect(),
+            receiver_sets: (0..num_shards).map(|_| ActiveSet::new(n)).collect(),
             link_wake: Sharded::from_flat(vec![Cycle::ZERO; links.len()], &link_sizes),
             ids_scratch: Vec::new(),
             live_flits: 0,
@@ -1244,20 +1250,32 @@ impl Network {
         let li = self.tables.link_orig[pi] as usize;
         let (dst_node, dst_port) = self.tables.link_head[li];
         let link_id = self.tables.link_ids[li];
-        for v in 0..self.links[pi].lanes.len() {
+        // Constant per link, so resolved once and not per flit: its
+        // fault state (churn fires before any phase), and where its
+        // state and its destination router sit. A link is stored with
+        // the shard of its destination node, so one chunk index
+        // serves both and no flat `Sharded` lookup is left in the
+        // loop.
+        let link_dead = self.faults.is_dead(link_id);
+        let detects_faults = self.cfg.protocol.detects_faults();
+        let s = self.link_shard[pi] as usize;
+        let link_at = pi - self.link_bounds[s];
+        let dst_at = dst_node - self.plan.range(s).start;
+        let dst32 = idx32(dst_node);
+        for v in 0..self.links.chunk_mut(s)[link_at].lanes.len() {
             let vc = VcId::from_index(v);
             while let Some((mut flit, killed)) = kernel::pop_due(
-                &mut self.links[pi],
+                &mut self.links.chunk_mut(s)[link_at],
                 v,
                 now,
                 &self.killed,
-                &self.routers[dst_node],
+                &self.routers.chunk_mut(s)[dst_at],
                 dst_port,
             ) {
                 // Fault injection: dead links corrupt every flit (the
                 // detectable-failure model); healthy links corrupt at
                 // the transient rate.
-                if self.faults.is_dead(link_id) || self.faults.corrupts_flit(&mut self.fault_rng) {
+                if link_dead || self.faults.corrupts_flit(&mut self.fault_rng) {
                     if !flit.corrupted {
                         self.counters.flits_corrupted += 1;
                     }
@@ -1265,7 +1283,7 @@ impl Network {
                 }
                 let detected = !killed
                     && flit.corrupted
-                    && self.cfg.protocol.detects_faults()
+                    && detects_faults
                     && self.faults.detects_corruption(&mut self.fault_rng);
                 if killed || detected {
                     self.counters.flits_dropped_killed += 1;
@@ -1283,11 +1301,11 @@ impl Network {
                     }
                     continue;
                 }
-                if flit.corrupted && self.cfg.protocol.detects_faults() {
+                if flit.corrupted && detects_faults {
                     self.counters.detections_missed += 1;
                 }
-                self.routers[dst_node].accept(now, dst_port, vc, flit);
-                self.arm_router(dst_node);
+                self.routers.chunk_mut(s)[dst_at].accept(now, dst_port, vc, flit);
+                self.router_sets[s].insert(dst32);
                 self.last_progress = now;
             }
         }
@@ -1377,11 +1395,12 @@ impl Network {
 
     /// Path-wide detection: a stalled worm needs a buffered flit, so
     /// only routers in the active set can trigger (the reference
-    /// driver asks every router anyway). The set is iterated sorted
-    /// but *not* drained — the route kernel owns its drain-and-rebuild.
-    /// Kills are rare and walk cross-shard teardown chains, so this
-    /// stays serial; they arm injectors, never routers, so each set is
-    /// stable while walked.
+    /// driver asks every router anyway). The sets are read, *not*
+    /// drained — the route kernel owns its drain-and-rebuild. Kills
+    /// are rare and walk cross-shard teardown chains, so this stays
+    /// serial; they arm injectors, never routers, so each set can be
+    /// lifted out while `path_wide_one` borrows the network (an arm
+    /// would hit the empty stand-in and panic).
     fn phase_path_wide(&mut self, now: Cycle, threshold: u64) {
         if self.reference_stepper {
             for node in 0..self.routers.len() {
@@ -1392,11 +1411,11 @@ impl Network {
         // Walking the per-shard sets in shard order visits nodes in
         // global ascending order (contiguous node ranges).
         for s in 0..self.router_sets.len() {
-            self.router_sets[s].sort();
-            for k in 0..self.router_sets[s].len() {
-                let node = self.router_sets[s].get(k) as usize;
-                self.path_wide_one(now, threshold, node);
+            let set = std::mem::replace(&mut self.router_sets[s], ActiveSet::new(0));
+            for node in set.iter() {
+                self.path_wide_one(now, threshold, node as usize);
             }
+            self.router_sets[s] = set;
         }
     }
 
@@ -1480,9 +1499,22 @@ impl Network {
         self.killed_mut()
             .retain(|t| now.saturating_since(t) < lifetime);
         let horizon = Cycle::new(now.as_u64().saturating_sub(4 * lifetime));
-        for rx in &mut self.receivers {
-            rx.prune(horizon);
+        // A receiver outside its shard's set holds no assembly, for
+        // which `prune` is a no-op.
+        let mut ids = std::mem::take(&mut self.ids_scratch);
+        for s in 0..self.receiver_sets.len() {
+            ids.clear();
+            let (set, all) = (&mut self.receiver_sets[s], self.plan.range(s));
+            kernel::visit_list(&mut ids, set, all, self.reference_stepper);
+            for &n in &ids {
+                let rx = &mut self.receivers[n as usize];
+                rx.prune(horizon);
+                if rx.assembling_len() > 0 {
+                    self.receiver_sets[s].insert(n);
+                }
+            }
         }
+        self.ids_scratch = ids;
     }
 
     // ------------------------------------------------------------------
@@ -1516,43 +1548,36 @@ impl Network {
         }
         let now = self.now;
         let mut target = end;
-        for set in &self.router_sets {
-            for k in 0..set.len() {
-                let n = set.get(k) as usize;
-                if self.routers[n].total_occupancy() > 0 || self.routers[n].has_open_streaks() {
-                    return;
-                }
+        for n in self.router_sets.iter().flat_map(ActiveSet::iter) {
+            let router = &self.routers[n as usize];
+            if router.total_occupancy() > 0 || router.has_open_streaks() {
+                return;
             }
         }
         let chans = self.cfg.inject_channels;
-        for set in &self.injector_sets {
-            for k in 0..set.len() {
-                let id = set.get(k) as usize;
-                let inj = &self.injectors[id / chans][id % chans];
-                if !inj.has_step_work() {
-                    continue; // stale entry
-                }
-                match inj.backoff_resume() {
-                    Some(resume) if resume > now => target = target.min(resume),
-                    _ => return, // sending or resuming now: must step
-                }
+        for id in self.injector_sets.iter().flat_map(ActiveSet::iter) {
+            let inj = &self.injectors[id as usize / chans][id as usize % chans];
+            if !inj.has_step_work() {
+                continue; // stale entry
+            }
+            match inj.backoff_resume() {
+                Some(resume) if resume > now => target = target.min(resume),
+                _ => return, // sending or resuming now: must step
             }
         }
-        for set in &self.link_sets {
-            for k in 0..set.len() {
-                // Members are permuted indices — exactly how `links`
-                // and `link_wake` are stored.
-                let pi = set.get(k) as usize;
-                if self.links[pi].occupied == 0 {
-                    continue; // purged empty since it was armed
-                }
-                let wake = self.link_wake[pi];
-                if wake <= now {
-                    // Due (or a conservative stale-early estimate): step.
-                    return;
-                }
-                target = target.min(wake);
+        // Members are permuted indices — exactly how `links` and
+        // `link_wake` are stored.
+        for pi in self.link_sets.iter().flat_map(ActiveSet::iter) {
+            let pi = pi as usize;
+            if self.links[pi].occupied == 0 {
+                continue; // purged empty since it was armed
             }
+            let wake = self.link_wake[pi];
+            if wake <= now {
+                // Due (or a conservative stale-early estimate): step.
+                return;
+            }
+            target = target.min(wake);
         }
         if let Some(e) = self.scheduled.front() {
             if e.at <= now {

@@ -5,7 +5,7 @@
 //! A kernel sees three things and nothing else:
 //!
 //! * a [`ShardView`] — `&mut` slices of one shard's routers, links,
-//!   wakes, injectors and receivers plus its three active sets. All
+//!   wakes, injectors and receivers plus its four active sets. All
 //!   in-place mutation is confined to it.
 //! * a [`Ctx`] — the read-only wiring tables, the killed registry and
 //!   the fault model as they stand for this fan-out, and `now`.
@@ -60,6 +60,7 @@ pub(super) struct ShardView<'a> {
     pub router_set: &'a mut ActiveSet,
     pub link_set: &'a mut ActiveSet,
     pub injector_set: &'a mut ActiveSet,
+    pub receiver_set: &'a mut ActiveSet,
     pub node_lo: usize,
     pub links_lo: usize,
 }
@@ -417,6 +418,11 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
                         rx.discard(t.flit.worm);
                     } else {
                         fx.delivered.extend(rx.on_flit(now, t.flit));
+                        if rx.assembling_len() > 0 {
+                            // Open assembly: the periodic prune must
+                            // look at this receiver.
+                            sh.receiver_set.insert(n32);
+                        }
                     }
                 }
             }

@@ -75,6 +75,7 @@ struct ShardWork {
     router_set: ActiveSet,
     link_set: ActiveSet,
     injector_set: ActiveSet,
+    receiver_set: ActiveSet,
     scratch: ShardScratch,
 }
 
@@ -99,6 +100,7 @@ impl Network {
             router_set: std::mem::replace(&mut self.router_sets[s], ActiveSet::new(0)),
             link_set: std::mem::replace(&mut self.link_sets[s], ActiveSet::new(0)),
             injector_set: std::mem::replace(&mut self.injector_sets[s], ActiveSet::new(0)),
+            receiver_set: std::mem::replace(&mut self.receiver_sets[s], ActiveSet::new(0)),
             scratch: std::mem::take(&mut self.shard_scratch[s]),
         }
     }
@@ -113,6 +115,7 @@ impl Network {
         self.router_sets[s] = w.router_set;
         self.link_sets[s] = w.link_set;
         self.injector_sets[s] = w.injector_set;
+        self.receiver_sets[s] = w.receiver_set;
         self.shard_scratch[s] = w.scratch;
     }
 
@@ -169,6 +172,7 @@ impl Network {
                     router_set: &mut self.router_sets[s],
                     link_set: &mut self.link_sets[s],
                     injector_set: &mut self.injector_sets[s],
+                    receiver_set: &mut self.receiver_sets[s],
                     node_lo: self.plan.range(s).start,
                     links_lo: self.link_bounds[s],
                 };
@@ -201,6 +205,7 @@ impl Network {
                     router_set: &mut w.router_set,
                     link_set: &mut w.link_set,
                     injector_set: &mut w.injector_set,
+                    receiver_set: &mut w.receiver_set,
                     node_lo,
                     links_lo,
                 };

@@ -288,21 +288,26 @@ fn reference_driver_on_two_shards_twin_matches() {
 /// Constructing and dropping sharded networks must not leak worker
 /// threads: the persistent team is joined in `Network::drop` before
 /// the shard state it references is freed. 100 construct/step/drop
-/// rounds leave the process thread count where it started.
+/// rounds leave this test's thread count where it started.
 #[test]
 fn repeated_sharded_drop_leaks_no_threads() {
-    // /proc is the only std-visible thread census; skip quietly where
-    // absent (same policy as the pool's own drop test).
-    let count_threads = || -> Option<usize> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-    };
-    let Some(before) = count_threads() else {
+    // A spawned thread inherits its creator's `comm`, so tagging this
+    // thread makes the census count this test's threads only (sibling
+    // tests run teams of their own meanwhile). /proc is the only
+    // std-visible census; skip quietly where absent (same policy as
+    // the pool's own drop test).
+    const TAG: &str = "leak-census";
+    if std::fs::write("/proc/thread-self/comm", TAG).is_err() {
         return;
+    }
+    let count_threads = || -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("thread census available above")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == TAG)
+            .count()
     };
+    let before = count_threads();
     for round in 0..100u64 {
         let mut b = Scale::Tiny.builder();
         b.routing(RoutingKind::Adaptive { vcs: 1 })
@@ -315,7 +320,16 @@ fn repeated_sharded_drop_leaks_no_threads() {
         // A handful of cycles is enough to spawn the team lazily.
         net.run(8);
     }
-    let after = count_threads().expect("thread census available above");
+    // A joined thread can outlive its join in /proc by a moment; a
+    // leaked one never goes away.
+    let mut after = count_threads();
+    for _ in 0..200 {
+        if after <= before {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        after = count_threads();
+    }
     assert!(
         after <= before,
         "sharded network drops leaked threads: {before} -> {after}"

@@ -54,6 +54,11 @@ pub struct FaultModel {
     // experiment harness may fold this into reported output (cr-lint
     // `hash-collections`).
     dead_links: BTreeSet<LinkId>,
+    // The same set as a `LinkId`-indexed bitmap, for the per-flit
+    // `is_dead`: bit `id % 64` of word `id / 64`, grown on demand
+    // (ids past the end are alive). Written only by `mark_dead` /
+    // `mark_alive`, which keep it equal to `dead_links`.
+    dead_bits: Vec<u64>,
     // Online fault timeline: entries fire at cycle boundaries, in
     // order, advancing `churn_cursor`. Empty for static fault plans.
     churn: ChurnSchedule,
@@ -82,10 +87,35 @@ pub struct ChurnFiring {
     pub revived: Vec<LinkId>,
 }
 
+/// Word index and bit mask of `link` in [`FaultModel`]'s dead-link
+/// bitmap.
+fn dead_bit(link: LinkId) -> (usize, u64) {
+    (link.index() / 64, 1 << (link.index() % 64))
+}
+
 impl FaultModel {
     /// Creates a fault-free model (no dead links, zero transient rate).
     pub fn new() -> Self {
         FaultModel::default()
+    }
+
+    /// Adds `link` to the dead set; `true` if it was alive.
+    fn mark_dead(&mut self, link: LinkId) -> bool {
+        let (word, bit) = dead_bit(link);
+        if word >= self.dead_bits.len() {
+            self.dead_bits.resize(word + 1, 0);
+        }
+        self.dead_bits[word] |= bit;
+        self.dead_links.insert(link)
+    }
+
+    /// Removes `link` from the dead set; `true` if it was dead.
+    fn mark_alive(&mut self, link: LinkId) -> bool {
+        let (word, bit) = dead_bit(link);
+        if let Some(word) = self.dead_bits.get_mut(word) {
+            *word &= !bit;
+        }
+        self.dead_links.remove(&link)
     }
 
     /// Sets the probability that any given flit is corrupted while
@@ -130,14 +160,14 @@ impl FaultModel {
     /// lost; the upstream worm stalls and recovery is up to the routing
     /// protocol.
     pub fn kill_link(&mut self, link: LinkId) -> &mut Self {
-        self.dead_links.insert(link);
+        self.mark_dead(link);
         self
     }
 
     /// Heals a dead link. Returns `true` if the link was dead (i.e.
     /// this call changed the fault state).
     pub fn revive_link(&mut self, link: LinkId) -> bool {
-        self.dead_links.remove(&link)
+        self.mark_alive(link)
     }
 
     /// Marks every channel touching `node` dead, simulating a failed
@@ -152,7 +182,7 @@ impl FaultModel {
     pub fn kill_node(&mut self, topology: &dyn Topology, node: NodeId) -> Vec<LinkId> {
         let mut killed = Vec::new();
         for l in topology.links() {
-            if (l.src == node || l.dst == node) && self.dead_links.insert(l.id) {
+            if (l.src == node || l.dst == node) && self.mark_dead(l.id) {
                 killed.push(l.id);
             }
         }
@@ -180,7 +210,7 @@ impl FaultModel {
             Ok(killed)
         } else {
             for l in &killed {
-                self.dead_links.remove(l);
+                self.mark_alive(*l);
             }
             Err(FaultPlanError::WouldPartition { node })
         }
@@ -193,7 +223,7 @@ impl FaultModel {
     pub fn revive_node(&mut self, topology: &dyn Topology, node: NodeId) -> Vec<LinkId> {
         let mut revived = Vec::new();
         for l in topology.links() {
-            if (l.src == node || l.dst == node) && self.dead_links.remove(&l.id) {
+            if (l.src == node || l.dst == node) && self.mark_alive(l.id) {
                 revived.push(l.id);
             }
         }
@@ -203,7 +233,8 @@ impl FaultModel {
 
     /// Returns `true` if `link` is permanently dead.
     pub fn is_dead(&self, link: LinkId) -> bool {
-        self.dead_links.contains(&link)
+        let (word, bit) = dead_bit(link);
+        self.dead_bits.get(word).is_some_and(|w| w & bit != 0)
     }
 
     /// Number of permanently dead links.
@@ -296,12 +327,12 @@ impl FaultModel {
             };
             match entry.event {
                 ChurnEvent::KillLink { link } => {
-                    if self.dead_links.insert(link) {
+                    if self.mark_dead(link) {
                         firing.killed.push(link);
                     }
                 }
                 ChurnEvent::ReviveLink { link } => {
-                    if self.dead_links.remove(&link) {
+                    if self.mark_alive(link) {
                         firing.revived.push(link);
                     }
                 }
@@ -314,7 +345,7 @@ impl FaultModel {
                 ChurnEvent::RegionalOutage { center, radius, .. } => {
                     debug_assert!(false, "regional outage not expanded before the run");
                     for link in region_links(topology, center, radius) {
-                        if self.dead_links.insert(link) {
+                        if self.mark_dead(link) {
                             firing.killed.push(link);
                         }
                     }
@@ -358,10 +389,7 @@ impl FaultModel {
         rng: &mut SimRng,
     ) -> Result<Vec<LinkId>, FaultPlanError> {
         let all = topology.links();
-        let alive = all
-            .iter()
-            .filter(|l| !self.dead_links.contains(&l.id))
-            .count();
+        let alive = all.iter().filter(|l| !self.is_dead(l.id)).count();
         if count > alive {
             return Err(FaultPlanError::TooManyFaults { requested: count });
         }
@@ -377,7 +405,7 @@ impl FaultModel {
             draws += 1;
             if draws > max_draws {
                 for l in &killed {
-                    self.dead_links.remove(l);
+                    self.mark_alive(*l);
                 }
                 return Err(FaultPlanError::TooManyFaults { requested: count });
             }
@@ -387,19 +415,19 @@ impl FaultModel {
                 return Err(FaultPlanError::EmptyNetwork);
             };
             let candidate = all[pick].id;
-            if self.dead_links.contains(&candidate) {
+            if self.is_dead(candidate) {
                 continue;
             }
-            self.dead_links.insert(candidate);
+            self.mark_dead(candidate);
             if strongly_connected(topology, &self.dead_links) {
                 killed.push(candidate);
             } else {
-                self.dead_links.remove(&candidate);
+                self.mark_alive(candidate);
                 rejections += 1;
                 if rejections > max_rejections {
                     // Roll back everything we added in this call.
                     for l in &killed {
-                        self.dead_links.remove(l);
+                        self.mark_alive(*l);
                     }
                     return Err(FaultPlanError::TooManyFaults { requested: count });
                 }

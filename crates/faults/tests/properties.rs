@@ -1,8 +1,8 @@
 //! Property-based tests of the fault model.
 
-use cr_faults::{strongly_connected, FaultModel};
+use cr_faults::{strongly_connected, ChurnSchedule, FaultModel};
 use cr_sim::check::{check, Config};
-use cr_sim::SimRng;
+use cr_sim::{Cycle, LinkId, NodeId, SimRng};
 use cr_topology::{KAryNCube, Topology};
 use std::collections::BTreeSet;
 
@@ -80,6 +80,81 @@ fn detection_extremes() {
         for _ in 0..64 {
             assert!(perfect.detects_corruption(&mut rng));
             assert!(!blind.detects_corruption(&mut rng));
+        }
+    });
+}
+
+/// The `is_dead` bitmap is the dead-link set: after any interleaving
+/// of link and node kills and revives, connectivity-checked kills
+/// (accepted or rolled back) and churn firings, `is_dead(l)` equals
+/// membership in `dead_links()` for every link id — including ids the
+/// bitmap has never grown to cover.
+#[test]
+fn is_dead_equals_dead_links_membership() {
+    check("is_dead_equals_dead_links_membership", Config::default(), |src| {
+        let topo = KAryNCube::torus(src.usize_in(3..5), 2);
+        let links = topo.links();
+        let nodes = topo.num_nodes();
+        let mut f = FaultModel::new();
+
+        // A churn timeline over the same fabric, fired piecemeal below.
+        let mut plan = ChurnSchedule::new();
+        for _ in 0..src.usize_in(0..12) {
+            let at = Cycle::new(src.u64_in(0..40));
+            let link = links[src.usize_in(0..links.len())].id;
+            let node = NodeId::from_index(src.usize_in(0..nodes));
+            match src.usize_in(0..5) {
+                0 => plan.kill_link(at, link),
+                1 => plan.revive_link(at, link),
+                2 => plan.kill_node(at, node),
+                3 => plan.revive_node(at, node),
+                _ => plan.regional_outage(at, node, 1, src.u64_in(1..10)),
+            };
+        }
+        f.set_churn(plan);
+        f.expand_churn(&topo);
+
+        let mut now = 0;
+        let mut rng = SimRng::from_seed(src.u64_any());
+        for _ in 0..src.usize_in(0..40) {
+            // Ids beyond the topology's too: the model takes any id.
+            let link = LinkId::new(src.u32_in(0..links.len() as u32 + 200));
+            let node = NodeId::from_index(src.usize_in(0..nodes));
+            match src.usize_in(0..8) {
+                0..=1 => {
+                    f.kill_link(link);
+                }
+                2 => {
+                    f.revive_link(link);
+                }
+                3 => {
+                    f.kill_node(&topo, node);
+                }
+                4 => {
+                    f.revive_node(&topo, node);
+                }
+                5 => {
+                    // Rejected plans roll back what they placed.
+                    let before: Vec<LinkId> = f.dead_links().collect();
+                    let count = src.usize_in(0..links.len());
+                    if f.kill_random_links_connected(&topo, count, &mut rng).is_err() {
+                        assert!(f.dead_links().eq(before), "rollback restores the set");
+                    }
+                }
+                6 => {
+                    let _ = f.kill_node_connected(&topo, node);
+                }
+                _ => {
+                    now += src.u64_in(0..12);
+                    f.apply_churn_due(&topo, Cycle::new(now), &mut Vec::new());
+                }
+            }
+            let dead: BTreeSet<LinkId> = f.dead_links().collect();
+            assert_eq!(dead.len(), f.num_dead_links());
+            for id in 0..links.len() as u32 + 400 {
+                let id = LinkId::new(id);
+                assert_eq!(f.is_dead(id), dead.contains(&id), "{id}");
+            }
         }
     });
 }

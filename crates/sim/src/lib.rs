@@ -18,7 +18,7 @@
 //! * [`pool`] — a work-stealing task pool on scoped threads, used by
 //!   the experiment harness to run sweep points in parallel while
 //!   keeping results in submission order (bit-identical to serial).
-//! * [`sched`] — generation-stamped active sets ([`sched::ActiveSet`])
+//! * [`sched`] — two-level bitset active sets ([`sched::ActiveSet`])
 //!   backing the network's skip-the-idle cycle scheduler.
 //! * [`trace`] — typed protocol events ([`trace::Event`]) behind a
 //!   bounded ring-buffer sink ([`trace::TraceSink`]) that is a no-op

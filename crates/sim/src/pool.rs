@@ -717,24 +717,38 @@ mod tests {
 
     #[test]
     fn team_drop_joins_workers() {
-        // Dropping a team must not leave threads behind. /proc is the
-        // only std-visible thread census; skip quietly where absent.
-        let count_threads = || -> Option<usize> {
-            let status = std::fs::read_to_string("/proc/self/status").ok()?;
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("Threads:"))
-                .and_then(|v| v.trim().parse().ok())
-        };
-        let Some(before) = count_threads() else {
+        // Dropping a team must not leave threads behind. A spawned
+        // thread inherits its creator's `comm`, so tagging this thread
+        // makes the census count this test's threads only (sibling
+        // tests run teams of their own meanwhile). /proc is the only
+        // std-visible census; skip quietly where absent.
+        const TAG: &str = "join-census";
+        if std::fs::write("/proc/thread-self/comm", TAG).is_err() {
             return;
+        }
+        let count_threads = || -> usize {
+            std::fs::read_dir("/proc/self/task")
+                .expect("thread census available above")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == TAG)
+                .count()
         };
+        let before = count_threads();
         for _ in 0..20 {
             let team = Team::new(4);
             let out = team.run((0..8u32).map(|i| move || i).collect::<Vec<_>>());
             assert_eq!(out.len(), 8);
         }
-        let after = count_threads().expect("thread census available above");
+        // A joined thread can outlive its join in /proc by a moment;
+        // a leaked one never goes away.
+        let mut after = count_threads();
+        for _ in 0..200 {
+            if after <= before {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            after = count_threads();
+        }
         assert!(
             after <= before,
             "team drops leaked threads: {before} -> {after}"

@@ -4,7 +4,7 @@
 # least nine tenths of the pairs (ties count for neither side) AND the
 # medians to differ by more than the parent's own quartile spread.
 #
-# Usage: scripts/perf_pairs.sh <parent-tree> <change-tree> <workload> [pairs=10] [seed=1]
+# Usage: scripts/perf_pairs.sh <parent-tree> <change-tree> <workload>|all [pairs=10] [seed=1]
 #
 # Each tree is a checkout of this repository (e.g. a `git clone` of the
 # parent commit next to the working copy). Its benchmark is built once
@@ -14,11 +14,13 @@
 # directions and regression bounds are read from the change tree's
 # BENCHMARK.json. Every run's values are printed, then one row per
 # end-to-end metric: both medians with quartiles, the win count, the
-# change/parent ratio of medians and the verdict.
+# change/parent ratio of medians and the verdict. The workload `all`
+# does that for every name `cr-perf list` prints, one table each — a
+# perf change needs the no-regression rows as well as its claim row.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -33,6 +35,19 @@ for tree in "$parent" "$change"; do
         cargo build --release --offline --quiet --manifest-path "$tree/cr-perf/Cargo.toml"
     fi
 done
+
+if [ "$workload" = all ]; then
+    # The indented rows between `workloads:` and the next section.
+    names="$("$(bin "$change")" list | awk '
+        /^workloads:/ { on = 1; next }
+        /^[^ ]/ { on = 0 }
+        on { print $1 }')"
+    for name in $names; do
+        "$0" "$parent" "$change" "$name" "$pairs" "$seed"
+        echo
+    done
+    exit 0
+fi
 
 # "name better bound" per end-to-end metric, from BENCHMARK.json (one
 # key per line, as `cr-perf list --benchmark-json` writes it).
