@@ -2,8 +2,9 @@
 //!
 //! These track the cost of simulating one kilocycle of a 4×4 torus
 //! under the three protocols at a light and a saturating load, plus
-//! the throughput of the pure routing functions and of the per-flit
-//! registries (killed worms, armed components, dead links). They guard
+//! the throughput of the pure routing functions, of the per-flit
+//! registries (killed worms, armed components, dead links) and of one
+//! router's per-cycle visit (route + traverse). They guard
 //! against performance regressions in the inner loops that every
 //! experiment pays for. Results land in `target/bench/BENCH_<group>.json`.
 
@@ -11,10 +12,13 @@ use cr_bench::harness::Group;
 use cr_bench::reference_network;
 use cr_core::{KilledMap, ProtocolKind};
 use cr_faults::FaultModel;
+use cr_router::flit::worm_flit_at;
 use cr_router::routing::{DimensionOrder, DuatoProtocol, MinimalAdaptive};
-use cr_router::{Flit, FlitKind, RouteCtx, RoutingFunction, WormId};
+use cr_router::{
+    Flit, FlitKind, RouteCtx, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
+};
 use cr_sim::sched::ActiveSet;
-use cr_sim::{Cycle, LinkId, MessageId, NodeId, SimRng};
+use cr_sim::{Cycle, LinkId, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::{KAryNCube, Topology};
 
 fn bench_network_stepping() {
@@ -166,8 +170,105 @@ fn bench_registries() {
     g.finish();
 }
 
+/// One router's turn in the fused route + traverse phase, priced from
+/// outside through the calls the phase kernel makes
+/// (`route_and_allocate`, then `traverse_each`), in the three states
+/// an armed router of a padded-worm fabric is found in: streaming one
+/// body flit through one output, holding an allocated output with no
+/// credit left (the re-visits of a saturated fabric), and armed with
+/// nothing to do. Each sample is thousands of visits.
+fn bench_router_visit() {
+    const VISITS: u64 = 10_000;
+    let mut g = Group::new("router_visit");
+    let topo = KAryNCube::torus(8, 2);
+    let rf = MinimalAdaptive::new(2);
+    let node = NodeId::new(0);
+    let cfg = RouterConfig {
+        num_node_ports: topo.num_ports(node),
+        num_vcs: 2,
+        buffer_depth: 2,
+        num_inject: 1,
+        inject_depth: 2,
+        num_eject: 1,
+        link_depth: 1,
+    };
+    let alive = |_: WormId| false;
+    let (in_port, in_vc) = (PortId::new(1), VcId::new(0));
+    let worm = WormId::new(MessageId::new(1), 0);
+    let flit = |seq| {
+        let (src, dst) = (NodeId::new(9), NodeId::new(3));
+        worm_flit_at(worm, src, dst, 1 << 30, 0, 0, Cycle::ZERO, seq)
+    };
+    let (head, body) = (flit(0), flit(1));
+    // A router whose one worm has its header through and its output
+    // allocated; returns it with that output.
+    let streaming = || {
+        let mut r = Router::new(node, cfg, SimRng::from_seed(1));
+        r.accept(Cycle::ZERO, in_port, in_vc, head);
+        r.route_and_allocate(Cycle::ZERO, &rf, &topo, &alive);
+        let Some(RouteTarget::Link { port, vc }) = r.route_of(in_port, in_vc) else {
+            panic!("header not routed");
+        };
+        assert_eq!(r.traverse(Cycle::ZERO, &alive).len(), 1);
+        r.add_credit(port, vc);
+        (r, port, vc)
+    };
+    let visit = |r: &mut Router, now: Cycle| {
+        r.route_and_allocate(now, &rf, &topo, &alive);
+        let mut sent = 0u64;
+        r.traverse_each(now, &alive, |t| {
+            std::hint::black_box(t);
+            sent += 1;
+        });
+        sent
+    };
+
+    let (mut r, port, vc) = streaming();
+    g.bench("streaming", || {
+        let mut sent = 0;
+        for c in 1..=VISITS {
+            let now = Cycle::new(c);
+            r.accept(now, in_port, in_vc, body);
+            sent += visit(&mut r, now);
+            r.add_credit(port, vc);
+        }
+        assert_eq!(sent, VISITS);
+        sent
+    });
+
+    let (mut r, port, vc) = streaming();
+    let mut now = Cycle::new(1);
+    while r.credits(port, vc) > 0 {
+        r.accept(now, in_port, in_vc, body);
+        assert_eq!(visit(&mut r, now), 1);
+        now += 1;
+    }
+    r.accept(now, in_port, in_vc, body);
+    g.bench("blocked_no_credit", || {
+        let mut sent = 0;
+        for _ in 0..VISITS {
+            sent += visit(&mut r, now);
+            now += 1;
+        }
+        assert_eq!(sent, 0);
+        sent
+    });
+
+    let mut r = Router::new(node, cfg, SimRng::from_seed(1));
+    g.bench("armed_idle", || {
+        let mut sent = 0;
+        for c in 0..VISITS {
+            sent += visit(std::hint::black_box(&mut r), Cycle::new(c));
+        }
+        assert_eq!(sent, 0);
+        sent
+    });
+    g.finish();
+}
+
 fn main() {
     bench_network_stepping();
     bench_routing_functions();
     bench_registries();
+    bench_router_visit();
 }

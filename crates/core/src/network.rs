@@ -17,18 +17,20 @@
 //! 4. **Traffic generation** — Bernoulli sources enqueue messages.
 //! 5. **Injection** — injectors push flits, watch stalls, and request
 //!    source-timeout kills.
-//! 6. **Routing/allocation** then **switch traversal** for every
-//!    router; departing flits enter link pipelines or receivers, and
-//!    credits return upstream.
+//! 6. **Routing/allocation + switch traversal** — one visit per
+//!    router: unrouted headers try for an output, then every allocated
+//!    output forwards a flit if it can; departing flits enter link
+//!    pipelines or receivers, and credits return upstream at the
+//!    phase's barrier.
 //! 7. Bookkeeping: registry pruning and the deadlock watchdog.
 //!
 //! # Kernel, drivers, barriers
 //!
-//! Phases 1, 5 and 6 are written once, as kernels over one shard's
-//! state (`network_kernel.rs`); `network_sharded.rs` invokes them over
-//! the shard plan and applies their buffered effects at the phase
-//! barriers (DESIGN.md §12). A serial run is the one-shard plan. This
-//! file keeps what is serial by nature — churn, tokens, path-wide
+//! Phases 1, 5 and 6 are written once, as three kernels over one
+//! shard's state (`network_kernel.rs`); `network_sharded.rs` fans each
+//! out over the shard plan and applies its buffered effects at the
+//! phase's barrier (DESIGN.md §12) — three fan-outs and three barriers
+//! a cycle. A serial run is the one-shard plan. This file keeps what is serial by nature — churn, tokens, path-wide
 //! detection, traffic, bookkeeping, the kill machinery — and the
 //! ordered arrivals scan, the one phase body that cannot be sharded
 //! (it draws the fault RNG in global link order).
@@ -799,15 +801,18 @@ impl Network {
     /// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
     /// the link's active-set membership and wake estimate current.
     /// `li` is an original link index; state lives at the permuted
-    /// slot.
+    /// slot, in the chunk of the link's owning shard (resolved once,
+    /// so the per-flit path has no flat `Sharded` lookup).
     fn push_onto_link(&mut self, li: usize, vc: VcId, arrive: Cycle, flit: Flit) {
         let pi = self.link_perm[li] as usize;
-        self.links[pi].lanes[vc.index()].push_back((arrive, flit));
-        self.links[pi].occupied += 1;
-        if self.link_sets[self.link_shard[pi] as usize].insert(idx32(pi))
-            || arrive < self.link_wake[pi]
-        {
-            self.link_wake[pi] = arrive;
+        let s = self.link_shard[pi] as usize;
+        let at = pi - self.link_bounds[s];
+        let link = &mut self.links.chunk_mut(s)[at];
+        link.lanes[vc.index()].push_back((arrive, flit));
+        link.occupied += 1;
+        let wake = &mut self.link_wake.chunk_mut(s)[at];
+        if self.link_sets[s].insert(idx32(pi)) || arrive < *wake {
+            *wake = arrive;
         }
     }
 
@@ -1396,11 +1401,12 @@ impl Network {
     /// Path-wide detection: a stalled worm needs a buffered flit, so
     /// only routers in the active set can trigger (the reference
     /// driver asks every router anyway). The sets are read, *not*
-    /// drained — the route kernel owns its drain-and-rebuild. Kills
-    /// are rare and walk cross-shard teardown chains, so this stays
-    /// serial; they arm injectors, never routers, so each set can be
-    /// lifted out while `path_wide_one` borrows the network (an arm
-    /// would hit the empty stand-in and panic).
+    /// drained — the route + traverse kernel owns their
+    /// drain-and-rebuild. Kills are rare and walk cross-shard teardown
+    /// chains, so this stays serial; they arm injectors, never
+    /// routers, so each set can be lifted out while `path_wide_one`
+    /// borrows the network (an arm would hit the empty stand-in and
+    /// panic).
     fn phase_path_wide(&mut self, now: Cycle, threshold: u64) {
         if self.reference_stepper {
             for node in 0..self.routers.len() {

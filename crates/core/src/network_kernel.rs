@@ -1,6 +1,6 @@
 //! The phase kernel: the one implementation of each fanned-out cycle
-//! phase — arrivals, injection, route + orphan credits, traverse +
-//! streak drain (DESIGN.md §10, §12).
+//! phase — arrivals, injection, and the fused route + traverse visit
+//! (DESIGN.md §10, §12).
 //!
 //! A kernel sees three things and nothing else:
 //!
@@ -27,7 +27,7 @@ use crate::killmap::KilledMap;
 use crate::receiver::{DeliveredMessage, Receiver};
 use crate::report::NetCounters;
 use cr_faults::FaultModel;
-use cr_router::{Flit, LinkStallStreak, PortKind, RouteTarget, Router, Traversal, WormId};
+use cr_router::{Flit, LinkStallStreak, PortKind, RouteTarget, Router, WormId};
 use cr_sim::sched::ActiveSet;
 use cr_sim::trace::{Event, KillCause};
 use cr_sim::{Cycle, NodeId, PortId, VcId};
@@ -70,16 +70,13 @@ pub(super) struct ShardView<'a> {
 /// the `Vec` capacities amortize.
 #[derive(Default)]
 pub(super) struct ShardScratch {
-    /// The visit list being walked this phase (router ids persist from
-    /// the route kernel to the traverse kernel).
+    /// The visit list being walked this phase.
     ids: Vec<u32>,
-    /// Per-router switch-traversal output, reused across routers.
-    traversals: Vec<Traversal>,
     /// Finished link-stall streaks, reused across routers.
     streaks: Vec<LinkStallStreak>,
     /// Struct-of-arrays buffer of flits departing onto links:
     /// original link index, lane, flit. Applied (in order) at the
-    /// traverse barrier — this is the cross-shard flit handoff.
+    /// route + traverse barrier — this is the cross-shard flit handoff.
     pub push_li: Vec<u32>,
     /// Lane (virtual channel) per push.
     pub push_vc: Vec<u8>,
@@ -88,7 +85,7 @@ pub(super) struct ShardScratch {
     /// Upstream credit returns, already resolved to (upstream node,
     /// upstream output port, vc). Credits commute, so per-shard
     /// buffers applied in shard order equal any interleaving; holding
-    /// the traverse credits to the barrier is the one-cycle
+    /// the route + traverse credits to the barrier is the one-cycle
     /// credit-return latency (DESIGN.md §12).
     pub credits: Vec<(u32, PortId, VcId)>,
     /// Messages completed by this shard's receivers, in traversal
@@ -347,53 +344,47 @@ pub(super) fn injection(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScr
     fx.ids = ids;
 }
 
-/// Routing/VC-allocation, then orphan-credit collection, over the
-/// router visit list — which stays in the sink for [`traverse`] (the
-/// set is drained once for both kernels). All routing completes before
-/// any orphan credit is collected, and the barrier applies the credits
-/// before any traversal; a router not visited is empty with no open
-/// streak, for which every step here and in [`traverse`] is a no-op
-/// that draws no RNG.
-pub(super) fn route(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScratch) {
+/// Routing + switch traversal: one visit per armed router. The router
+/// allocates its unrouted headers (an O(1) return when it has none),
+/// buffers an upstream credit for each orphan that dropped, then
+/// traverses, each departing flit going straight from its FIFO into
+/// the sink — its upstream credit, and its link push (possibly onto a
+/// foreign shard's link) or its delivery into the shard's own
+/// receiver. Finished stall streaks buffer as `LinkStall` events
+/// (routers only record streaks while tracing), and a router still
+/// holding flits or an open streak re-arms.
+///
+/// Nothing a visit reads is written by another router's visit — every
+/// credit, orphan drops included, lands at the barrier — so routers may
+/// be visited in any order and shards in parallel. A router not
+/// visited is empty with no open streak, for which every step here is
+/// a no-op that draws no RNG.
+pub(super) fn route_traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScratch) {
+    let now = ctx.now;
     let mut ids = std::mem::take(&mut fx.ids);
+    let mut streaks = std::mem::take(&mut fx.streaks);
     let all = sh.node_lo..sh.node_lo + sh.routers.len();
     visit_list(&mut ids, sh.router_set, all, ctx.visit_all);
     let is_killed = |w: WormId| ctx.killed.contains(w);
     let (routing, topo) = (&*ctx.tables.routing, &*ctx.tables.topo);
-    for &n in &ids {
-        let router = &mut sh.routers[n as usize - sh.node_lo];
-        // Orphan drops leave the network.
-        let orphans = router.route_and_allocate(ctx.now, routing, topo, &is_killed);
-        fx.live_delta -= orphans as i64;
-    }
-    for &n in &ids {
-        for (port, vc) in sh.routers[n as usize - sh.node_lo].take_orphan_credits() {
-            fx.credit(ctx.tables, n as usize, port, vc);
-        }
-    }
-    fx.ids = ids;
-}
-
-/// Switch traversal over the ids [`route`] left in the sink: departing
-/// flits buffer for their (possibly foreign) link or deliver into the
-/// shard's own receivers, upstream credits buffer for the barrier,
-/// finished stall streaks buffer as `LinkStall` events (routers only
-/// record streaks while tracing), and routers still holding flits or
-/// an open streak re-arm.
-pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScratch) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut fx.ids);
-    let mut traversals = std::mem::take(&mut fx.traversals);
-    let mut streaks = std::mem::take(&mut fx.streaks);
-    let is_killed = |w: WormId| ctx.killed.contains(w);
     for &n32 in &ids {
         let n = n32 as usize;
         let router = &mut sh.routers[n - sh.node_lo];
-        traversals.clear();
-        router.traverse_into(now, &is_killed, &mut traversals);
-        for t in &traversals {
+        let orphans = router.route_and_allocate(now, routing, topo, &is_killed);
+        if orphans > 0 {
+            // Orphan drops leave the network.
+            fx.live_delta -= orphans as i64;
+            for (port, vc) in router.take_orphan_credits() {
+                fx.credit(ctx.tables, n, port, vc);
+            }
+        }
+        // Input ports below this are neighbor ports, fed by an
+        // upstream router that is owed the credit.
+        let node_ports = router.config().num_node_ports;
+        let rx = &mut sh.receivers[n - sh.node_lo];
+        router.traverse_each(now, &is_killed, |t| {
             fx.progress = true;
-            if router.port_kind(t.from_port) == PortKind::Node {
+            if t.from_port.index() < node_ports {
                 fx.credit(ctx.tables, n, t.from_port, t.from_vc);
             }
             match t.target {
@@ -403,7 +394,7 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
                         // loud in debug, drop defensively in release
                         // rather than killing the sweep worker.
                         debug_assert!(false, "route to disconnected port");
-                        continue;
+                        return;
                     };
                     fx.push_li.push(idx32(li));
                     fx.push_vc.push(vc.as_u8());
@@ -412,7 +403,6 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
                 RouteTarget::Eject { .. } => {
                     // The flit left the fabric, delivered or not.
                     fx.live_delta -= 1;
-                    let rx = &mut sh.receivers[n - sh.node_lo];
                     if is_killed(t.flit.worm) {
                         fx.counters.flits_dropped_killed += 1;
                         rx.discard(t.flit.worm);
@@ -426,7 +416,7 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
                     }
                 }
             }
-        }
+        });
         if ctx.trace_on {
             streaks.clear();
             router.drain_streaks_into(&mut streaks);
@@ -447,6 +437,5 @@ pub(super) fn traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScra
     }
     ids.clear();
     fx.ids = ids;
-    fx.traversals = traversals;
     fx.streaks = streaks;
 }

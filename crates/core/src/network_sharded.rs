@@ -316,22 +316,17 @@ impl Network {
     }
 
     // --------------------------------------------------------------
-    // Routing + switch traversal
+    // Routing + switch traversal (one fused kernel)
     // --------------------------------------------------------------
 
     pub(super) fn phase_route_and_traverse(&mut self, now: Cycle) {
-        self.fan_out(now, kernel::route);
-        // Barrier: orphan credits must be visible before any traversal
-        // reads its credit counters (the orphan-drop count rides in the
-        // sink to the traverse barrier).
-        self.at_barrier(|net, fx| net.apply_credits(fx));
-        self.fan_out(now, kernel::traverse);
-        // Traverse barrier, in shard order: link pushes (the
-        // cross-shard flit handoff — routers ascending, traversals in
-        // emission order), then deliveries with all their side
-        // effects, then the held-back credits, then counter deltas.
-        // Pushes, deliveries and credits touch disjoint state, so
-        // their relative grouping cannot be observed.
+        self.fan_out(now, kernel::route_traverse);
+        // The barrier, in shard order: link pushes (the cross-shard
+        // flit handoff — routers ascending, traversals in emission
+        // order), then deliveries with all their side effects, then
+        // the held-back credits, then counter deltas. Pushes,
+        // deliveries and credits touch disjoint state, so their
+        // relative grouping cannot be observed.
         self.at_barrier(|net, fx| {
             for i in 0..fx.push_li.len() {
                 let li = fx.push_li[i] as usize;
@@ -384,10 +379,14 @@ impl Network {
     // Barrier helpers
     // --------------------------------------------------------------
 
-    /// Commits a shard's buffered upstream credit returns.
+    /// Commits a shard's buffered upstream credit returns. The owning
+    /// chunk comes from the node-owner table, so the per-credit path
+    /// has no flat `Sharded` lookup.
     fn apply_credits(&mut self, fx: &mut ShardScratch) {
         for (up_node, up_out, vc) in fx.credits.drain(..) {
-            self.routers[up_node as usize].add_credit(up_out, vc);
+            let s = self.node_shard[up_node as usize] as usize;
+            let at = up_node as usize - self.plan.range(s).start;
+            self.routers.chunk_mut(s)[at].add_credit(up_out, vc);
         }
     }
 
@@ -405,6 +404,121 @@ impl Network {
         }
         for ev in fx.events.drain(..) {
             self.trace.emit(|| ev);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetworkBuilder;
+    use cr_router::flit::worm_flit_at;
+    use cr_router::{Flit, RouteTarget, WormId};
+    use cr_sim::{MessageId, NodeId, PortId};
+    use cr_topology::KAryNCube;
+
+    /// Flit `seq` of a 6-flit worm from node 1 to node 0.
+    fn flit(message: u64, seq: u32) -> Flit {
+        let worm = WormId::new(MessageId::new(message), 0);
+        worm_flit_at(
+            worm,
+            NodeId::new(1),
+            NodeId::new(0),
+            6,
+            0,
+            0,
+            Cycle::ZERO,
+            seq,
+        )
+    }
+
+    /// The orphan-drop credit has the latency of every other credit:
+    /// it lands at the route + traverse barrier, after the upstream
+    /// router's own traversal of that cycle, and is spent the cycle
+    /// after. Two routers, wired 1 -> 0 and driven by hand through the
+    /// fused phase alone (nothing ever arrives, so what node 1 sends
+    /// stays parked on the link and its credits run out): node 1 is
+    /// out of credits with a flit ready when node 0 — visited first —
+    /// drops an orphan from the input that link feeds.
+    #[test]
+    fn orphan_drop_credit_lands_at_the_barrier() {
+        for shards in [1, 2] {
+            let mut net = NetworkBuilder::new(KAryNCube::mesh(2, 1))
+                .buffer_depth(1)
+                .shards(shards)
+                .build();
+            // Real cross-thread hand-off when there are two shards.
+            net.set_shard_threads(Some(shards));
+            let up_out = (0..net.tables.stride)
+                .map(PortId::from_index)
+                .find(|&p| net.tables.out_link(1, p).is_some())
+                .expect("node 1 has a link to node 0");
+            let li = net.tables.out_link(1, up_out).expect("just found");
+            let (down, down_in) = net.tables.link_head[li];
+            assert_eq!(down, 0);
+            let inject = net.routers[1].inject_port(0);
+
+            // Node 1 streams a worm toward node 0 until the output VC
+            // it won has no credit left.
+            let (mut now, mut seq) = (Cycle::ZERO, 0);
+            let feed = |net: &mut Network, now: Cycle, seq: &mut u32| {
+                assert!(net.routers[1].try_inject(now, 0, flit(1, *seq)));
+                *seq += 1;
+                net.live_flits += 1;
+                net.arm_router(1);
+            };
+            let vc = loop {
+                feed(&mut net, now, &mut seq);
+                net.phase_route_and_traverse(now);
+                now += 1;
+                let Some(RouteTarget::Link { port, vc }) =
+                    net.routers[1].route_of(inject, VcId::new(0))
+                else {
+                    panic!("the worm holds no link route");
+                };
+                assert_eq!(port, up_out);
+                if net.routers[1].credits(up_out, vc) == 0 {
+                    break vc;
+                }
+            };
+            let sent = u64::from(seq);
+            assert_eq!(
+                net.routers[1].link_stats()[up_out.index()].flits_forwarded,
+                sent
+            );
+
+            // Its next flit is ready but blocked; a route-less body
+            // flit of another worm sits at node 0's end of the link.
+            feed(&mut net, now, &mut seq);
+            net.routers[0].accept(now, down_in, vc, flit(2, 1));
+            net.live_flits += 1;
+            net.arm_router(0);
+            let in_flight = net.flits_in_flight();
+
+            net.phase_route_and_traverse(now);
+            assert_eq!(net.routers[0].counters().orphan_flits_dropped, 1);
+            assert_eq!(net.flits_in_flight(), in_flight - 1);
+            let stats = net.routers[1].link_stats()[up_out.index()];
+            assert_eq!(
+                stats.flits_forwarded, sent,
+                "node 1 traversed before the credit"
+            );
+            assert_eq!(stats.stall_backpressure, 1);
+            assert_eq!(
+                net.routers[1].credits(up_out, vc),
+                1,
+                "landed at the barrier"
+            );
+
+            // The cycle after, the credit is spent.
+            now += 1;
+            net.phase_route_and_traverse(now);
+            let stats = net.routers[1].link_stats()[up_out.index()];
+            assert_eq!(
+                (stats.flits_forwarded, stats.stall_backpressure),
+                (sent + 1, 1)
+            );
+            assert_eq!(net.routers[1].credits(up_out, vc), 0);
         }
     }
 }

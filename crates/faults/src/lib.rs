@@ -37,7 +37,7 @@ mod churn;
 pub use churn::{region_links, ChurnEntry, ChurnEvent, ChurnParseError, ChurnSchedule};
 
 use cr_sim::{Cycle, LinkId, NodeId, SimRng};
-use cr_topology::Topology;
+use cr_topology::{LinkDesc, Topology};
 use std::collections::BTreeSet;
 
 /// Fault injection model: permanent dead links plus a transient
@@ -376,6 +376,14 @@ impl FaultModel {
     /// and charging for them used to abort plans that were easily
     /// satisfiable).
     ///
+    /// Strong connectivity is checked in full once, on entry. While it
+    /// holds, killing `u -> v` keeps it exactly when `v` is still
+    /// reachable from `u` over live links (every path through the
+    /// killed link detours along that one), which one early-exit
+    /// search answers; a fabric that was not strongly connected on
+    /// entry stays so whatever is removed, so every candidate is
+    /// rejected unsearched.
+    ///
     /// # Errors
     ///
     /// Returns [`FaultPlanError::TooManyFaults`] if fewer than `count`
@@ -393,6 +401,8 @@ impl FaultModel {
         if count > alive {
             return Err(FaultPlanError::TooManyFaults { requested: count });
         }
+        let connected = strongly_connected(topology, &self.dead_links);
+        let mut detours = Detours::new(topology.num_nodes(), &all);
         let mut killed = Vec::with_capacity(count);
         let mut rejections = 0usize;
         let max_rejections = 100 * count.max(1);
@@ -414,15 +424,15 @@ impl FaultModel {
             let Some(pick) = rng.pick_index(all.len()) else {
                 return Err(FaultPlanError::EmptyNetwork);
             };
-            let candidate = all[pick].id;
-            if self.is_dead(candidate) {
+            let candidate = &all[pick];
+            if self.is_dead(candidate.id) {
                 continue;
             }
-            self.mark_dead(candidate);
-            if strongly_connected(topology, &self.dead_links) {
-                killed.push(candidate);
+            self.mark_dead(candidate.id);
+            if connected && detours.reaches(self, candidate.src.index(), candidate.dst.index()) {
+                killed.push(candidate.id);
             } else {
-                self.mark_alive(candidate);
+                self.mark_alive(candidate.id);
                 rejections += 1;
                 if rejections > max_rejections {
                     // Roll back everything we added in this call.
@@ -434,6 +444,64 @@ impl FaultModel {
             }
         }
         Ok(killed)
+    }
+}
+
+/// Reachability over a fabric's live links, for repeated point-to-point
+/// queries against one [`FaultModel`] as its dead set changes: the
+/// out-adjacency is built once, each query is a breadth-first search
+/// that stops at its target and costs only the nodes it visited.
+struct Detours {
+    /// `out[u]` = (head node, link id) of every link leaving `u`.
+    out: Vec<Vec<(usize, LinkId)>>,
+    seen: Vec<bool>,
+    /// Search frontier; doubles as the list of nodes to un-mark.
+    queue: Vec<usize>,
+}
+
+impl Detours {
+    fn new(num_nodes: usize, links: &[LinkDesc]) -> Self {
+        let mut out = vec![Vec::new(); num_nodes];
+        for l in links {
+            out[l.src.index()].push((l.dst.index(), l.id));
+        }
+        Detours {
+            out,
+            seen: vec![false; num_nodes],
+            queue: Vec::new(),
+        }
+    }
+
+    /// Whether `to` can be reached from `from` over links `faults`
+    /// holds alive.
+    fn reaches(&mut self, faults: &FaultModel, from: usize, to: usize) -> bool {
+        if from == to {
+            return true;
+        }
+        self.queue.clear();
+        self.queue.push(from);
+        self.seen[from] = true;
+        let mut found = false;
+        let mut head = 0;
+        'search: while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            for &(v, id) in &self.out[u] {
+                if self.seen[v] || faults.is_dead(id) {
+                    continue;
+                }
+                if v == to {
+                    found = true;
+                    break 'search;
+                }
+                self.seen[v] = true;
+                self.queue.push(v);
+            }
+        }
+        for &v in &self.queue {
+            self.seen[v] = false;
+        }
+        found
     }
 }
 

@@ -1,9 +1,9 @@
 //! Property-based tests of the fault model.
 
-use cr_faults::{strongly_connected, ChurnSchedule, FaultModel};
+use cr_faults::{strongly_connected, ChurnSchedule, FaultModel, FaultPlanError};
 use cr_sim::check::{check, Config};
 use cr_sim::{Cycle, LinkId, NodeId, SimRng};
-use cr_topology::{KAryNCube, Topology};
+use cr_topology::{FatTree, FullMesh, KAryNCube, Topology};
 use std::collections::BTreeSet;
 
 /// Connectivity-preserving fault plans actually preserve strong
@@ -156,5 +156,95 @@ fn is_dead_equals_dead_links_membership() {
                 assert_eq!(f.is_dead(id), dead.contains(&id), "{id}");
             }
         }
+    });
+}
+
+/// `kill_random_links_connected` as it stood before the one-search
+/// connectivity test: a full [`strongly_connected`] pass per candidate.
+/// The oracle of [`random_kill_matches_full_check_per_candidate`].
+fn kill_random_links_full_check(
+    f: &mut FaultModel,
+    topo: &dyn Topology,
+    count: usize,
+    rng: &mut SimRng,
+) -> Result<Vec<LinkId>, FaultPlanError> {
+    let all = topo.links();
+    let alive = all.iter().filter(|l| !f.is_dead(l.id)).count();
+    if count > alive {
+        return Err(FaultPlanError::TooManyFaults { requested: count });
+    }
+    let rollback = |f: &mut FaultModel, killed: &[LinkId]| {
+        for &l in killed {
+            f.revive_link(l);
+        }
+        Err(FaultPlanError::TooManyFaults { requested: count })
+    };
+    let mut killed = Vec::new();
+    let (mut rejections, mut draws) = (0usize, 0usize);
+    let max_rejections = 100 * count.max(1);
+    let max_draws = max_rejections + 1_000 * all.len().max(1);
+    while killed.len() < count {
+        draws += 1;
+        if draws > max_draws {
+            return rollback(f, &killed);
+        }
+        let Some(pick) = rng.pick_index(all.len()) else {
+            return Err(FaultPlanError::EmptyNetwork);
+        };
+        let candidate = all[pick].id;
+        if f.is_dead(candidate) {
+            continue;
+        }
+        f.kill_link(candidate);
+        if strongly_connected(topo, &f.dead_links().collect()) {
+            killed.push(candidate);
+        } else {
+            f.revive_link(candidate);
+            rejections += 1;
+            if rejections > max_rejections {
+                return rollback(f, &killed);
+            }
+        }
+    }
+    Ok(killed)
+}
+
+/// The planner's one-search connectivity test decides exactly as a
+/// full strong-connectivity pass per candidate does: on random torus,
+/// mesh, fat-tree and full-mesh fabrics with random dead sets already
+/// in place — including ones that have already disconnected the
+/// fabric — both return the same `Ok`/`Err`, kill the same links in
+/// the same order, leave the same dead set and leave the RNG at the
+/// same position.
+#[test]
+fn random_kill_matches_full_check_per_candidate() {
+    check("random_kill_matches_full_check_per_candidate", Config::cases(96), |src| {
+        let topo: Box<dyn Topology> = match src.usize_in(0..4) {
+            0 => Box::new(KAryNCube::torus(src.usize_in(2..5), 2)),
+            1 => Box::new(KAryNCube::mesh(src.usize_in(2..5), 2)),
+            2 => Box::new(FatTree::new(2 * src.usize_in(1..3))),
+            _ => Box::new(FullMesh::new(src.usize_in(2..7))),
+        };
+        let links = topo.links();
+        // Dead on entry: usually a few links, sometimes most of them.
+        let pre = match src.usize_in(0..4) {
+            0 => 0,
+            1..=2 => src.usize_in(0..4),
+            _ => src.usize_in(0..links.len() + 1),
+        };
+        let mut fast = FaultModel::new();
+        for _ in 0..pre {
+            fast.kill_link(links[src.usize_in(0..links.len())].id);
+        }
+        let mut full = fast.clone();
+        let count = src.usize_in(0..links.len() / 2 + 2);
+        let seed = src.u64_any();
+        let (mut rng_fast, mut rng_full) = (SimRng::from_seed(seed), SimRng::from_seed(seed));
+
+        let got = fast.kill_random_links_connected(&*topo, count, &mut rng_fast);
+        let want = kill_random_links_full_check(&mut full, &*topo, count, &mut rng_full);
+        assert_eq!(got, want);
+        assert!(fast.dead_links().eq(full.dead_links()), "same dead set");
+        assert_eq!(rng_fast.words_consumed(), rng_full.words_consumed());
     });
 }

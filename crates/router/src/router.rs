@@ -117,7 +117,7 @@ pub struct RouterCounters {
 
 /// Per-output-port utilization and stall-attribution counters.
 ///
-/// Maintained by [`Router::traverse_into`] for every neighbor output
+/// Maintained by [`Router::traverse_each`] for every neighbor output
 /// port, every cycle, whether or not tracing is on (plain counter
 /// adds on the already-slow blocked path). A port is *stalled* on a
 /// cycle when some allocated output VC had a flit ready to forward
@@ -793,17 +793,34 @@ impl Router {
     }
 
     /// [`Router::traverse`] into a caller-owned buffer (appended, not
-    /// cleared), so the per-cycle network loop can reuse one allocation
-    /// across all routers and cycles.
-    ///
-    /// Only the traversal worklist is walked: a neighbor output port
-    /// with no allocated VC and no open stall streak forwards nothing
-    /// and has no link-stats cycle to attribute.
+    /// cleared): [`Router::traverse_each`] collecting what it emits.
     pub fn traverse_into<F: Fn(WormId) -> bool + ?Sized>(
         &mut self,
         now: Cycle,
         is_killed: &F,
         out: &mut Vec<Traversal>,
+    ) {
+        self.traverse_each(now, is_killed, |t| out.push(t));
+    }
+
+    /// The switch-traversal stage itself (see [`Router::traverse`]),
+    /// handing each departing flit to `emit` as it leaves — neighbor
+    /// output ports ascending, then ejection ports — so the per-cycle
+    /// network loop moves it straight to its link, receiver and
+    /// upstream credit with no intermediate list.
+    ///
+    /// Only the traversal worklist is walked: a neighbor output port
+    /// with no allocated VC and no open stall streak forwards nothing
+    /// and has no link-stats cycle to attribute. A visited port that
+    /// *streams* — it sent, no sibling VC was ready but blocked, and
+    /// no stall streak is open — has nothing to attribute or close
+    /// either, so it only counts its flit; its worklist membership is
+    /// re-derived only if that flit was a tail (DESIGN.md §10).
+    pub fn traverse_each<F: Fn(WormId) -> bool + ?Sized>(
+        &mut self,
+        now: Cycle,
+        is_killed: &F,
+        mut emit: impl FnMut(Traversal),
     ) {
         debug_assert!(self.worklists_exact(), "worklists diverged");
         self.input_used.fill(false);
@@ -819,6 +836,7 @@ impl Router {
         while let Some(port) = self.busy_out.next_in(at, self.cfg.num_node_ports) {
             at = port + 1;
             let mut sent = false;
+            let mut released = false;
             let mut blocked: Option<StallCause> = None;
             for i in 0..nvcs {
                 // `(start + i) % nvcs` without the division.
@@ -859,8 +877,9 @@ impl Router {
                 self.outputs[o].credits -= 1;
                 if flit.is_tail() {
                     self.outputs[o].allocated_to = None;
+                    released = true;
                 }
-                out.push(Traversal {
+                emit(Traversal {
                     flit,
                     from_port: ip,
                     from_vc: iv,
@@ -871,6 +890,17 @@ impl Router {
                 });
                 sent = true;
                 break; // this physical port is used this cycle
+            }
+            if sent && blocked.is_none() && self.stall_open[port].is_none() {
+                // Streaming: `note_link_cycle` would count the flit
+                // and find no stall to attribute and no streak to
+                // close, and only a tail's release can take the port
+                // off the worklist.
+                self.link_stats[port].flits_forwarded += 1;
+                if released {
+                    self.refresh_busy(port);
+                }
+                continue;
             }
             Self::note_link_cycle(
                 &mut self.link_stats[port],
@@ -903,7 +933,7 @@ impl Router {
             if flit.is_tail() {
                 self.ejects[e].allocated_to = None;
             }
-            out.push(Traversal {
+            emit(Traversal {
                 flit,
                 from_port: ip,
                 from_vc: iv,
@@ -914,7 +944,7 @@ impl Router {
 
     /// Folds one cycle's outcome for a neighbor output port into its
     /// [`LinkStats`] and streak state. Associated function (not a
-    /// method) so `traverse_into` can call it under its outstanding
+    /// method) so `traverse_each` can call it under its outstanding
     /// disjoint field borrows.
     #[allow(clippy::too_many_arguments)]
     fn note_link_cycle(
@@ -1127,7 +1157,7 @@ impl Router {
 
     /// `true` while any neighbor output port has an open (unfinished)
     /// stall streak. The active-set scheduler must keep stepping such
-    /// a router — only [`Router::traverse_into`] can close the streak,
+    /// a router — only [`Router::traverse_each`] can close the streak,
     /// and closing it late would reorder `LinkStall` trace events.
     pub fn has_open_streaks(&self) -> bool {
         debug_assert_eq!(
@@ -1150,7 +1180,7 @@ impl Router {
 
     /// Size of the traversal worklist: neighbor output ports with an
     /// allocated VC or an open stall streak. While this is zero,
-    /// [`Router::traverse_into`] touches no neighbor output port.
+    /// [`Router::traverse_each`] touches no neighbor output port.
     /// O(1): maintained at every grant, release and streak change.
     pub fn busy_outputs(&self) -> usize {
         debug_assert!(self.worklists_exact(), "worklists diverged");

@@ -3,8 +3,9 @@
 
 use cr_router::flit::{worm_flit_at, worm_flits};
 use cr_router::routing::MinimalAdaptive;
-use cr_router::{Flit, RouteTarget, Router, RouterConfig, Traversal, WormId};
+use cr_router::{Flit, LinkStats, RouteTarget, Router, RouterConfig, Traversal, WormId};
 use cr_sim::check::{check, Config, Source};
+use cr_sim::trace::StallCause;
 use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::{FullMesh, KAryNCube, Topology};
 use std::collections::BTreeSet;
@@ -242,6 +243,101 @@ fn snapshot(r: &Router, streams: &[Stream]) -> String {
     )
 }
 
+/// The link-stats layer as specified, with no fast path: every
+/// neighbor output port's cycle is decided from the router's state as
+/// read through its public getters before the traversal call, and
+/// folded into the port's counters and stall streak one way only.
+struct LinkCycleModel {
+    stats: Vec<LinkStats>,
+    /// Whether the port has a stall streak open.
+    open: Vec<bool>,
+}
+
+impl LinkCycleModel {
+    fn new(ports: usize) -> Self {
+        LinkCycleModel {
+            stats: vec![LinkStats::default(); ports],
+            open: vec![false; ports],
+        }
+    }
+
+    /// Predicts one traversal stage at `now` and folds it in; returns
+    /// the ports expected to forward a flit, ascending.
+    fn traverse(&mut self, r: &Router, now: Cycle, killed: &BTreeSet<WormId>) -> Vec<usize> {
+        let cfg = *r.config();
+        let start = now.as_u64() as usize % cfg.num_vcs;
+        let mut input_used = BTreeSet::new();
+        let mut senders = Vec::new();
+        for p in 0..cfg.num_node_ports {
+            let port = PortId::from_index(p);
+            let (mut sent, mut blocked) = (false, None);
+            for i in 0..cfg.num_vcs {
+                let vc = VcId::from_index((start + i) % cfg.num_vcs);
+                let Some((ip, iv)) = r.output_owner(port, vc) else {
+                    continue;
+                };
+                let owner = r.worm_of(ip, iv);
+                let ready = owner.is_some() && r.front_flit(ip, iv).map(|f| f.worm) == owner;
+                let credits = r.credits(port, vc);
+                let stall = if credits == 0 || input_used.contains(&ip) {
+                    // Cannot move this cycle; a stall only if it
+                    // holds a flit that otherwise could.
+                    ready.then_some(if credits == 0 {
+                        StallCause::Backpressure
+                    } else {
+                        StallCause::BusyChannel
+                    })
+                } else if owner.is_some_and(|w| killed.contains(&w)) {
+                    // Frozen for teardown: holds its flits in place.
+                    (r.occupancy(ip, iv) > 0).then_some(StallCause::BusyChannel)
+                } else if ready {
+                    input_used.insert(ip);
+                    sent = true;
+                    break;
+                } else {
+                    None
+                };
+                blocked = blocked.or(stall);
+            }
+            if sent {
+                senders.push(p);
+                self.stats[p].flits_forwarded += 1;
+            }
+            // A dead output link dominates any other attribution.
+            let cause = blocked.map(|c| match r.is_dead_out(port) {
+                true => StallCause::DeadLink,
+                false => c,
+            });
+            match cause {
+                Some(StallCause::BusyChannel) => self.stats[p].stall_busy += 1,
+                Some(StallCause::DeadLink) => self.stats[p].stall_dead_link += 1,
+                Some(StallCause::Backpressure) => self.stats[p].stall_backpressure += 1,
+                None => {}
+            }
+            self.open[p] = cause.is_some();
+        }
+        senders
+    }
+
+    /// Asserts the router's link-stats layer and traversal worklist
+    /// are where the model says.
+    fn assert_matches(&self, r: &Router) {
+        assert_eq!(r.link_stats(), &self.stats[..], "link stats");
+        assert_eq!(r.has_open_streaks(), self.open.contains(&true));
+        let cfg = *r.config();
+        let busy = (0..cfg.num_node_ports)
+            .filter(|&p| {
+                self.open[p]
+                    || (0..cfg.num_vcs).any(|v| {
+                        r.output_owner(PortId::from_index(p), VcId::from_index(v))
+                            .is_some()
+                    })
+            })
+            .count();
+        assert_eq!(r.busy_outputs(), busy, "traversal worklist size");
+    }
+}
+
 /// The router's worklists (ISSUE 13, DESIGN.md §10 "Inside the
 /// router") under random configurations — up to the radix-63, 2-VC
 /// full-mesh router — and random interleavings of every call that can
@@ -250,7 +346,12 @@ fn snapshot(r: &Router, streams: &[Stream]) -> String {
 /// getters (debug builds additionally cross-check membership bit by
 /// bit inside the router), and a stage whose worklist is empty leaves
 /// the router — state, counters, link stats and RNG position —
-/// exactly as it found it.
+/// exactly as it found it. After every traversal stage the link stats,
+/// the open-streak flag and the traversal worklist equal a
+/// [`LinkCycleModel`] that attributes every port's cycle the slow way
+/// (ISSUE 15: the streaming fast path must be unobservable), and a
+/// twin router traversed through `traverse_each` emits the same flits
+/// and ends every call in the same state.
 #[test]
 fn worklists_match_dense_recount_and_empty_means_untouched() {
     let name = "worklists_match_dense_recount_and_empty_means_untouched";
@@ -274,7 +375,11 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
             link_depth: src.usize_in(0..3),
         };
         let rf = MinimalAdaptive::new(cfg.num_vcs);
-        let mut r = Router::new(node, cfg, SimRng::from_seed(src.u64_any()));
+        let seed = src.u64_any();
+        let mut r = Router::new(node, cfg, SimRng::from_seed(seed));
+        // Fed the same calls, but traversed through `traverse_each`.
+        let mut twin = Router::new(node, cfg, SimRng::from_seed(seed));
+        let mut model = LinkCycleModel::new(cfg.num_node_ports);
 
         let mut streams = Vec::new();
         for p in 0..cfg.num_node_ports {
@@ -301,6 +406,7 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
         let mut killed: BTreeSet<WormId> = BTreeSet::new();
         let mut now = Cycle::ZERO;
         let mut out: Vec<Traversal> = Vec::new();
+        let mut twin_out: Vec<Traversal> = Vec::new();
 
         let ops = src.vec_with(1..160, |s| {
             (
@@ -320,6 +426,7 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
                     if !r.vc_is_full(s.port, s.vc) {
                         let flit = s.next_flit(&mut fresh_id, dst, len);
                         r.accept(now, s.port, s.vc, flit);
+                        twin.accept(now, s.port, s.vc, flit);
                     }
                 }
                 1 => {
@@ -327,6 +434,7 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
                     if r.injection_free(i) > 0 {
                         let flit = streams[node_inputs + i].next_flit(&mut fresh_id, dst, len);
                         assert!(r.try_inject(now, i, flit));
+                        assert!(twin.try_inject(now, i, flit));
                     }
                 }
                 2 => {
@@ -336,23 +444,39 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
                         assert_eq!(dropped, 0);
                         assert_eq!(before, snapshot(&r, &streams), "idle route stage moved");
                     }
-                    let _ = r.take_orphan_credits();
+                    let twin_dropped =
+                        twin.route_and_allocate(now, &rf, topo, &|w| killed.contains(&w));
+                    assert_eq!(dropped, twin_dropped);
+                    assert_eq!(r.take_orphan_credits(), twin.take_orphan_credits());
                 }
                 3 => {
                     let idle = r.busy_outputs() == 0
                         && (0..cfg.num_eject).all(|e| r.eject_owner(e).is_none());
                     let before = idle.then(|| snapshot(&r, &streams));
+                    let senders = model.traverse(&r, now, &killed);
                     out.clear();
                     r.traverse_into(now, &|w| killed.contains(&w), &mut out);
                     if let Some(before) = before {
                         assert!(out.is_empty());
                         assert_eq!(before, snapshot(&r, &streams), "idle traverse stage moved");
                     }
+                    let sent: Vec<usize> = out
+                        .iter()
+                        .filter_map(|t| match t.target {
+                            RouteTarget::Link { port, .. } => Some(port.index()),
+                            RouteTarget::Eject { .. } => None,
+                        })
+                        .collect();
+                    assert_eq!(sent, senders, "ports that forwarded");
+                    twin_out.clear();
+                    twin.traverse_each(now, &|w| killed.contains(&w), |t| twin_out.push(t));
+                    assert_eq!(out, twin_out, "traverse_each and traverse_into emit alike");
                     now += 1;
                 }
                 4 => {
                     let s = &streams[a % streams.len()];
-                    let _ = r.flush_worm(s.port, s.vc, s.worm);
+                    let flushed = r.flush_worm(s.port, s.vc, s.worm);
+                    assert_eq!(flushed, twin.flush_worm(s.port, s.vc, s.worm));
                 }
                 5 => {
                     let (port, vc) = (
@@ -361,10 +485,19 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
                     );
                     if r.credits(port, vc) < cfg.buffer_depth + cfg.link_depth {
                         r.add_credit(port, vc);
+                        twin.add_credit(port, vc);
                     }
                 }
-                6 => r.set_dead_out(PortId::from_index(a % cfg.num_node_ports)),
-                7 => r.clear_dead_out(PortId::from_index(a % cfg.num_node_ports)),
+                6 => {
+                    let port = PortId::from_index(a % cfg.num_node_ports);
+                    r.set_dead_out(port);
+                    twin.set_dead_out(port);
+                }
+                7 => {
+                    let port = PortId::from_index(a % cfg.num_node_ports);
+                    r.clear_dead_out(port);
+                    twin.clear_dead_out(port);
+                }
                 _ => {
                     let worm = streams[a % streams.len()].worm;
                     if !killed.remove(&worm) {
@@ -378,23 +511,77 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
                 .filter(|s| r.occupancy(s.port, s.vc) > 0 && r.route_of(s.port, s.vc).is_none())
                 .count();
             assert_eq!(r.unrouted_inputs(), unrouted, "allocation worklist size");
-            let allocated_ports = (0..cfg.num_node_ports)
-                .filter(|&p| {
-                    (0..cfg.num_vcs).any(|v| {
-                        r.output_owner(PortId::from_index(p), VcId::from_index(v))
-                            .is_some()
-                    })
-                })
-                .count();
-            // Open-streak state is per port and private; a port with
-            // an open streak and no allocation is the only way the
-            // two may differ.
-            assert!(r.busy_outputs() >= allocated_ports);
-            if !r.has_open_streaks() {
-                assert_eq!(r.busy_outputs(), allocated_ports, "traversal worklist size");
-            }
+            // Link stats, open streaks and the traversal worklist are
+            // where the no-fast-path model puts them.
+            model.assert_matches(&r);
             let buffered: usize = streams.iter().map(|s| r.occupancy(s.port, s.vc)).sum();
             assert_eq!(r.total_occupancy(), buffered);
+            assert_eq!(snapshot(&r, &streams), snapshot(&twin, &streams));
         }
     });
+}
+
+/// The streaming fast path may only be taken by a port with no
+/// ready-but-blocked sibling VC: with VC0 out of credits and VC1
+/// forwarding, the port's cycle counts a flit *and* a backpressure
+/// stall, and a streak opens.
+#[test]
+fn forwarding_port_with_a_blocked_sibling_vc_still_counts_its_stall() {
+    let topo = KAryNCube::torus(4, 1);
+    let cfg = RouterConfig {
+        num_node_ports: 2,
+        num_vcs: 2,
+        buffer_depth: 1,
+        num_inject: 1,
+        inject_depth: 2,
+        num_eject: 1,
+        link_depth: 0,
+    };
+    let rf = MinimalAdaptive::new(2);
+    let mut r = Router::new(NodeId::new(0), cfg, SimRng::from_seed(7));
+    let alive = |_: WormId| false;
+    let flits = |msg: u64| -> Vec<Flit> {
+        let worm = WormId::new(MessageId::new(msg), 0);
+        worm_flits(worm, NodeId::new(3), NodeId::new(1), 4, 0, 0, Cycle::ZERO).collect()
+    };
+    let (a, b) = (flits(1), flits(2));
+    // Worm A arrives on input port 1; node 1 is one hop out of port 0.
+    let (in_a, in_b) = (PortId::new(1), r.inject_port(0));
+    let mut now = Cycle::ZERO;
+    r.accept(now, in_a, VcId::new(0), a[0]);
+    r.route_and_allocate(now, &rf, &topo, &alive);
+    let Some(RouteTarget::Link { port, vc: vc_a }) = r.route_of(in_a, VcId::new(0)) else {
+        panic!("worm A not routed out a link");
+    };
+    assert_eq!(port, PortId::new(0));
+    // Its header spends the only credit of its output VC...
+    assert_eq!(r.traverse(now, &alive).len(), 1);
+    assert_eq!(r.credits(port, vc_a), 0);
+    now += 1;
+    // ...so its next flit is ready but blocked, while worm B, injected
+    // behind it, takes the port's other VC with a credit in hand.
+    r.accept(now, in_a, VcId::new(0), a[1]);
+    assert!(r.try_inject(now, 0, b[0]));
+    r.route_and_allocate(now, &rf, &topo, &alive);
+    let (port_b, vc_b) = match r.route_of(in_b, VcId::new(0)) {
+        Some(RouteTarget::Link { port, vc }) => (port, vc),
+        other => panic!("worm B not routed out a link: {other:?}"),
+    };
+    assert_eq!(port_b, port);
+    assert_ne!(vc_b, vc_a);
+    let before = r.link_stats()[port.index()];
+    assert!(!r.has_open_streaks());
+
+    // On a cycle whose round-robin examines the blocked VC first (a
+    // port stops looking at the VC that sends).
+    if now.as_u64() as usize % 2 != vc_a.index() {
+        now += 1;
+    }
+    let out = r.traverse(now, &alive);
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].flit.worm, b[0].worm);
+    let after = r.link_stats()[port.index()];
+    assert_eq!(after.flits_forwarded, before.flits_forwarded + 1);
+    assert_eq!(after.stall_backpressure, before.stall_backpressure + 1);
+    assert!(r.has_open_streaks(), "the blocked VC opened a streak");
 }

@@ -29,7 +29,7 @@
 //! # Persistent teams
 //!
 //! `std::thread::scope` is the wrong shape for the sharded stepper: a
-//! simulated cycle dispatches four tiny shard batches, and re-spawning
+//! simulated cycle dispatches a few tiny shard batches, and re-spawning
 //! plus re-joining OS threads each time costs far more than the shard
 //! work itself. [`Team`] amortizes that: it spawns its workers once
 //! (this module is the single cr-lint-sanctioned thread-spawn site),

@@ -12,15 +12,16 @@
 # `cr-perf measure --workload W --seed S --seconds 20 --trace 0` once
 # per side, flipping which side goes first each pair. Metric names,
 # directions and regression bounds are read from the change tree's
-# BENCHMARK.json. Every run's values are printed, then one row per
-# end-to-end metric: both medians with quartiles, the win count, the
+# BENCHMARK.json. Every run's values are printed, then the table: what
+# each tree is (commit, uncommitted or not, path), and one row per
+# end-to-end metric with both medians and quartiles, the win count, the
 # change/parent ratio of medians and the verdict. The workload `all`
 # does that for every name `cr-perf list` prints, one table each — a
 # perf change needs the no-regression rows as well as its claim row.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -93,7 +94,19 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
+# What each tree is, so a pasted table describes itself.
+describe() {
+    local at
+    at="$(git -C "$1" log -1 --format='%h %s' 2>/dev/null | cut -c1-60)" || true
+    if [ -n "$at" ] && [ -n "$(git -C "$1" status --porcelain 2>/dev/null | head -n 1)" ]; then
+        at="$at + uncommitted changes"
+    fi
+    echo "${at:-not a git checkout} ($1)"
+}
+
 echo
+echo "parent: $(describe "$parent")"
+echo "change: $(describe "$change")"
 printf '%-36s %-38s %-38s %-7s %-8s %s\n' \
     "metric ($workload, seed $seed)" "parent median [q1, q3]" "change median [q1, q3]" \
     "wins" "chg/par" "verdict"

@@ -101,6 +101,18 @@ if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_parallel.txt" > /dev/null; 
 fi
 echo "verify: parallel --tiny output identical to serial"
 
+# ... and identical across commits: the battery covers every routing
+# function, protocol and ablation (eighteen experiment modules), is
+# deterministic and carries no wall-clock field, so its `cksum` is
+# pinned in scripts/tiny_digest.txt. Like scripts/perf_digests.txt, a
+# change that moves any simulated result re-records it on purpose (and
+# says so in CHANGES.md), never silently.
+if ! cksum < "$tmpdir/tiny_serial.txt" | diff scripts/tiny_digest.txt - >&2; then
+    echo "verify: FAIL — cksum of 'all --tiny --jobs 1' differs from scripts/tiny_digest.txt" >&2
+    exit 1
+fi
+echo "verify: --tiny battery digest matches scripts/tiny_digest.txt"
+
 # The sharded stepper must be byte-identical too: the same battery at
 # --shards 4 (spatial sharding, DESIGN.md §12) against the serial run.
 ./target/release/all --tiny --jobs 1 --shards 4 > "$tmpdir/tiny_sharded.txt"
