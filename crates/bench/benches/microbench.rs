@@ -3,14 +3,15 @@
 //! These track the cost of simulating one kilocycle of a 4×4 torus
 //! under the three protocols at a light and a saturating load, plus
 //! the throughput of the pure routing functions, of the per-flit
-//! registries (killed worms, armed components, dead links) and of one
-//! router's per-cycle visit (route + traverse). They guard
+//! registries (killed worms, armed components, dead links), of one
+//! router's per-cycle visit (route + traverse) and of one link's
+//! (arrivals). They guard
 //! against performance regressions in the inner loops that every
 //! experiment pays for. Results land in `target/bench/BENCH_<group>.json`.
 
 use cr_bench::harness::Group;
 use cr_bench::reference_network;
-use cr_core::{KilledMap, ProtocolKind};
+use cr_core::{KilledMap, LinkState, ProtocolKind};
 use cr_faults::FaultModel;
 use cr_router::flit::worm_flit_at;
 use cr_router::routing::{DimensionOrder, DuatoProtocol, MinimalAdaptive};
@@ -266,9 +267,127 @@ fn bench_router_visit() {
     g.finish();
 }
 
+/// One link's turn in the arrivals phase, priced from outside through
+/// the calls the quiet-cycle kernel makes per armed link (the
+/// `occupied` / `wake` gate, `pop_due` on every lane until it is dry,
+/// `Router::accept`, `end_scan` and the re-arm), in the three states
+/// an armed link is found in: a flit due with room downstream, a flit
+/// due with the downstream VC full (parked in the channel latches),
+/// and nothing due yet. Each sample is thousands of visits.
+fn bench_link_visit() {
+    const VISITS: u64 = 10_000;
+    let mut g = Group::new("link_visit");
+    let cfg = RouterConfig {
+        num_node_ports: 4,
+        num_vcs: 2,
+        buffer_depth: 2,
+        num_inject: 1,
+        inject_depth: 2,
+        num_eject: 1,
+        link_depth: 1,
+    };
+    let lane_cap = cfg.buffer_depth + cfg.link_depth;
+    let killed = KilledMap::new();
+    let (in_port, vc) = (PortId::new(1), VcId::new(0));
+    let worm = WormId::new(MessageId::new(1), 0);
+    let body = worm_flit_at(
+        worm,
+        NodeId::new(9),
+        NodeId::new(3),
+        1 << 30,
+        0,
+        0,
+        Cycle::ZERO,
+        1,
+    );
+    // `kernel::arrivals_quiet`'s body for one link; returns the flits
+    // it moved into `dst`.
+    let visit = |link: &mut LinkState, dst: &mut Router, set: &mut ActiveSet, now: Cycle| {
+        if link.occupied() == 0 {
+            return 0;
+        }
+        if link.wake() > now {
+            set.insert(0);
+            return 0;
+        }
+        let (mut wake, mut accepted) = (LinkState::NEVER, 0u64);
+        for v in 0..link.num_lanes() {
+            while let Some((flit, dead)) = link.pop_due(v, now, &killed, dst, in_port, &mut wake) {
+                if !dead {
+                    dst.accept(now, in_port, VcId::from_index(v), flit);
+                    accepted += 1;
+                }
+            }
+        }
+        if link.end_scan(wake) {
+            set.insert(0);
+        }
+        accepted
+    };
+    let fresh = || {
+        let dst = Router::new(NodeId::new(0), cfg, SimRng::from_seed(1));
+        (
+            LinkState::new(cfg.num_vcs, lane_cap),
+            dst,
+            ActiveSet::new(1),
+        )
+    };
+
+    // Includes the barrier's push and the downstream flush that frees
+    // the slot again.
+    let (mut link, mut dst, mut set) = fresh();
+    g.bench("accept_due", || {
+        let mut accepted = 0;
+        for c in 1..=VISITS {
+            let now = Cycle::new(c);
+            link.push(vc.index(), now, body)
+                .expect("the lane was drained");
+            set.insert(0);
+            accepted += visit(&mut link, &mut dst, &mut set, now);
+            dst.flush_worm(in_port, vc, worm);
+        }
+        assert_eq!(accepted, VISITS);
+        accepted
+    });
+
+    let (mut link, mut dst, mut set) = fresh();
+    for _ in 0..cfg.buffer_depth {
+        dst.accept(Cycle::ZERO, in_port, vc, body);
+    }
+    link.push(vc.index(), Cycle::ZERO, body)
+        .expect("empty lane");
+    g.bench("blocked_downstream_full", || {
+        let mut accepted = 0;
+        for c in 1..=VISITS {
+            accepted += visit(&mut link, &mut dst, &mut set, Cycle::new(c));
+        }
+        assert_eq!((accepted, link.occupied()), (0, 1));
+        accepted
+    });
+
+    let (mut link, mut dst, mut set) = fresh();
+    link.push(vc.index(), LinkState::NEVER, body)
+        .expect("empty lane");
+    g.bench("not_due", || {
+        let mut accepted = 0;
+        for c in 1..=VISITS {
+            accepted += visit(
+                std::hint::black_box(&mut link),
+                &mut dst,
+                &mut set,
+                Cycle::new(c),
+            );
+        }
+        assert_eq!((accepted, link.occupied()), (0, 1));
+        accepted
+    });
+    g.finish();
+}
+
 fn main() {
     bench_network_stepping();
     bench_routing_functions();
     bench_registries();
     bench_router_visit();
+    bench_link_visit();
 }

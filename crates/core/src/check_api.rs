@@ -387,8 +387,8 @@ impl ProtocolStep for CheckNet {
         // Walked in original index order; state lives at the permuted
         // slot.
         for li in 0..net.links.len() {
-            let pi = net.link_perm[li] as usize;
-            for lane in &net.links[pi].lanes {
+            let link = &net.links[net.link_perm[li] as usize];
+            for lane in (0..num_vcs).map(|v| link.lane(v)) {
                 put_u64(out, lane.len() as u64);
                 for &(arrive, ref f) in lane {
                     // Relative due time; past-due flits (parked in the
@@ -487,7 +487,7 @@ impl ProtocolStep for CheckNet {
             for v in 0..num_vcs {
                 let vc = VcId::from_index(v);
                 let credits = net.routers[src].credits(src_port, vc);
-                let wire = net.links[pi].lanes[v].len();
+                let wire = net.links[pi].lane(v).len();
                 let buffered = net.routers[dst].occupancy(dst_port, vc);
                 if credits + wire + buffered != depth {
                     return Err(format!(

@@ -54,6 +54,7 @@ mod builder;
 mod config;
 mod injector;
 mod killmap;
+mod link;
 mod network;
 mod receiver;
 mod report;
@@ -64,6 +65,7 @@ pub use network::check_api;
 pub use config::{Ablations, NetworkConfig, ProtocolKind, RoutingKind};
 pub use injector::{Injector, InjectorState, PendingMessage};
 pub use killmap::KilledMap;
+pub use link::LinkState;
 pub use network::Network;
 pub use receiver::{DeliveredMessage, Receiver};
 pub use report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, TraceSummary};

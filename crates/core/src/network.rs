@@ -52,6 +52,7 @@
 use crate::config::NetworkConfig;
 use crate::injector::{Injector, PendingMessage};
 use crate::killmap::KilledMap;
+use crate::link::LinkState;
 use crate::receiver::Receiver;
 use crate::report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, TraceSummary};
 use cr_faults::{ChurnFiring, FaultModel};
@@ -82,17 +83,6 @@ pub mod check_api;
 pub(crate) fn idx32(i: usize) -> u32 {
     // cr-lint: allow(panic-discipline, reason = "dense indices and lengths sit far below u32::MAX by construction; wrapping silently would corrupt state")
     u32::try_from(i).expect("index exceeds u32::MAX")
-}
-
-#[derive(Debug)]
-struct LinkState {
-    /// Flits in flight or parked in the channel's stall-holding
-    /// latches, one lane per virtual channel so a blocked VC never
-    /// blocks the others: (arrival cycle, flit).
-    lanes: Vec<VecDeque<(Cycle, Flit)>>,
-    /// Total flits across all lanes, so the per-cycle arrival scan can
-    /// skip idle links without touching their lane deques.
-    occupied: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -270,11 +260,6 @@ pub struct Network {
     /// drained and rebuilt by [`Network::prune_registries`], so the
     /// periodic prune visits those and not every node.
     receiver_sets: Vec<ActiveSet>,
-    /// `link_wake[link]` = earliest front-of-lane arrival estimate.
-    /// Min-updated on every push; may go stale-*early* after purges
-    /// (harmless: the link is rescanned and the wake recomputed) but
-    /// never stale-late, because pops only raise the true minimum.
-    link_wake: Sharded<Cycle>,
     /// Visit-list scratch of the ordered arrivals scan.
     ids_scratch: Vec<u32>,
     /// Flits in routers + links, maintained incrementally; the O(1)
@@ -297,8 +282,8 @@ pub struct Network {
     plan: cr_sim::shard::Plan,
     /// `node_shard[node]` = owning shard (the plan's owner table).
     node_shard: Vec<u16>,
-    /// `link_perm[orig li]` = permuted index. Link *state* (`links`,
-    /// `link_wake`) is stored grouped by owning shard (the shard of
+    /// `link_perm[orig li]` = permuted index. Link *state* (`links`)
+    /// is stored grouped by owning shard (the shard of
     /// the link's **destination** node, which is the side arrivals
     /// mutate), ascending original index within each shard, so each
     /// shard's links form one contiguous slice. Identity when serial.
@@ -433,11 +418,10 @@ impl Network {
         let mut link_head = Vec::with_capacity(descs.len());
         let mut link_ids = Vec::with_capacity(descs.len());
         let mut in_upstream = vec![(NONE, PortId::new(0)); n * stride];
+        // A lane holds at most what its upstream credits cover.
+        let lane_cap = cfg.buffer_depth + cfg.channel_latency as usize;
         for (idx, d) in descs.iter().enumerate() {
-            links.push(LinkState {
-                lanes: (0..num_vcs).map(|_| VecDeque::new()).collect(),
-                occupied: 0,
-            });
+            links.push(LinkState::new(num_vcs, lane_cap));
             out_link[d.src.index() * stride + d.src_port.index()] = idx32(idx);
             link_head.push((d.dst.index(), d.dst_port));
             link_ids.push(d.id);
@@ -531,7 +515,6 @@ impl Network {
                 .map(|_| ActiveSet::new(n * cfg.inject_channels))
                 .collect(),
             receiver_sets: (0..num_shards).map(|_| ActiveSet::new(n)).collect(),
-            link_wake: Sharded::from_flat(vec![Cycle::ZERO; links.len()], &link_sizes),
             ids_scratch: Vec::new(),
             live_flits: 0,
             undrained_injectors: 0,
@@ -716,7 +699,7 @@ impl Network {
         debug_assert_eq!(
             self.live_flits,
             self.routers.iter().map(Router::total_occupancy).sum::<usize>()
-                + self.links.iter().map(|l| l.occupied).sum::<usize>(),
+                + self.links.iter().map(LinkState::occupied).sum::<usize>(),
             "incremental flit count diverged"
         );
         self.live_flits
@@ -799,7 +782,7 @@ impl Network {
     }
 
     /// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
-    /// the link's active-set membership and wake estimate current.
+    /// the link's active-set membership current.
     /// `li` is an original link index; state lives at the permuted
     /// slot, in the chunk of the link's owning shard (resolved once,
     /// so the per-flit path has no flat `Sharded` lookup).
@@ -807,13 +790,12 @@ impl Network {
         let pi = self.link_perm[li] as usize;
         let s = self.link_shard[pi] as usize;
         let at = pi - self.link_bounds[s];
-        let link = &mut self.links.chunk_mut(s)[at];
-        link.lanes[vc.index()].push_back((arrive, flit));
-        link.occupied += 1;
-        let wake = &mut self.link_wake.chunk_mut(s)[at];
-        if self.link_sets[s].insert(idx32(pi)) || arrive < *wake {
-            *wake = arrive;
-        }
+        let pushed = self.links.chunk_mut(s)[at].push(vc.index(), arrive, flit);
+        assert!(
+            pushed.is_ok(),
+            "link {li} lane {vc} overflow: a flit was sent without a credit"
+        );
+        self.link_sets[s].insert(idx32(pi));
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
@@ -1153,11 +1135,9 @@ impl Network {
                     }
                 }
                 // Flits already on the wire arrive corrupted.
-                let pi = self.link_perm[li] as usize;
-                for lane in &self.links[pi].lanes {
-                    for (_, flit) in lane {
-                        affected.push(flit.worm.message);
-                    }
+                let link = &self.links[self.link_perm[li] as usize];
+                for (_, flit) in (0..num_vcs).flat_map(|v| link.lane(v)) {
+                    affected.push(flit.worm.message);
                 }
                 self.trace.emit(|| Event::LinkKilled { at: now, link: id });
             }
@@ -1231,27 +1211,25 @@ impl Network {
         }
         for &pi32 in &ids {
             let pi = pi32 as usize;
-            if self.links[pi].occupied == 0 {
+            if self.links[pi].occupied() == 0 {
                 continue; // purged empty since it was armed
             }
             let set = self.link_shard[pi] as usize;
-            if !visit_all && self.link_wake[pi] > now {
+            if !visit_all && self.links[pi].wake() > now {
                 self.link_sets[set].insert(pi32); // nothing due yet
                 continue;
             }
-            self.scan_link_ordered(now, pi);
-            kernel::rearm_link(
-                &self.links[pi],
-                &mut self.link_wake[pi],
-                &mut self.link_sets[set],
-                pi32,
-            );
+            let wake = self.scan_link_ordered(now, pi);
+            if self.links[pi].end_scan(wake) {
+                self.link_sets[set].insert(pi32);
+            }
         }
         self.ids_scratch = ids;
     }
 
-    /// One link of the ordered scan (`pi` is its permuted index).
-    fn scan_link_ordered(&mut self, now: Cycle, pi: usize) {
+    /// One link of the ordered scan (`pi` is its permuted index);
+    /// returns the link's next wake.
+    fn scan_link_ordered(&mut self, now: Cycle, pi: usize) -> Cycle {
         let li = self.tables.link_orig[pi] as usize;
         let (dst_node, dst_port) = self.tables.link_head[li];
         let link_id = self.tables.link_ids[li];
@@ -1267,15 +1245,16 @@ impl Network {
         let link_at = pi - self.link_bounds[s];
         let dst_at = dst_node - self.plan.range(s).start;
         let dst32 = idx32(dst_node);
-        for v in 0..self.links.chunk_mut(s)[link_at].lanes.len() {
+        let mut wake = LinkState::NEVER;
+        for v in 0..self.links.chunk_mut(s)[link_at].num_lanes() {
             let vc = VcId::from_index(v);
-            while let Some((mut flit, killed)) = kernel::pop_due(
-                &mut self.links.chunk_mut(s)[link_at],
+            while let Some((mut flit, killed)) = self.links.chunk_mut(s)[link_at].pop_due(
                 v,
                 now,
                 &self.killed,
                 &self.routers.chunk_mut(s)[dst_at],
                 dst_port,
+                &mut wake,
             ) {
                 // Fault injection: dead links corrupt every flit (the
                 // detectable-failure model); healthy links corrupt at
@@ -1314,6 +1293,7 @@ impl Network {
                 self.last_progress = now;
             }
         }
+        wake
     }
 
     /// Drops `worm`'s flits parked in the channel feeding
@@ -1326,12 +1306,7 @@ impl Network {
         let Some(li) = self.tables.out_link(up_node, up_out) else {
             return;
         };
-        let pi = self.link_perm[li] as usize;
-        let lane = &mut self.links[pi].lanes[vc.index()];
-        let before = lane.len();
-        lane.retain(|(_, f)| f.worm != worm);
-        let purged = before - lane.len();
-        self.links[pi].occupied -= purged;
+        let purged = self.links[self.link_perm[li] as usize].purge(vc.index(), worm);
         self.live_flits -= purged;
         for _ in 0..purged {
             self.counters.flits_dropped_killed += 1;
@@ -1571,14 +1546,13 @@ impl Network {
                 _ => return, // sending or resuming now: must step
             }
         }
-        // Members are permuted indices — exactly how `links` and
-        // `link_wake` are stored.
+        // Members are permuted indices — exactly how `links` is stored.
         for pi in self.link_sets.iter().flat_map(ActiveSet::iter) {
-            let pi = pi as usize;
-            if self.links[pi].occupied == 0 {
+            let link = &self.links[pi as usize];
+            if link.occupied() == 0 {
                 continue; // purged empty since it was armed
             }
-            let wake = self.link_wake[pi];
+            let wake = link.wake();
             if wake <= now {
                 // Due (or a conservative stale-early estimate): step.
                 return;

@@ -5,7 +5,7 @@
 //! A kernel sees three things and nothing else:
 //!
 //! * a [`ShardView`] — `&mut` slices of one shard's routers, links,
-//!   wakes, injectors and receivers plus its four active sets. All
+//!   injectors and receivers plus its four active sets. All
 //!   in-place mutation is confined to it.
 //! * a [`Ctx`] — the read-only wiring tables, the killed registry and
 //!   the fault model as they stand for this fan-out, and `now`.
@@ -21,9 +21,10 @@
 //! shard owns. The kernels never learn whether they run inline on
 //! borrowed state or inside a team task on owned state.
 
-use super::{idx32, LinkState, Tables, Token};
+use super::{idx32, Tables, Token};
 use crate::injector::Injector;
 use crate::killmap::KilledMap;
+use crate::link::LinkState;
 use crate::receiver::{DeliveredMessage, Receiver};
 use crate::report::NetCounters;
 use cr_faults::FaultModel;
@@ -54,7 +55,6 @@ pub(super) struct Ctx<'a> {
 pub(super) struct ShardView<'a> {
     pub routers: &'a mut [Router],
     pub links: &'a mut [LinkState],
-    pub wake: &'a mut [Cycle],
     pub injectors: &'a mut [Vec<Injector>],
     pub receivers: &'a mut [Receiver],
     pub router_set: &'a mut ActiveSet,
@@ -138,45 +138,6 @@ pub(super) fn visit_list(
     }
 }
 
-/// Pops lane `v`'s front flit if it is due and can leave the channel,
-/// returning it (hop count bumped) with whether its worm is killed.
-/// Wormhole channels are stall-holding: a live flit stays in the
-/// channel's pipeline latches while the downstream buffer is full (the
-/// `link_depth` share of the credits covers exactly this occupancy); a
-/// killed one always drains.
-pub(super) fn pop_due(
-    link: &mut LinkState,
-    v: usize,
-    now: Cycle,
-    killed: &KilledMap,
-    dst: &Router,
-    dst_port: PortId,
-) -> Option<(Flit, bool)> {
-    let &(arrive, ref flit) = link.lanes[v].front()?;
-    if arrive > now {
-        return None;
-    }
-    let killed = killed.contains(flit.worm);
-    if !killed && dst.vc_is_full(dst_port, VcId::from_index(v)) {
-        return None;
-    }
-    let (_, mut flit) = link.lanes[v].pop_front()?;
-    link.occupied -= 1;
-    flit.hops = flit.hops.saturating_add(1);
-    Some((flit, killed))
-}
-
-/// After a scan: a link still holding flits re-arms with a freshly
-/// computed wake (its earliest front-of-lane arrival); one drained
-/// empty stays out of the set.
-pub(super) fn rearm_link(link: &LinkState, wake: &mut Cycle, set: &mut ActiveSet, pi: u32) {
-    let fronts = link.lanes.iter().filter_map(|lane| lane.front());
-    if let Some(earliest) = fronts.map(|&(arrive, _)| arrive).min() {
-        *wake = earliest;
-        set.insert(pi);
-    }
-}
-
 /// Quiet-cycle arrivals: valid exactly when no arrival this cycle can
 /// draw the fault RNG or kill a worm (`Network::arrivals_parallel_ok`),
 /// so each link's work is confined to the link and its shard-owned
@@ -188,12 +149,11 @@ pub(super) fn arrivals_quiet(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut Sha
     let all = sh.links_lo..sh.links_lo + sh.links.len();
     visit_list(&mut ids, sh.link_set, all, ctx.visit_all);
     for &pi in &ids {
-        let local = pi as usize - sh.links_lo;
-        let link = &mut sh.links[local];
-        if link.occupied == 0 {
+        let link = &mut sh.links[pi as usize - sh.links_lo];
+        if link.occupied() == 0 {
             continue; // purged empty since it was armed
         }
-        if !ctx.visit_all && sh.wake[local] > now {
+        if !ctx.visit_all && link.wake() > now {
             sh.link_set.insert(pi); // nothing due yet
             continue;
         }
@@ -201,9 +161,12 @@ pub(super) fn arrivals_quiet(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut Sha
         let (dst_node, dst_port) = ctx.tables.link_head[li];
         let dst = &mut sh.routers[dst_node - sh.node_lo];
         let link_dead = ctx.faults.is_dead(ctx.tables.link_ids[li]);
-        for v in 0..link.lanes.len() {
+        let mut wake = LinkState::NEVER;
+        for v in 0..link.num_lanes() {
             let vc = VcId::from_index(v);
-            while let Some((mut flit, killed)) = pop_due(link, v, now, ctx.killed, dst, dst_port) {
+            while let Some((mut flit, killed)) =
+                link.pop_due(v, now, ctx.killed, dst, dst_port, &mut wake)
+            {
                 if link_dead {
                     // Dead link on a quiet cycle: the gate proves the
                     // protocol is non-detecting, so the flit is
@@ -225,7 +188,9 @@ pub(super) fn arrivals_quiet(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut Sha
                 fx.progress = true;
             }
         }
-        rearm_link(link, &mut sh.wake[local], sh.link_set, pi);
+        if link.end_scan(wake) {
+            sh.link_set.insert(pi);
+        }
     }
     ids.clear();
     fx.ids = ids;

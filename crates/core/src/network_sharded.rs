@@ -52,8 +52,9 @@
 //! cycle takes the ordered global scan instead, under every driver.
 
 use super::kernel::{self, Ctx, Kernel, ShardScratch, ShardView};
-use super::{debug_worm, LinkState, Network, SOURCE_GONE};
+use super::{debug_worm, Network, SOURCE_GONE};
 use crate::injector::Injector;
+use crate::link::LinkState;
 use crate::receiver::Receiver;
 use cr_router::Router;
 use cr_sim::pool;
@@ -69,7 +70,6 @@ use std::sync::Arc;
 struct ShardWork {
     routers: Vec<Router>,
     links: Vec<LinkState>,
-    wake: Vec<Cycle>,
     injectors: Vec<Vec<Injector>>,
     receivers: Vec<Receiver>,
     router_set: ActiveSet,
@@ -94,7 +94,6 @@ impl Network {
         ShardWork {
             routers: self.routers.take_chunk(s),
             links: self.links.take_chunk(s),
-            wake: self.link_wake.take_chunk(s),
             injectors: self.injectors.take_chunk(s),
             receivers: self.receivers.take_chunk(s),
             router_set: std::mem::replace(&mut self.router_sets[s], ActiveSet::new(0)),
@@ -109,7 +108,6 @@ impl Network {
     fn put_shard(&mut self, s: usize, w: ShardWork) {
         self.routers.put_chunk(s, w.routers);
         self.links.put_chunk(s, w.links);
-        self.link_wake.put_chunk(s, w.wake);
         self.injectors.put_chunk(s, w.injectors);
         self.receivers.put_chunk(s, w.receivers);
         self.router_sets[s] = w.router_set;
@@ -166,7 +164,6 @@ impl Network {
                 let mut view = ShardView {
                     routers: self.routers.chunk_mut(s),
                     links: self.links.chunk_mut(s),
-                    wake: self.link_wake.chunk_mut(s),
                     injectors: self.injectors.chunk_mut(s),
                     receivers: self.receivers.chunk_mut(s),
                     router_set: &mut self.router_sets[s],
@@ -199,7 +196,6 @@ impl Network {
                 let mut view = ShardView {
                     routers: &mut w.routers,
                     links: &mut w.links,
-                    wake: &mut w.wake,
                     injectors: &mut w.injectors,
                     receivers: &mut w.receivers,
                     router_set: &mut w.router_set,
@@ -276,7 +272,7 @@ impl Network {
         for id in self.faults.dead_links() {
             let li = self.link_by_id[id.index()] as usize;
             let pi = self.link_perm[li] as usize;
-            if self.links[pi].occupied > 0 && self.link_wake[pi] <= now {
+            if self.links[pi].occupied() > 0 && self.links[pi].wake() <= now {
                 return false;
             }
         }
@@ -432,6 +428,22 @@ mod tests {
         )
     }
 
+    /// A lane has as many slots as its upstream output VC has credits
+    /// (`buffer_depth + channel_latency`); a push past that means a
+    /// flit was sent on a credit nobody held, and aborts naming the
+    /// link and the lane instead of growing the lane.
+    #[test]
+    #[should_panic(expected = "link 0 lane v0 overflow")]
+    fn lane_overflow_is_a_loud_bug() {
+        let mut net = NetworkBuilder::new(KAryNCube::mesh(2, 1))
+            .buffer_depth(1)
+            .build();
+        let credits = 1 + net.cfg.channel_latency as u32;
+        for seq in 0..=credits {
+            net.push_onto_link(0, VcId::new(0), Cycle::ZERO, flit(1, seq));
+        }
+    }
+
     /// The orphan-drop credit has the latency of every other credit:
     /// it lands at the route + traverse barrier, after the upstream
     /// router's own traversal of that cycle, and is spent the cycle
@@ -487,11 +499,23 @@ mod tests {
                 sent
             );
 
-            // Its next flit is ready but blocked; a route-less body
-            // flit of another worm sits at node 0's end of the link.
+            // Its next flit is ready but blocked; at node 0's end of
+            // the link sits a route-less body flit of another worm. It
+            // takes the place of the link's front flit, so the lane's
+            // credits, wire and buffer still add up to its budget.
             feed(&mut net, now, &mut seq);
+            let pi = net.link_perm[li] as usize;
+            let mut wake = now;
+            let arrived = net.links[pi].pop_due(
+                vc.index(),
+                now,
+                &net.killed,
+                &net.routers[0],
+                down_in,
+                &mut wake,
+            );
+            assert!(arrived.is_some(), "the worm's header was due");
             net.routers[0].accept(now, down_in, vc, flit(2, 1));
-            net.live_flits += 1;
             net.arm_router(0);
             let in_flight = net.flits_in_flight();
 

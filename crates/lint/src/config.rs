@@ -33,8 +33,10 @@ pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
+    "crates/core/src/link.rs",
     "crates/router/src/router.rs",
     "crates/sim/src/fifo.rs",
+    "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
     "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",
@@ -57,9 +59,11 @@ pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
+    "crates/core/src/link.rs",
     "crates/core/src/check_api.rs",
     "crates/router/src/router.rs",
     "crates/sim/src/fifo.rs",
+    "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
     "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",

@@ -20,6 +20,13 @@
 //! one output, so almost everything else is idle almost always
 //! (DESIGN.md §10, "Inside the router").
 //!
+//! That streaming visit reads the router record and three blocks
+//! reached from it by arithmetic — the input-VC headers, one slab
+//! holding every VC's flits, one record per output port — and follows
+//! no second pointer: worklist words, ejection owners and a port's
+//! VCs are inline, and the flits of a VC sit at offsets its header
+//! names (DESIGN.md §10, "Memory layout").
+//!
 //! The router is deliberately protocol-agnostic: it neither times out
 //! nor kills. The CR/FCR machinery drives it through
 //! [`Router::flush_worm`] (teardown) and the counters it exposes.
@@ -27,8 +34,10 @@
 use crate::flit::{Flit, WormId};
 use crate::routing::{Candidate, RouteCtx, RoutingFunction};
 use cr_sim::trace::StallCause;
-use cr_sim::{Cycle, Fifo, NodeId, PortId, SimRng, VcId};
+use cr_sim::{BitSet, Cycle, InlineArr, NodeId, PortId, Ring, SimRng, VcId};
 use cr_topology::Topology;
+use std::iter::repeat_n;
+use std::ops::Range;
 
 /// Where an allocated worm is headed from this router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,9 +215,13 @@ pub struct FlushResult {
     pub released: Option<RouteTarget>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct InputVc {
-    buf: Fifo<Flit>,
+    /// Cursor of this VC's FIFO; the flits sit in the router's slab
+    /// at `lo..hi`.
+    buf: Ring,
+    lo: u32,
+    hi: u32,
     route: Option<RouteTarget>,
     worm: Option<WormId>,
     /// Last cycle a flit was forwarded out of this VC (or arrived into
@@ -217,131 +230,62 @@ struct InputVc {
 }
 
 impl InputVc {
-    fn new(depth: usize) -> Self {
-        InputVc {
-            buf: Fifo::with_capacity(depth),
-            route: None,
-            worm: None,
-            last_progress: Cycle::ZERO,
-        }
-    }
-
     /// Non-empty with no route: the allocation stage has something to
     /// do here (route a header, drop an orphan, or wait out a kill).
+    #[inline]
     fn is_unrouted(&self) -> bool {
         self.route.is_none() && !self.buf.is_empty()
     }
+
+    /// This VC's slots in the slab; as many as its capacity.
+    #[inline]
+    fn seg(&self) -> Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+}
+
+/// Checked narrowing of a size that is fixed at construction.
+fn size32(n: usize) -> u32 {
+    // cr-lint: allow(panic-discipline, reason = "a router whose buffers or credits exceed u32::MAX flits cannot be simulated; refuse it at construction")
+    u32::try_from(n).expect("router geometry fits u32")
 }
 
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    /// Flat index of the input VC currently holding this output
-    /// channel.
-    allocated_to: Option<usize>,
+    /// The input VC currently holding this output channel.
+    owner: Option<(PortId, VcId)>,
     /// Free buffer slots at the downstream input VC.
-    credits: usize,
+    credits: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct EjectPort {
-    /// Flat index of the input VC holding this ejection port.
-    allocated_to: Option<usize>,
-}
-
-/// A set over a small fixed universe `0..n`, one bit per member — the
-/// shape of the router's two worklists. Membership changes are O(1),
-/// the size is kept incrementally, and [`BitSet::next_in`] walks the
-/// members of a range in ascending order a word at a time, so a stage
-/// that visits only members costs `O(n / 64 + members)`, not `O(n)`.
+/// Everything the traversal stage keeps about one neighbor output
+/// port, in one record: a port's visit reads its VCs, counts its flit
+/// and checks its streak without leaving it.
 #[derive(Debug)]
-struct BitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitSet {
-    fn new(universe: usize) -> Self {
-        BitSet {
-            words: vec![0; universe.div_ceil(64)],
-            len: 0,
-        }
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] >> (i % 64) & 1 != 0
-    }
-
-    fn set(&mut self, i: usize, on: bool) {
-        let bit = 1u64 << (i % 64);
-        let word = &mut self.words[i / 64];
-        if on != (*word & bit != 0) {
-            *word ^= bit;
-            if on {
-                self.len += 1;
-            } else {
-                self.len -= 1;
-            }
-        }
-    }
-
-    /// The smallest member in `from..to`, if any.
-    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
-        let mut i = from;
-        while i < to {
-            let rest = self.words[i / 64] >> (i % 64);
-            if rest != 0 {
-                let member = i + rest.trailing_zeros() as usize;
-                return (member < to).then_some(member);
-            }
-            i = (i / 64 + 1) * 64;
-        }
-        None
-    }
+struct OutPort {
+    vcs: InlineArr<OutputVc, 4>,
+    stats: LinkStats,
+    /// The open stall streak: `(cause, start, length)`.
+    open: Option<(StallCause, Cycle, u64)>,
 }
 
 /// The wormhole router for one node. See the module docs for the
 /// microarchitecture.
 #[derive(Debug)]
+#[repr(C)] // memory order is declaration order: what every visit reads first, together
 pub struct Router {
-    node: NodeId,
-    cfg: RouterConfig,
     /// Every input VC in one flat array (see [`Router::in_idx`]):
     /// neighbor port `p`'s VC `v` at `p * num_vcs + v`, then one
     /// single-VC entry per injection port.
     inputs: Vec<InputVc>,
-    /// `outputs[port * num_vcs + vc]` for neighbor ports only.
-    outputs: Vec<OutputVc>,
-    ejects: Vec<EjectPort>,
-    dead_out: Vec<bool>,
-    counters: RouterCounters,
-    rng: SimRng,
-    /// (port, vc) pairs whose orphan drop needs an upstream credit.
-    orphan_credits: Vec<(PortId, VcId)>,
-    /// Flat input index -> `(port, vc)`; the input geometry never
-    /// changes after construction.
-    input_list: Vec<(PortId, VcId)>,
-    /// Routing-candidate scratch, reused across headers and cycles.
-    candidates: Vec<Candidate>,
-    /// Per-cycle "input port already supplied a flit" flags, reused
-    /// across cycles.
-    input_used: Vec<bool>,
-    /// Per-neighbor-output-port utilization/stall counters.
-    link_stats: Vec<LinkStats>,
-    /// Open stall streak per neighbor output port: `(cause, start,
-    /// length)`.
-    stall_open: Vec<Option<(StallCause, Cycle, u64)>>,
-    /// Finished streaks awaiting [`Router::drain_streaks_into`]; only
-    /// populated while `record_streaks` is on.
-    finished_streaks: Vec<LinkStallStreak>,
-    /// Whether finished stall streaks are kept for the trace layer.
-    record_streaks: bool,
-    /// Flits buffered across all input VCs, maintained incrementally
-    /// so [`Router::total_occupancy`] is O(1) — the active-set
-    /// scheduler and the quiescence check probe it every cycle.
-    occupancy: usize,
-    /// How many entries of `stall_open` are `Some` — O(1) answer to
-    /// [`Router::has_open_streaks`].
-    open_streaks: usize,
+    /// The flits of every input VC, one ring per VC at
+    /// [`InputVc::seg`] — `buffer_depth` slots per neighbor VC, then
+    /// `inject_depth` per injection channel — allocated whole when the
+    /// router's first flit arrives, so a router no worm ever crosses
+    /// owns no flit storage.
+    slab: Vec<Flit>,
+    /// One record per neighbor output port.
+    ports: Vec<OutPort>,
     /// Allocation worklist: exactly the flat input indices whose VC
     /// [`InputVc::is_unrouted`]. Every other VC is one
     /// [`Router::route_and_allocate`] would step over untouched, so
@@ -352,6 +296,32 @@ pub struct Router {
     /// traversal stage forwards nothing and `note_link_cycle` has
     /// nothing to count or close, so it walks this set only.
     busy_out: BitSet,
+    /// Flits buffered across all input VCs, maintained incrementally
+    /// so [`Router::total_occupancy`] is O(1) — the active-set
+    /// scheduler and the quiescence check probe it every cycle.
+    occupancy: usize,
+    /// How many ports have a stall streak open — O(1) answer to
+    /// [`Router::has_open_streaks`].
+    open_streaks: usize,
+    cfg: RouterConfig,
+    /// Which input VC holds each ejection port.
+    ejects: InlineArr<Option<(PortId, VcId)>, 4>,
+    counters: RouterCounters,
+    node: NodeId,
+    /// Whether finished stall streaks are kept for the trace layer.
+    record_streaks: bool,
+    // From here on: read by a header's routing or a stalled port only.
+    rng: SimRng,
+    /// A `bool` slice because that is what [`RouteCtx`] hands the
+    /// routing functions.
+    dead_out: Vec<bool>,
+    /// (port, vc) pairs whose orphan drop needs an upstream credit.
+    orphan_credits: Vec<(PortId, VcId)>,
+    /// Routing-candidate scratch, reused across headers and cycles.
+    candidates: Vec<Candidate>,
+    /// Finished streaks awaiting [`Router::drain_streaks_into`]; only
+    /// populated while `record_streaks` is on.
+    finished_streaks: Vec<LinkStallStreak>,
 }
 
 impl Router {
@@ -363,49 +333,42 @@ impl Router {
     /// [`RouterConfig::validate`]).
     pub fn new(node: NodeId, cfg: RouterConfig, rng: SimRng) -> Self {
         cfg.validate();
-        let mut inputs = Vec::with_capacity(cfg.num_node_ports * cfg.num_vcs + cfg.num_inject);
-        let mut input_list = Vec::with_capacity(inputs.capacity());
-        for p in 0..cfg.num_node_ports {
-            for v in 0..cfg.num_vcs {
-                inputs.push(InputVc::new(cfg.buffer_depth));
-                input_list.push((PortId::from_index(p), VcId::from_index(v)));
-            }
+        let node_inputs = cfg.num_node_ports * cfg.num_vcs;
+        let mut inputs = Vec::with_capacity(node_inputs + cfg.num_inject);
+        let depths = repeat_n(cfg.buffer_depth, node_inputs);
+        for depth in depths.chain(repeat_n(cfg.inject_depth, cfg.num_inject)) {
+            let mut ivc = InputVc::default();
+            ivc.lo = inputs.last().map_or(0, |prev: &InputVc| prev.hi);
+            ivc.hi = ivc.lo + size32(depth);
+            inputs.push(ivc);
         }
-        for i in 0..cfg.num_inject {
-            inputs.push(InputVc::new(cfg.inject_depth));
-            input_list.push((
-                PortId::from_index(cfg.num_node_ports + i),
-                VcId::from_index(0),
-            ));
-        }
-        let outputs = vec![
-            OutputVc {
-                allocated_to: None,
-                credits: cfg.buffer_depth + cfg.link_depth,
-            };
-            cfg.num_node_ports * cfg.num_vcs
-        ];
+        let out = OutputVc {
+            owner: None,
+            credits: size32(cfg.buffer_depth + cfg.link_depth),
+        };
+        let port = || OutPort {
+            vcs: InlineArr::new(cfg.num_vcs, out),
+            stats: LinkStats::default(),
+            open: None,
+        };
         Router {
-            node,
-            cfg,
             unrouted: BitSet::new(inputs.len()),
-            busy_out: BitSet::new(cfg.num_node_ports),
             inputs,
-            outputs,
-            ejects: vec![EjectPort::default(); cfg.num_eject],
-            dead_out: vec![false; cfg.num_node_ports],
-            counters: RouterCounters::default(),
-            rng,
-            orphan_credits: Vec::new(),
-            input_list,
-            candidates: Vec::new(),
-            input_used: vec![false; cfg.num_node_ports + cfg.num_inject],
-            link_stats: vec![LinkStats::default(); cfg.num_node_ports],
-            stall_open: vec![None; cfg.num_node_ports],
-            finished_streaks: Vec::new(),
-            record_streaks: false,
+            slab: Vec::new(),
+            ports: (0..cfg.num_node_ports).map(|_| port()).collect(),
+            busy_out: BitSet::new(cfg.num_node_ports),
             occupancy: 0,
             open_streaks: 0,
+            cfg,
+            ejects: InlineArr::new(cfg.num_eject, None),
+            counters: RouterCounters::default(),
+            node,
+            record_streaks: false,
+            rng,
+            dead_out: vec![false; cfg.num_node_ports],
+            orphan_credits: Vec::new(),
+            candidates: Vec::new(),
+            finished_streaks: Vec::new(),
         }
     }
 
@@ -415,6 +378,7 @@ impl Router {
     ///
     /// Panics if the pair names no input VC of this router (a flat
     /// index computed from it would alias another VC).
+    #[inline]
     fn in_idx(&self, port: PortId, vc: VcId) -> usize {
         let (p, v) = (port.index(), vc.index());
         let ports = self.cfg.num_node_ports;
@@ -431,35 +395,59 @@ impl Router {
         }
     }
 
-    /// Flat index of output VC `(port, vc)` in `outputs`.
+    /// The `(port, vc)` of flat input `k` — [`Router::in_idx`]'s
+    /// inverse.
+    #[inline]
+    fn in_pv(&self, k: usize) -> (PortId, VcId) {
+        let (ports, vcs) = (self.cfg.num_node_ports, self.cfg.num_vcs);
+        match k.checked_sub(ports * vcs) {
+            None => (PortId::from_index(k / vcs), VcId::from_index(k % vcs)),
+            Some(inject) => (PortId::from_index(ports + inject), VcId::new(0)),
+        }
+    }
+
+    /// Flat input `k`'s slots (none before the router's first flit).
+    #[inline]
+    fn slots(&self, k: usize) -> &[Flit] {
+        self.slab.get(self.inputs[k].seg()).unwrap_or_default()
+    }
+
+    /// Indices of output VC `(port, vc)` in `ports` and `OutPort::vcs`.
     ///
     /// # Panics
     ///
     /// Panics if the pair names no neighbor output VC.
-    fn out_idx(&self, port: PortId, vc: VcId) -> usize {
+    #[inline]
+    fn out_idx(&self, port: PortId, vc: VcId) -> (usize, usize) {
         assert!(
             port.index() < self.cfg.num_node_ports && vc.index() < self.cfg.num_vcs,
             "no output {port} {vc} at {}",
             self.node
         );
-        port.index() * self.cfg.num_vcs + vc.index()
+        (port.index(), vc.index())
     }
 
+    #[inline]
+    fn output(&self, port: PortId, vc: VcId) -> &OutputVc {
+        let (p, v) = self.out_idx(port, vc);
+        &self.ports[p].vcs[v]
+    }
+
+    #[inline]
     fn input(&self, port: PortId, vc: VcId) -> &InputVc {
         &self.inputs[self.in_idx(port, vc)]
     }
 
     /// Whether neighbor output `port` belongs on the traversal
     /// worklist: some VC of it is allocated, or a stall streak is open.
+    #[inline]
     fn port_is_busy(&self, port: usize) -> bool {
-        let vcs = self.cfg.num_vcs;
-        self.stall_open[port].is_some()
-            || self.outputs[port * vcs..(port + 1) * vcs]
-                .iter()
-                .any(|o| o.allocated_to.is_some())
+        let port = &self.ports[port];
+        port.open.is_some() || port.vcs.iter().any(|o| o.owner.is_some())
     }
 
     /// Re-derives `port`'s membership in the traversal worklist.
+    #[inline]
     fn refresh_busy(&mut self, port: usize) {
         let busy = self.port_is_busy(port);
         self.busy_out.set(port, busy);
@@ -475,9 +463,9 @@ impl Router {
         inputs
             .clone()
             .all(|k| unrouted(k) == self.unrouted.contains(k))
-            && inputs.filter(|&k| unrouted(k)).count() == self.unrouted.len
+            && inputs.filter(|&k| unrouted(k)).count() == self.unrouted.len()
             && ports.clone().all(|p| busy(p) == self.busy_out.contains(p))
-            && ports.filter(|&p| busy(p)).count() == self.busy_out.len
+            && ports.filter(|&p| busy(p)).count() == self.busy_out.len()
     }
 
     /// The node this router serves.
@@ -539,12 +527,16 @@ impl Router {
     /// Pushes `flit` into flat input `k`, handing it back when the
     /// FIFO is full. The one place a VC can go from empty to
     /// non-empty, hence one of the worklist's mutation sites.
+    #[inline]
     fn push_input(&mut self, now: Cycle, k: usize, flit: Flit) -> Result<(), Flit> {
+        if self.slab.is_empty() {
+            self.slab = vec![flit; self.inputs.last().map_or(0, |last| last.hi as usize)];
+        }
         let ivc = &mut self.inputs[k];
         if ivc.buf.is_empty() {
             ivc.last_progress = now;
         }
-        ivc.buf.push(flit).map_err(|full| full.0)?;
+        ivc.buf.push(&mut self.slab[ivc.seg()], flit)?;
         self.occupancy += 1;
         if ivc.route.is_none() {
             self.unrouted.set(k, true);
@@ -559,6 +551,7 @@ impl Router {
     /// Panics if the buffer is full — that would mean the upstream
     /// router violated credit flow control, which is a simulator bug,
     /// never a legal network state.
+    #[inline]
     pub fn accept(&mut self, now: Cycle, port: PortId, vc: VcId, flit: Flit) {
         let k = self.in_idx(port, vc);
         if self.push_input(now, k, flit).is_err() {
@@ -569,7 +562,7 @@ impl Router {
 
     /// Free space in injection channel `i`'s FIFO.
     pub fn injection_free(&self, i: usize) -> usize {
-        self.input(self.inject_port(i), VcId::new(0)).buf.free()
+        self.cfg.inject_depth - self.occupancy(self.inject_port(i), VcId::new(0))
     }
 
     /// Pushes a flit into injection channel `i`; returns `false`
@@ -633,7 +626,9 @@ impl Router {
         candidates: &mut Vec<Candidate>,
     ) -> usize {
         debug_assert!(self.inputs[k].is_unrouted());
-        let Some(front) = self.inputs[k].buf.front().copied() else {
+        let seg = self.inputs[k].seg();
+        // Borrowed, not copied: most calls end at the next two tests.
+        let Some(front) = self.inputs[k].buf.front(&self.slab[seg.clone()]) else {
             return 0; // unreachable: members are non-empty
         };
         if is_killed(front.worm) {
@@ -645,24 +640,25 @@ impl Router {
             // while this flit was in flight and it slipped past the
             // killed registry. Drop defensively.
             let ivc = &mut self.inputs[k];
-            let popped = ivc.buf.pop();
+            let popped = ivc.buf.pop(&self.slab[seg]);
             debug_assert!(popped.is_some_and(|f| !f.is_head()));
             if ivc.buf.is_empty() {
                 self.unrouted.set(k, false);
             }
             self.occupancy -= 1;
             self.counters.orphan_flits_dropped += 1;
-            let (port, vc) = self.input_list[k];
+            let (port, vc) = self.in_pv(k);
             if self.port_kind(port) == PortKind::Node {
                 self.orphan_credits.push((port, vc));
             }
             return 1;
         }
+        let worm = front.worm;
         // Ejection?
         if front.dst == self.node {
-            if let Some(e) = self.ejects.iter().position(|ej| ej.allocated_to.is_none()) {
-                self.ejects[e].allocated_to = Some(k);
-                self.grant(k, RouteTarget::Eject { port: e }, front.worm);
+            if let Some(e) = self.ejects.iter().position(Option::is_none) {
+                self.ejects[e] = Some(self.in_pv(k));
+                self.grant(k, RouteTarget::Eject { port: e }, worm);
             }
             return 0;
         }
@@ -671,7 +667,7 @@ impl Router {
         let mut ctx = RouteCtx {
             topo,
             node: self.node,
-            flit: &front,
+            flit: front,
             dead_out: &self.dead_out,
             rng: &mut self.rng,
         };
@@ -680,25 +676,22 @@ impl Router {
             self.counters.unroutable_headers += 1;
             return 0;
         }
-        let free = |c: &Candidate| {
-            let owner = self.outputs[self.out_idx(c.port, c.vc)].allocated_to;
-            owner.is_none()
-        };
+        let free = |c: &Candidate| self.output(c.port, c.vc).owner.is_none();
         if let Some(c) = candidates.iter().copied().find(free) {
-            let o = self.out_idx(c.port, c.vc);
-            self.outputs[o].allocated_to = Some(k);
-            self.busy_out.set(c.port.index(), true);
+            let (p, v) = self.out_idx(c.port, c.vc);
+            self.ports[p].vcs[v].owner = Some(self.in_pv(k));
+            self.busy_out.set(p, true);
             self.grant(
                 k,
                 RouteTarget::Link {
                     port: c.port,
                     vc: c.vc,
                 },
-                front.worm,
+                worm,
             );
             if c.escape {
                 self.counters.escape_allocations += 1;
-                if let Some(front) = self.inputs[k].buf.front_mut() {
+                if let Some(front) = self.inputs[k].buf.front_mut(&mut self.slab[seg]) {
                     front.escaped = true;
                 }
             }
@@ -708,6 +701,7 @@ impl Router {
 
     /// Records that the header of `worm` at the front of flat input
     /// `k` won `target`; the VC leaves the allocation worklist.
+    #[inline]
     fn grant(&mut self, k: usize, target: RouteTarget, worm: WormId) {
         let ivc = &mut self.inputs[k];
         ivc.route = Some(target);
@@ -754,6 +748,7 @@ impl Router {
         is_killed: &F,
     ) -> Result<Flit, bool> {
         let ivc = &mut self.inputs[k];
+        let slots = self.slab.get(ivc.seg()).unwrap_or_default();
         let Some(owner) = ivc.worm else {
             return Err(false);
         };
@@ -765,7 +760,7 @@ impl Router {
         if is_killed(owner) {
             return Err(!ivc.buf.is_empty());
         }
-        let Some(front) = ivc.buf.front() else {
+        let Some(front) = ivc.buf.front(slots) else {
             return Err(false);
         };
         debug_assert_eq!(
@@ -776,7 +771,7 @@ impl Router {
         if front.worm != owner {
             return Err(false); // defensive in release builds
         }
-        let Some(flit) = ivc.buf.pop() else {
+        let Some(flit) = ivc.buf.pop(slots) else {
             return Err(false); // unreachable: front() just succeeded
         };
         ivc.last_progress = now;
@@ -823,7 +818,15 @@ impl Router {
         mut emit: impl FnMut(Traversal),
     ) {
         debug_assert!(self.worklists_exact(), "worklists diverged");
-        self.input_used.fill(false);
+        // One bit per input port that has supplied its flit this
+        // cycle, on the stack unless the router has over 256 of them.
+        let in_ports = self.cfg.num_node_ports + self.cfg.num_inject;
+        let (mut small, mut big) = ([0u64; 4], None);
+        let used: &mut [u64] = match in_ports {
+            ..=256 => &mut small,
+            _ => big.insert(vec![0; in_ports.div_ceil(64)]),
+        };
+        let bit_of = |port: PortId| (port.index() / 64, 1u64 << (port.index() % 64));
 
         // Neighbor outputs: one flit per physical port per cycle,
         // round-robin over that port's VCs. Alongside the forwarding
@@ -842,20 +845,17 @@ impl Router {
                 // `(start + i) % nvcs` without the division.
                 let wrap = if start + i < nvcs { 0 } else { nvcs };
                 let vc = start + i - wrap;
-                let o = port * nvcs + vc;
-                let Some(k) = self.outputs[o].allocated_to else {
+                let out = self.ports[port].vcs[vc];
+                let Some((ip, iv)) = out.owner else {
                     continue;
                 };
-                let (ip, iv) = self.input_list[k];
-                let credits = self.outputs[o].credits;
-                if self.input_used[ip.index()] || credits == 0 {
+                let (k, (word, bit)) = (self.in_idx(ip, iv), bit_of(ip));
+                if used[word] & bit != 0 || out.credits == 0 {
                     if blocked.is_none() {
                         let ivc = &self.inputs[k];
-                        let ready = ivc
-                            .worm
-                            .is_some_and(|w| ivc.buf.front().is_some_and(|f| f.worm == w));
-                        if ready {
-                            blocked = Some(if credits == 0 {
+                        let front = ivc.buf.front(self.slots(k));
+                        if ivc.worm.is_some() && front.map(|f| f.worm) == ivc.worm {
+                            blocked = Some(if out.credits == 0 {
                                 StallCause::Backpressure
                             } else {
                                 StallCause::BusyChannel
@@ -873,10 +873,11 @@ impl Router {
                         continue;
                     }
                 };
-                self.input_used[ip.index()] = true;
-                self.outputs[o].credits -= 1;
+                used[word] |= bit;
+                let out = &mut self.ports[port].vcs[vc];
+                out.credits -= 1;
                 if flit.is_tail() {
-                    self.outputs[o].allocated_to = None;
+                    out.owner = None;
                     released = true;
                 }
                 emit(Traversal {
@@ -891,20 +892,20 @@ impl Router {
                 sent = true;
                 break; // this physical port is used this cycle
             }
-            if sent && blocked.is_none() && self.stall_open[port].is_none() {
+            let out = &mut self.ports[port];
+            if sent && blocked.is_none() && out.open.is_none() {
                 // Streaming: `note_link_cycle` would count the flit
                 // and find no stall to attribute and no streak to
                 // close, and only a tail's release can take the port
                 // off the worklist.
-                self.link_stats[port].flits_forwarded += 1;
+                out.stats.flits_forwarded += 1;
                 if released {
                     self.refresh_busy(port);
                 }
                 continue;
             }
             Self::note_link_cycle(
-                &mut self.link_stats[port],
-                &mut self.stall_open[port],
+                out,
                 &mut self.open_streaks,
                 &mut self.finished_streaks,
                 self.record_streaks,
@@ -919,19 +920,19 @@ impl Router {
 
         // Ejection ports: one flit each per cycle.
         for e in 0..self.ejects.len() {
-            let Some(k) = self.ejects[e].allocated_to else {
+            let Some((ip, iv)) = self.ejects[e] else {
                 continue;
             };
-            let (ip, iv) = self.input_list[k];
-            if self.input_used[ip.index()] {
+            let (word, bit) = bit_of(ip);
+            if used[word] & bit != 0 {
                 continue;
             }
-            let Ok(flit) = self.pop_for_traversal(now, k, is_killed) else {
+            let Ok(flit) = self.pop_for_traversal(now, self.in_idx(ip, iv), is_killed) else {
                 continue;
             };
-            self.input_used[ip.index()] = true;
+            used[word] |= bit;
             if flit.is_tail() {
-                self.ejects[e].allocated_to = None;
+                self.ejects[e] = None;
             }
             emit(Traversal {
                 flit,
@@ -947,9 +948,9 @@ impl Router {
     /// method) so `traverse_each` can call it under its outstanding
     /// disjoint field borrows.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn note_link_cycle(
-        stats: &mut LinkStats,
-        open: &mut Option<(StallCause, Cycle, u64)>,
+        OutPort { stats, open, .. }: &mut OutPort,
         open_count: &mut usize,
         finished: &mut Vec<LinkStallStreak>,
         record: bool,
@@ -968,29 +969,17 @@ impl Router {
             Some(_) if dead => Some(StallCause::DeadLink),
             c => c,
         };
-        let Some(cause) = cause else {
-            // Forwarded or idle: any open streak is finished.
-            if let Some((c, since, cycles)) = open.take() {
-                *open_count -= 1;
-                if record {
-                    finished.push(LinkStallStreak {
-                        port,
-                        cause: c,
-                        since,
-                        cycles,
-                    });
-                }
-            }
-            return;
-        };
         match cause {
-            StallCause::BusyChannel => stats.stall_busy += 1,
-            StallCause::DeadLink => stats.stall_dead_link += 1,
-            StallCause::Backpressure => stats.stall_backpressure += 1,
+            Some(StallCause::BusyChannel) => stats.stall_busy += 1,
+            Some(StallCause::DeadLink) => stats.stall_dead_link += 1,
+            Some(StallCause::Backpressure) => stats.stall_backpressure += 1,
+            None => {}
         }
         match open {
-            Some((c, _, cycles)) if *c == cause => *cycles += 1,
+            Some((c, _, cycles)) if Some(*c) == cause => *cycles += 1,
             _ => {
+                // Forwarded, idle, or stalled for another cause: an
+                // open streak is finished, and a stall opens the next.
                 if let Some((c, since, cycles)) = open.take() {
                     *open_count -= 1;
                     if record {
@@ -1002,16 +991,18 @@ impl Router {
                         });
                     }
                 }
-                *open = Some((cause, now, 1));
-                *open_count += 1;
+                if let Some(cause) = cause {
+                    *open = Some((cause, now, 1));
+                    *open_count += 1;
+                }
             }
         }
     }
 
     /// Per-neighbor-output-port utilization/stall counters, indexed by
     /// port. Always maintained (tracing on or off).
-    pub fn link_stats(&self) -> &[LinkStats] {
-        &self.link_stats
+    pub fn link_stats(&self) -> Vec<LinkStats> {
+        self.ports.iter().map(|p| p.stats).collect()
     }
 
     /// Turns finished-stall-streak recording on or off. Off (the
@@ -1040,14 +1031,16 @@ impl Router {
     ///
     /// Panics if credits would exceed the downstream buffer depth
     /// (double-return bug).
+    #[inline]
     pub fn add_credit(&mut self, port: PortId, vc: VcId) {
-        let o = self.out_idx(port, vc);
+        let (p, v) = self.out_idx(port, vc);
+        let out = &mut self.ports[p].vcs[v];
         assert!(
-            self.outputs[o].credits < self.cfg.buffer_depth + self.cfg.link_depth,
+            (out.credits as usize) < self.cfg.buffer_depth + self.cfg.link_depth,
             "credit overflow on {} {port} {vc}",
             self.node
         );
-        self.outputs[o].credits += 1;
+        out.credits += 1;
     }
 
     /// Removes every flit of `worm` from input VC `(port, vc)` and
@@ -1060,7 +1053,8 @@ impl Router {
     pub fn flush_worm(&mut self, port: PortId, vc: VcId, worm: WormId) -> FlushResult {
         let k = self.in_idx(port, vc);
         let ivc = &mut self.inputs[k];
-        let flushed = ivc.buf.retain(|f| f.worm != worm);
+        let slots = self.slab.get_mut(ivc.seg()).unwrap_or_default();
+        let flushed = ivc.buf.retain(slots, |f| f.worm != worm);
         self.occupancy -= flushed;
         self.counters.flits_flushed += flushed as u64;
         let mut released = None;
@@ -1073,12 +1067,12 @@ impl Router {
         self.unrouted.set(k, ivc.is_unrouted());
         match released {
             Some(RouteTarget::Link { port: op, vc: ov }) => {
-                let o = self.out_idx(op, ov);
-                self.outputs[o].allocated_to = None;
-                self.refresh_busy(op.index());
+                let (p, v) = self.out_idx(op, ov);
+                self.ports[p].vcs[v].owner = None;
+                self.refresh_busy(p);
             }
             Some(RouteTarget::Eject { port: ep }) => {
-                self.ejects[ep].allocated_to = None;
+                self.ejects[ep] = None;
             }
             None => {}
         }
@@ -1098,19 +1092,20 @@ impl Router {
 
     /// Which input VC holds output `(port, vc)`, if any.
     pub fn output_owner(&self, port: PortId, vc: VcId) -> Option<(PortId, VcId)> {
-        let k = self.outputs[self.out_idx(port, vc)].allocated_to?;
-        Some(self.input_list[k])
+        self.output(port, vc).owner
     }
 
     /// Current credit count of output `(port, vc)`.
     pub fn credits(&self, port: PortId, vc: VcId) -> usize {
-        self.outputs[self.out_idx(port, vc)].credits
+        self.output(port, vc).credits as usize
     }
 
     /// Returns `true` if input VC `(port, vc)` has no free buffer
     /// slot (the arriving flit must wait in the channel latches).
+    #[inline]
     pub fn vc_is_full(&self, port: PortId, vc: VcId) -> bool {
-        self.input(port, vc).buf.is_full()
+        let ivc = self.input(port, vc);
+        ivc.buf.len() == ivc.seg().len()
     }
 
     /// Number of flits buffered in input VC `(port, vc)`.
@@ -1120,19 +1115,21 @@ impl Router {
 
     /// The head-of-line flit of input VC `(port, vc)`, if any.
     pub fn front_flit(&self, port: PortId, vc: VcId) -> Option<&Flit> {
-        self.input(port, vc).buf.front()
+        let k = self.in_idx(port, vc);
+        self.inputs[k].buf.front(self.slots(k))
     }
 
     /// The flit at queue position `i` (0 = front) of input VC
     /// `(port, vc)`, or `None` past the back. The model checker walks
     /// whole buffers with this when encoding a canonical state.
     pub fn flit_at(&self, port: PortId, vc: VcId, i: usize) -> Option<&Flit> {
-        self.input(port, vc).buf.get(i)
+        let k = self.in_idx(port, vc);
+        self.inputs[k].buf.get(self.slots(k), i)
     }
 
     /// Which input VC holds ejection port `e`, if any.
     pub fn eject_owner(&self, e: usize) -> Option<(PortId, VcId)> {
-        Some(self.input_list[self.ejects[e].allocated_to?])
+        self.ejects[e]
     }
 
     /// Position of this router's adaptive tie-break RNG, in 32-bit
@@ -1162,7 +1159,7 @@ impl Router {
     pub fn has_open_streaks(&self) -> bool {
         debug_assert_eq!(
             self.open_streaks,
-            self.stall_open.iter().filter(|s| s.is_some()).count(),
+            self.ports.iter().filter(|p| p.open.is_some()).count(),
             "incremental open-streak count diverged at {}",
             self.node
         );
@@ -1175,7 +1172,7 @@ impl Router {
     /// every site that fills, drains, routes or releases a VC.
     pub fn unrouted_inputs(&self) -> usize {
         debug_assert!(self.worklists_exact(), "worklists diverged");
-        self.unrouted.len
+        self.unrouted.len()
     }
 
     /// Size of the traversal worklist: neighbor output ports with an
@@ -1184,7 +1181,7 @@ impl Router {
     /// O(1): maintained at every grant, release and streak change.
     pub fn busy_outputs(&self) -> usize {
         debug_assert!(self.worklists_exact(), "worklists diverged");
-        self.busy_out.len
+        self.busy_out.len()
     }
 
     /// Input VCs that hold a worm but have not forwarded a flit for at
@@ -1205,16 +1202,13 @@ impl Router {
         threshold: u64,
         out: &mut Vec<(PortId, VcId, WormId)>,
     ) {
-        for (ivc, &(port, vc)) in self.inputs.iter().zip(&self.input_list) {
-            if ivc.buf.is_empty() {
+        for (k, ivc) in self.inputs.iter().enumerate() {
+            let Some(front) = ivc.buf.front(self.slots(k)) else {
                 continue;
-            }
-            let worm = match ivc.worm.or_else(|| ivc.buf.front().map(|f| f.worm)) {
-                Some(w) => w,
-                None => continue,
             };
             if now.saturating_since(ivc.last_progress) >= threshold {
-                out.push((port, vc, worm));
+                let (port, vc) = self.in_pv(k);
+                out.push((port, vc, ivc.worm.unwrap_or(front.worm)));
             }
         }
     }
@@ -1610,5 +1604,19 @@ mod tests {
         let credits = r.take_orphan_credits();
         assert_eq!(credits, vec![(PortId::new(1), VcId::new(0))]);
         assert!(r.take_orphan_credits().is_empty(), "drained");
+    }
+
+    /// A tripwire, not a law: these records are what a flit hop reads,
+    /// and every byte is paid once per router or per port of a
+    /// 16 384-node fabric. Re-record on purpose, with the reason.
+    #[test]
+    fn record_sizes_stay_within_budget() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(size_of::<Router>(), 552, "Router bytes");
+        assert_eq!(size_of::<OutPort>(), 128, "OutPort bytes");
+        assert_eq!(size_of::<InputVc>(), 64, "InputVc bytes");
+        // Everything a streaming visit reads of the router record
+        // itself sits in front of the RNG, in its first five lines.
+        assert_eq!(offset_of!(Router, rng), 328, "hot prefix of Router");
     }
 }

@@ -340,8 +340,9 @@ impl LinkCycleModel {
 
 /// The router's worklists (ISSUE 13, DESIGN.md §10 "Inside the
 /// router") under random configurations — up to the radix-63, 2-VC
-/// full-mesh router — and random interleavings of every call that can
-/// move a VC or a port on or off a worklist. After every call each
+/// full-mesh router, then pinned shapes on both sides of the 64
+/// members a worklist keeps inline — and random interleavings of every
+/// call that can move a VC or a port on or off a worklist. After every call each
 /// incremental count equals a dense recount through the public
 /// getters (debug builds additionally cross-check membership bit by
 /// bit inside the router), and a stage whose worklist is empty leaves
@@ -364,161 +365,224 @@ fn worklists_match_dense_recount_and_empty_means_untouched() {
             1 => &torus2,
             _ => &mesh64,
         };
-        let node = NodeId::new(0);
-        let cfg = RouterConfig {
-            num_node_ports: topo.num_ports(node),
-            num_vcs: src.usize_in(1..3),
-            buffer_depth: src.usize_in(1..4),
-            num_inject: src.usize_in(1..3),
-            inject_depth: src.usize_in(1..4),
-            num_eject: src.usize_in(1..3),
-            link_depth: src.usize_in(0..3),
-        };
-        let rf = MinimalAdaptive::new(cfg.num_vcs);
-        let seed = src.u64_any();
-        let mut r = Router::new(node, cfg, SimRng::from_seed(seed));
-        // Fed the same calls, but traversed through `traverse_each`.
-        let mut twin = Router::new(node, cfg, SimRng::from_seed(seed));
-        let mut model = LinkCycleModel::new(cfg.num_node_ports);
-
-        let mut streams = Vec::new();
-        for p in 0..cfg.num_node_ports {
-            for v in 0..cfg.num_vcs {
-                streams.push((PortId::from_index(p), VcId::from_index(v)));
-            }
-        }
-        for i in 0..cfg.num_inject {
-            streams.push((r.inject_port(i), VcId::new(0)));
-        }
-        let mut streams: Vec<Stream> = streams
-            .into_iter()
-            .map(|(port, vc)| Stream {
-                port,
-                vc,
-                worm: WormId::new(MessageId::new(0), 0),
-                dst: node,
-                len: 0,
-                next: 0,
-            })
-            .collect();
-        let node_inputs = cfg.num_node_ports * cfg.num_vcs;
-        let mut fresh_id = 0u64;
-        let mut killed: BTreeSet<WormId> = BTreeSet::new();
-        let mut now = Cycle::ZERO;
-        let mut out: Vec<Traversal> = Vec::new();
-        let mut twin_out: Vec<Traversal> = Vec::new();
-
-        let ops = src.vec_with(1..160, |s| {
-            (
-                s.weighted(&[6, 2, 5, 5, 2, 4, 1, 1, 1]),
-                s.usize_in(0..4096),
-                s.usize_in(0..4096),
-            )
-        });
-        for (op, a, b) in ops {
-            // Mostly nearby destinations so output ports collide; the
-            // router's own node exercises ejection.
-            let dst = NodeId::from_index(a % topo.num_nodes().min(5));
-            let len = 2 + (b % 4) as u32;
-            match op {
-                0 => {
-                    let s = &mut streams[a % node_inputs];
-                    if !r.vc_is_full(s.port, s.vc) {
-                        let flit = s.next_flit(&mut fresh_id, dst, len);
-                        r.accept(now, s.port, s.vc, flit);
-                        twin.accept(now, s.port, s.vc, flit);
-                    }
-                }
-                1 => {
-                    let i = a % cfg.num_inject;
-                    if r.injection_free(i) > 0 {
-                        let flit = streams[node_inputs + i].next_flit(&mut fresh_id, dst, len);
-                        assert!(r.try_inject(now, i, flit));
-                        assert!(twin.try_inject(now, i, flit));
-                    }
-                }
-                2 => {
-                    let before = (r.unrouted_inputs() == 0).then(|| snapshot(&r, &streams));
-                    let dropped = r.route_and_allocate(now, &rf, topo, &|w| killed.contains(&w));
-                    if let Some(before) = before {
-                        assert_eq!(dropped, 0);
-                        assert_eq!(before, snapshot(&r, &streams), "idle route stage moved");
-                    }
-                    let twin_dropped =
-                        twin.route_and_allocate(now, &rf, topo, &|w| killed.contains(&w));
-                    assert_eq!(dropped, twin_dropped);
-                    assert_eq!(r.take_orphan_credits(), twin.take_orphan_credits());
-                }
-                3 => {
-                    let idle = r.busy_outputs() == 0
-                        && (0..cfg.num_eject).all(|e| r.eject_owner(e).is_none());
-                    let before = idle.then(|| snapshot(&r, &streams));
-                    let senders = model.traverse(&r, now, &killed);
-                    out.clear();
-                    r.traverse_into(now, &|w| killed.contains(&w), &mut out);
-                    if let Some(before) = before {
-                        assert!(out.is_empty());
-                        assert_eq!(before, snapshot(&r, &streams), "idle traverse stage moved");
-                    }
-                    let sent: Vec<usize> = out
-                        .iter()
-                        .filter_map(|t| match t.target {
-                            RouteTarget::Link { port, .. } => Some(port.index()),
-                            RouteTarget::Eject { .. } => None,
-                        })
-                        .collect();
-                    assert_eq!(sent, senders, "ports that forwarded");
-                    twin_out.clear();
-                    twin.traverse_each(now, &|w| killed.contains(&w), |t| twin_out.push(t));
-                    assert_eq!(out, twin_out, "traverse_each and traverse_into emit alike");
-                    now += 1;
-                }
-                4 => {
-                    let s = &streams[a % streams.len()];
-                    let flushed = r.flush_worm(s.port, s.vc, s.worm);
-                    assert_eq!(flushed, twin.flush_worm(s.port, s.vc, s.worm));
-                }
-                5 => {
-                    let (port, vc) = (
-                        PortId::from_index(a % cfg.num_node_ports),
-                        VcId::from_index(b % cfg.num_vcs),
-                    );
-                    if r.credits(port, vc) < cfg.buffer_depth + cfg.link_depth {
-                        r.add_credit(port, vc);
-                        twin.add_credit(port, vc);
-                    }
-                }
-                6 => {
-                    let port = PortId::from_index(a % cfg.num_node_ports);
-                    r.set_dead_out(port);
-                    twin.set_dead_out(port);
-                }
-                7 => {
-                    let port = PortId::from_index(a % cfg.num_node_ports);
-                    r.clear_dead_out(port);
-                    twin.clear_dead_out(port);
-                }
-                _ => {
-                    let worm = streams[a % streams.len()].worm;
-                    if !killed.remove(&worm) {
-                        killed.insert(worm);
-                    }
-                }
-            }
-
-            let unrouted = streams
-                .iter()
-                .filter(|s| r.occupancy(s.port, s.vc) > 0 && r.route_of(s.port, s.vc).is_none())
-                .count();
-            assert_eq!(r.unrouted_inputs(), unrouted, "allocation worklist size");
-            // Link stats, open streaks and the traversal worklist are
-            // where the no-fast-path model puts them.
-            model.assert_matches(&r);
-            let buffered: usize = streams.iter().map(|s| r.occupancy(s.port, s.vc)).sum();
-            assert_eq!(r.total_occupancy(), buffered);
-            assert_eq!(snapshot(&r, &streams), snapshot(&twin, &streams));
-        }
+        let shape = (src.usize_in(1..3), src.usize_in(1..3));
+        worklist_case(src, topo, shape);
     });
+    // 63, 64 and 65 inputs; 64 and 65 output ports; and the 255 inputs
+    // of a 128-node full mesh's router.
+    for (nodes, num_vcs, num_inject) in [
+        (63, 1, 1),
+        (64, 1, 1),
+        (64, 1, 2),
+        (65, 1, 1),
+        (66, 1, 1),
+        (128, 2, 1),
+    ] {
+        let mesh = FullMesh::new(nodes);
+        check(name, Config::cases(6), |src| {
+            worklist_case(src, &mesh, (num_vcs, num_inject))
+        });
+    }
+}
+
+/// One case of the property above: a router at node 0 of `topo` with
+/// `(num_vcs, num_inject)` as given and everything else random.
+fn worklist_case(src: &mut Source<'_>, topo: &dyn Topology, (num_vcs, num_inject): (usize, usize)) {
+    let node = NodeId::new(0);
+    let cfg = RouterConfig {
+        num_node_ports: topo.num_ports(node),
+        num_vcs,
+        buffer_depth: src.usize_in(1..4),
+        num_inject,
+        inject_depth: src.usize_in(1..4),
+        num_eject: src.usize_in(1..3),
+        link_depth: src.usize_in(0..3),
+    };
+    let rf = MinimalAdaptive::new(cfg.num_vcs);
+    let seed = src.u64_any();
+    let mut r = Router::new(node, cfg, SimRng::from_seed(seed));
+    // Fed the same calls, but traversed through `traverse_each`.
+    let mut twin = Router::new(node, cfg, SimRng::from_seed(seed));
+    let mut model = LinkCycleModel::new(cfg.num_node_ports);
+
+    let mut streams = Vec::new();
+    for p in 0..cfg.num_node_ports {
+        for v in 0..cfg.num_vcs {
+            streams.push((PortId::from_index(p), VcId::from_index(v)));
+        }
+    }
+    for i in 0..cfg.num_inject {
+        streams.push((r.inject_port(i), VcId::new(0)));
+    }
+    let mut streams: Vec<Stream> = streams
+        .into_iter()
+        .map(|(port, vc)| Stream {
+            port,
+            vc,
+            worm: WormId::new(MessageId::new(0), 0),
+            dst: node,
+            len: 0,
+            next: 0,
+        })
+        .collect();
+    let node_inputs = cfg.num_node_ports * cfg.num_vcs;
+    let mut fresh_id = 0u64;
+    let mut killed: BTreeSet<WormId> = BTreeSet::new();
+    let mut now = Cycle::ZERO;
+    let mut out: Vec<Traversal> = Vec::new();
+    let mut twin_out: Vec<Traversal> = Vec::new();
+
+    let ops = src.vec_with(1..160, |s| {
+        (
+            s.weighted(&[6, 2, 5, 5, 2, 4, 1, 1, 1]),
+            s.usize_in(0..4096),
+            s.usize_in(0..4096),
+        )
+    });
+    for (op, a, b) in ops {
+        // Mostly nearby destinations so output ports collide; the
+        // router's own node exercises ejection.
+        let dst = NodeId::from_index(a % topo.num_nodes().min(5));
+        let len = 2 + (b % 4) as u32;
+        match op {
+            0 => {
+                let s = &mut streams[a % node_inputs];
+                if !r.vc_is_full(s.port, s.vc) {
+                    let flit = s.next_flit(&mut fresh_id, dst, len);
+                    r.accept(now, s.port, s.vc, flit);
+                    twin.accept(now, s.port, s.vc, flit);
+                }
+            }
+            1 => {
+                let i = a % cfg.num_inject;
+                if r.injection_free(i) > 0 {
+                    let flit = streams[node_inputs + i].next_flit(&mut fresh_id, dst, len);
+                    assert!(r.try_inject(now, i, flit));
+                    assert!(twin.try_inject(now, i, flit));
+                }
+            }
+            2 => {
+                let before = (r.unrouted_inputs() == 0).then(|| snapshot(&r, &streams));
+                let dropped = r.route_and_allocate(now, &rf, topo, &|w| killed.contains(&w));
+                if let Some(before) = before {
+                    assert_eq!(dropped, 0);
+                    assert_eq!(before, snapshot(&r, &streams), "idle route stage moved");
+                }
+                let twin_dropped =
+                    twin.route_and_allocate(now, &rf, topo, &|w| killed.contains(&w));
+                assert_eq!(dropped, twin_dropped);
+                assert_eq!(r.take_orphan_credits(), twin.take_orphan_credits());
+            }
+            3 => {
+                let idle =
+                    r.busy_outputs() == 0 && (0..cfg.num_eject).all(|e| r.eject_owner(e).is_none());
+                let before = idle.then(|| snapshot(&r, &streams));
+                let senders = model.traverse(&r, now, &killed);
+                out.clear();
+                r.traverse_into(now, &|w| killed.contains(&w), &mut out);
+                if let Some(before) = before {
+                    assert!(out.is_empty());
+                    assert_eq!(before, snapshot(&r, &streams), "idle traverse stage moved");
+                }
+                let sent: Vec<usize> = out
+                    .iter()
+                    .filter_map(|t| match t.target {
+                        RouteTarget::Link { port, .. } => Some(port.index()),
+                        RouteTarget::Eject { .. } => None,
+                    })
+                    .collect();
+                assert_eq!(sent, senders, "ports that forwarded");
+                twin_out.clear();
+                twin.traverse_each(now, &|w| killed.contains(&w), |t| twin_out.push(t));
+                assert_eq!(out, twin_out, "traverse_each and traverse_into emit alike");
+                now += 1;
+            }
+            4 => {
+                let s = &streams[a % streams.len()];
+                let flushed = r.flush_worm(s.port, s.vc, s.worm);
+                assert_eq!(flushed, twin.flush_worm(s.port, s.vc, s.worm));
+            }
+            5 => {
+                let (port, vc) = (
+                    PortId::from_index(a % cfg.num_node_ports),
+                    VcId::from_index(b % cfg.num_vcs),
+                );
+                if r.credits(port, vc) < cfg.buffer_depth + cfg.link_depth {
+                    r.add_credit(port, vc);
+                    twin.add_credit(port, vc);
+                }
+            }
+            6 => {
+                let port = PortId::from_index(a % cfg.num_node_ports);
+                r.set_dead_out(port);
+                twin.set_dead_out(port);
+            }
+            7 => {
+                let port = PortId::from_index(a % cfg.num_node_ports);
+                r.clear_dead_out(port);
+                twin.clear_dead_out(port);
+            }
+            _ => {
+                let worm = streams[a % streams.len()].worm;
+                if !killed.remove(&worm) {
+                    killed.insert(worm);
+                }
+            }
+        }
+
+        let unrouted = streams
+            .iter()
+            .filter(|s| r.occupancy(s.port, s.vc) > 0 && r.route_of(s.port, s.vc).is_none())
+            .count();
+        assert_eq!(r.unrouted_inputs(), unrouted, "allocation worklist size");
+        // Link stats, open streaks and the traversal worklist are
+        // where the no-fast-path model puts them.
+        model.assert_matches(&r);
+        let buffered: usize = streams.iter().map(|s| r.occupancy(s.port, s.vc)).sum();
+        assert_eq!(r.total_occupancy(), buffered);
+        assert_eq!(snapshot(&r, &streams), snapshot(&twin, &streams));
+    }
+}
+
+/// The flat input index and `(port, vc)` are each other's inverse for
+/// every router shape up to the 127-port full-mesh one: a flit placed
+/// at every `(port, vc)` is found, by the one getter that walks the
+/// inputs by flat index, under that same `(port, vc)` and in the
+/// documented order (neighbor ports ascending, their VCs ascending,
+/// then the injection ports).
+#[test]
+fn flat_input_index_round_trips_for_every_shape() {
+    for num_node_ports in 0..=127 {
+        for num_vcs in 1..=3 {
+            for num_inject in 1..=2 {
+                let cfg = RouterConfig {
+                    num_node_ports,
+                    num_vcs,
+                    buffer_depth: 1,
+                    num_inject,
+                    inject_depth: 1,
+                    num_eject: 1,
+                    link_depth: 0,
+                };
+                let mut r = Router::new(NodeId::new(0), cfg, SimRng::from_seed(1));
+                let mut placed = Vec::new();
+                let node_vcs = (0..num_node_ports).flat_map(|p| (0..num_vcs).map(move |v| (p, v)));
+                for (p, v) in node_vcs.chain((0..num_inject).map(|i| (num_node_ports + i, 0))) {
+                    let (port, vc) = (PortId::from_index(p), VcId::from_index(v));
+                    let worm = WormId::new(MessageId::new(placed.len() as u64), 0);
+                    let (src, dst) = (NodeId::new(1), NodeId::new(2));
+                    let head = worm_flit_at(worm, src, dst, 2, 0, 0, Cycle::ZERO, 0);
+                    match p.checked_sub(num_node_ports) {
+                        None => r.accept(Cycle::ZERO, port, vc, head),
+                        Some(i) => assert!(r.try_inject(Cycle::ZERO, i, head)),
+                    }
+                    assert_eq!(r.front_flit(port, vc).map(|f| f.worm), Some(worm));
+                    placed.push((port, vc, worm));
+                }
+                assert_eq!(r.stalled_worms(Cycle::ZERO, 0), placed, "{cfg:?}");
+            }
+        }
+    }
 }
 
 /// The streaming fast path may only be taken by a port with no

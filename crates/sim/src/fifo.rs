@@ -1,10 +1,12 @@
 //! A bounded FIFO ring buffer.
 //!
-//! [`Fifo`] models every finite buffer in the simulator: flit buffers in
-//! router input virtual channels, link pipelines and injection queues.
-//! Its capacity is fixed at construction — wormhole flow control is
-//! entirely about *finite* buffering, so an unbounded queue here would
-//! silently break the model.
+//! [`Fifo`] is a finite buffer that owns its storage. Its capacity is
+//! fixed at construction — wormhole flow control is entirely about
+//! *finite* buffering, so an unbounded queue would silently break the
+//! model. The simulator's own flit buffers (router input virtual
+//! channels, injection FIFOs, link lanes) have the same contract but
+//! are [`Ring`](crate::Ring) cursors over one slab per component; no
+//! shipping code uses `Fifo` since PR 16.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -10,8 +10,13 @@
 //!   ([`SimRng`], backed by an in-repo ChaCha8 keystream): every
 //!   experiment in the reproduction is exactly reproducible from a
 //!   single 64-bit seed.
-//! * [`fifo`] — a bounded ring-buffer FIFO ([`Fifo`]) used for flit
-//!   buffers, link pipelines and injection queues.
+//! * [`fifo`] — a bounded ring-buffer FIFO ([`Fifo`]) that owns its
+//!   storage.
+//! * [`ring`] — the same queue as a bare cursor ([`Ring`]) over slots
+//!   its owner keeps in one slab, plus a small inline array
+//!   ([`InlineArr`]) and a small set on top of it ([`BitSet`]): what
+//!   router input VCs, worklists and link lanes are made of, so a flit
+//!   hop follows no pointer per queue.
 //! * [`json`] — a minimal JSON value/writer/parser for result dumps.
 //! * [`check`] — a seeded property-testing mini-framework with
 //!   shrinking, used by the workspace's `tests/properties.rs` suites.
@@ -56,6 +61,7 @@ pub mod fifo;
 pub mod ids;
 pub mod json;
 pub mod pool;
+pub mod ring;
 pub mod rng;
 pub mod sched;
 pub mod shard;
@@ -65,4 +71,5 @@ pub use cycle::Cycle;
 pub use fifo::{Fifo, FifoFullError};
 pub use ids::{LinkId, MessageId, NodeId, PortId, VcId};
 pub use json::Json;
+pub use ring::{BitSet, InlineArr, Ring};
 pub use rng::{Rng, SimRng};

@@ -222,14 +222,17 @@ impl<T> Sharded<T> {
             at += size;
             offsets.push(at);
         }
-        for &cut in cut_points.iter().rev() {
+        for &cut in cut_points.iter().skip(1).rev() {
             chunks.push(items.split_off(cut));
         }
+        // What is left is the first chunk, in the buffer it was built
+        // in: `split_off(0)` would copy every element, and a one-shard
+        // plan is all first chunk. (With no chunks requested it is the
+        // one empty chunk the single-chunk fast path needs.)
+        items.shrink_to_fit();
+        chunks.push(items);
         chunks.reverse();
-        if chunks.is_empty() {
-            // Zero requested chunks: keep one (empty) chunk so the
-            // single-chunk fast path and invariants hold.
-            chunks.push(items);
+        if sizes.is_empty() {
             offsets = vec![0, 0];
         }
         Sharded { chunks, offsets }

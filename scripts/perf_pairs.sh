@@ -2,7 +2,11 @@
 # Alternating parent/change benchmark pairs, judged by the
 # choosing-metrics rule (section 8): a gain needs the change to win at
 # least nine tenths of the pairs (ties count for neither side) AND the
-# medians to differ by more than the parent's own quartile spread.
+# medians to differ by more than the parent's own quartile spread —
+# and, because this kind of host drifts (one VM swung `sat_torus8`
+# `wall_s` between 0.28 and 0.44 s within minutes), by more than two
+# back-to-back runs of the *same* tree differ: three parent-vs-parent
+# (A/A) pairs run first and the largest gap inside one is the floor.
 #
 # Usage: scripts/perf_pairs.sh <parent-tree> <change-tree> <workload>|all [pairs=10] [seed=1]
 #
@@ -10,18 +14,19 @@
 # parent commit next to the working copy). Its benchmark is built once
 # if `cr-perf/target/release/cr-perf` is missing, then every pair runs
 # `cr-perf measure --workload W --seed S --seconds 20 --trace 0` once
-# per side, flipping which side goes first each pair. Metric names,
-# directions and regression bounds are read from the change tree's
-# BENCHMARK.json. Every run's values are printed, then the table: what
-# each tree is (commit, uncommitted or not, path), and one row per
-# end-to-end metric with both medians and quartiles, the win count, the
-# change/parent ratio of medians and the verdict. The workload `all`
-# does that for every name `cr-perf list` prints, one table each — a
-# perf change needs the no-regression rows as well as its claim row.
+# per side, flipping which side goes first each pair (an A/A pair runs
+# the parent twice). Metric names, directions and regression bounds are
+# read from the change tree's BENCHMARK.json. Every run's values are
+# printed, then the table: what each tree is (commit, uncommitted or
+# not, path), and one row per end-to-end metric with both medians and
+# quartiles, the win count, the change/parent ratio of medians, the A/A
+# spread and the verdict. The workload `all` does that for every name
+# `cr-perf list` prints, one table each — a perf change needs the
+# no-regression rows as well as its claim row.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -83,7 +88,11 @@ run_side() {
     done <<< "$metrics"
 }
 
-echo "perf_pairs: $workload seed $seed, $pairs pairs, parent=$parent change=$change"
+echo "perf_pairs: $workload seed $seed, 3 A/A + $pairs pairs, parent=$parent change=$change"
+for pair in 1 2 3; do
+    run_side aa1 "$parent" "$pair"
+    run_side aa2 "$parent" "$pair"
+done
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run_side parent "$parent" "$pair"
@@ -107,9 +116,9 @@ describe() {
 echo
 echo "parent: $(describe "$parent")"
 echo "change: $(describe "$change")"
-printf '%-36s %-38s %-38s %-7s %-8s %s\n' \
+printf '%-36s %-38s %-38s %-7s %-8s %-11s %s\n' \
     "metric ($workload, seed $seed)" "parent median [q1, q3]" "change median [q1, q3]" \
-    "wins" "chg/par" "verdict"
+    "wins" "chg/par" "A/A spread" "verdict"
 while read -r name better bound; do
     awk -v name="$name" -v better="$better" -v bound="$bound" '
         # Linear-interpolated quantile of sorted v[1..n].
@@ -126,8 +135,13 @@ while read -r name better bound; do
                 dst[j + 1] = t
             }
         }
+        $3 == name && $1 == "aa1" { a1[$2] = $4 + 0; next }
+        $3 == name && $1 == "aa2" { a2[$2] = $4 + 0; next }
         $3 == name { if ($1 == "parent") p[$2] = $4 + 0; else c[$2] = $4 + 0; if ($2 > n) n = $2 }
         END {
+            # Largest gap between two back-to-back runs of the parent.
+            aa = 0
+            for (i in a1) { d = a1[i] - a2[i]; if (d < 0) d = -d; if (d > aa) aa = d }
             sign = (better == "lower") ? -1 : 1      # +1: larger is better
             wins = 0; losses = 0
             for (i = 1; i <= n; i++) {
@@ -141,15 +155,16 @@ while read -r name better bound; do
             gain = sign * (cm - pm)                   # > 0: change better
             # Every change run better than every parent run?
             clean = (sign > 0) ? (cs[1] > ps[n]) : (cs[n] < ps[1])
-            if (wins * 10 >= n * 9 && gain > spread) verdict = (n >= 10) ? "GAIN" : "better (a claim needs >= 10 pairs)"
+            if (wins * 10 >= n * 9 && gain > spread && gain <= aa) verdict = "better (inside the A/A spread)"
+            else if (wins * 10 >= n * 9 && gain > spread) verdict = (n >= 10) ? "GAIN" : "better (a claim needs >= 10 pairs)"
             else if (pm != 0 && -gain > bound * (pm < 0 ? -pm : pm)) verdict = "WORSE beyond bound"
             else if (pm != 0 && spread > bound * (pm < 0 ? -pm : pm) && !clean) verdict = "unresolved (spread > bound)"
             else if (wins == 0 && losses == 0) verdict = "equal"
             else verdict = "within bound"
-            printf "%-36s %-38s %-38s %-7s %-8s %s\n", name,
+            printf "%-36s %-38s %-38s %-7s %-8s %-11s %s\n", name,
                 sprintf("%.6g [%.6g, %.6g]", pm, pq1, pq3),
                 sprintf("%.6g [%.6g, %.6g]", cm, cq1, cq3),
-                wins "/" n, (pm != 0 ? sprintf("%.4f", cm / pm) : "-"), verdict
+                wins "/" n, (pm != 0 ? sprintf("%.4f", cm / pm) : "-"), sprintf("%.4g", aa), verdict
         }
     ' "$runs"
 done <<< "$metrics"
