@@ -4,8 +4,9 @@
 //! under the three protocols at a light and a saturating load, plus
 //! the throughput of the pure routing functions, of the per-flit
 //! registries (killed worms, armed components, dead links), of one
-//! router's per-cycle visit (route + traverse) and of one link's
-//! (arrivals). They guard
+//! router's per-cycle visit (route + traverse), of one link's
+//! (arrivals) and of a worm train's formation and write-back per path
+//! hop. They guard
 //! against performance regressions in the inner loops that every
 //! experiment pays for. Results land in `target/bench/BENCH_<group>.json`.
 
@@ -384,10 +385,88 @@ fn bench_link_visit() {
     g.finish();
 }
 
+/// The two ends of a worm train's life (DESIGN.md §10), priced per
+/// path hop through the calls the network makes for each hop. Forming
+/// asks the router whether it streams the worm and nothing else
+/// (`Router::lone_stream`) and the link whether its lane holds exactly
+/// the worm's flits, due on consecutive cycles (`LinkState::lone_lane`);
+/// materialising advances both in closed form
+/// (`Router::advance_stream`, `LinkState::advance_lane`). The path is
+/// 50 hops of 4-port, 1-VC torus routers in the steady state of a
+/// padded worm (empty input VC, one flit on each link), walked 20 times
+/// per sample: `median_ns / 1 000` is ns per path hop.
+fn bench_train() {
+    const HOPS: usize = 50;
+    const WALKS: usize = 20;
+    let mut g = Group::new("train");
+    let topo = KAryNCube::torus(8, 2);
+    let rf = MinimalAdaptive::new(1);
+    let cfg = RouterConfig {
+        num_node_ports: topo.num_ports(NodeId::new(0)),
+        num_vcs: 1,
+        buffer_depth: 2,
+        num_inject: 1,
+        inject_depth: 2,
+        num_eject: 1,
+        link_depth: 1,
+    };
+    let alive = |_: WormId| false;
+    let (in_port, vc) = (PortId::new(1), VcId::new(0));
+    let worm = WormId::new(MessageId::new(1), 0);
+    let flit = |seq| {
+        let (src, dst) = (NodeId::new(9), NodeId::new(3));
+        worm_flit_at(worm, src, dst, 1 << 30, 0, 0, Cycle::ZERO, seq)
+    };
+    // Each router has routed the worm's header on and holds nothing
+    // else; each link carries the flit behind it, due next cycle.
+    let mut routers: Vec<Router> = (0..HOPS)
+        .map(|_| {
+            let mut r = Router::new(NodeId::new(0), cfg, SimRng::from_seed(1));
+            r.accept(Cycle::ZERO, in_port, vc, flit(0));
+            r.route_and_allocate(Cycle::ZERO, &rf, &topo, &alive);
+            assert_eq!(r.traverse(Cycle::ZERO, &alive).len(), 1);
+            r
+        })
+        .collect();
+    let mut links: Vec<LinkState> = (0..HOPS)
+        .map(|_| {
+            let mut link = LinkState::new(cfg.num_vcs, cfg.buffer_depth + cfg.link_depth);
+            link.push(0, Cycle::new(1), flit(1)).expect("empty lane");
+            link
+        })
+        .collect();
+
+    g.bench("form", || {
+        let mut lone = 0;
+        for _ in 0..WALKS {
+            for (r, link) in routers.iter().zip(&links) {
+                lone += usize::from(r.lone_stream(in_port, vc, worm).is_some());
+                lone += usize::from(link.lone_lane(0, worm, Cycle::new(1), 1).is_some());
+            }
+        }
+        assert_eq!(lone, 2 * HOPS * WALKS);
+        lone
+    });
+
+    let mut upto = Cycle::ZERO;
+    g.bench("materialise", || {
+        for _ in 0..WALKS {
+            upto += 1;
+            for (r, link) in routers.iter_mut().zip(&mut links) {
+                r.advance_stream(in_port, vc, 1, upto);
+                link.advance_lane(0, 1);
+            }
+        }
+        upto
+    });
+    g.finish();
+}
+
 fn main() {
     bench_network_stepping();
     bench_routing_functions();
     bench_registries();
     bench_router_visit();
     bench_link_visit();
+    bench_train();
 }

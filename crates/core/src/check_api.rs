@@ -66,8 +66,10 @@
 use std::collections::BTreeMap;
 
 use crate::config::NetworkConfig;
+use crate::report::SimReport;
 use cr_faults::FaultModel;
 use cr_router::{Flit, FlitKind, RouteTarget, RoutingFunction};
+use cr_sim::trace::Event;
 use cr_sim::{Cycle, LinkId, MessageId, NodeId, PortId, VcId};
 use cr_topology::Topology;
 
@@ -196,13 +198,47 @@ impl CheckNet {
         &self.net
     }
 
-    /// Flow label of `message`, or an all-max sentinel for ids the
-    /// checker never injected (none exist in a well-formed run).
+    /// Flow label of `message`; a message the checker did not inject
+    /// itself (a scheduled trace's, say) keeps its raw id under an
+    /// all-max flow.
     fn label(&self, message: MessageId) -> FlowKey {
         self.labels
             .get(&message)
             .copied()
-            .unwrap_or((u32::MAX, u32::MAX, u64::MAX))
+            .unwrap_or((u32::MAX, u32::MAX, message.as_u64()))
+    }
+
+    /// Advances by one [`Network::run`] call — whichever driver the
+    /// network has, with its fast-forward and worm trains — and folds
+    /// the deliveries into the tally as [`ProtocolStep::tick`] does.
+    pub fn run(&mut self, cycles: u64) -> SimReport {
+        let report = self.net.run(cycles);
+        self.tally_deliveries();
+        report
+    }
+
+    /// [`CheckNet::run`] for [`Network::run_until_quiescent`].
+    pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
+        let quiescent = self.net.run_until_quiescent(max_cycles);
+        self.tally_deliveries();
+        quiescent
+    }
+
+    /// Drains the network's buffered trace events, oldest first.
+    pub fn take_trace_events(&mut self) -> Vec<Event> {
+        self.net.take_trace_events()
+    }
+
+    /// Moves the network's delivery log into the tally.
+    fn tally_deliveries(&mut self) {
+        for d in self.net.take_delivery_log() {
+            let key = (d.src.as_u32(), d.dst.as_u32(), d.msg_seq);
+            let e = self.delivered.entry(key).or_default();
+            e.delivered += 1;
+            if d.corrupt {
+                e.corrupt += 1;
+            }
+        }
     }
 }
 
@@ -254,14 +290,7 @@ impl ProtocolStep for CheckNet {
 
     fn tick(&mut self) {
         self.net.step();
-        for d in self.net.take_delivery_log() {
-            let key = (d.src.as_u32(), d.dst.as_u32(), d.msg_seq);
-            let e = self.delivered.entry(key).or_default();
-            e.delivered += 1;
-            if d.corrupt {
-                e.corrupt += 1;
-            }
-        }
+        self.tally_deliveries();
     }
 
     fn inject(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> FlowKey {
@@ -451,13 +480,7 @@ impl ProtocolStep for CheckNet {
                 inj.encode_state(now, out);
             }
         }
-        let labels = &self.labels;
-        let lookup = move |m: MessageId| {
-            labels
-                .get(&m)
-                .copied()
-                .unwrap_or((u32::MAX, u32::MAX, u64::MAX))
-        };
+        let lookup = |m: MessageId| self.label(m);
         for rx in &net.receivers {
             rx.encode_state(now, &lookup, out);
         }

@@ -85,6 +85,20 @@ pub struct InjectorOutcome {
     pub committed: Option<WormId>,
 }
 
+/// A worm an injector is streaming, as [`Injector::stream`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InjectorStream {
+    /// The worm.
+    pub worm: WormId,
+    /// Sequence number of the next flit to push.
+    pub next: u32,
+    /// Sequence number of the first flit whose push does more than
+    /// count: the commitment point or the tail.
+    pub stop: u32,
+    /// Payload flits of the message; the flits from here on are padding.
+    pub payload_len: u32,
+}
+
 #[derive(Debug)]
 struct Current {
     msg: PendingMessage,
@@ -199,6 +213,36 @@ impl Injector {
     /// fast-forward across the gap.
     pub fn backoff_resume(&self) -> Option<Cycle> {
         self.current.as_ref().and_then(|c| c.resume_at)
+    }
+
+    /// The worm this injector pushes one flit of on every coming cycle
+    /// its FIFO has room, if it is sending one and pushed last cycle.
+    pub(crate) fn stream(&self) -> Option<InjectorStream> {
+        let c = self
+            .current
+            .as_ref()
+            .filter(|c| c.resume_at.is_none() && c.stall == 0)?;
+        let tail = c.total_len - 1;
+        let commits = self.protocol.kills() && !self.ablations.ignore_commitment;
+        let stop = match crate::network::idx32(c.msg.i_min).checked_sub(1) {
+            Some(commit) if commits && commit >= c.next => commit.min(tail),
+            _ => tail,
+        };
+        Some(InjectorStream {
+            worm: c.worm,
+            next: c.next,
+            stop,
+            payload_len: c.msg.payload_len,
+        })
+    }
+
+    /// Advances the current worm's stream by `d` pushed flits without
+    /// building them; only valid while `next + d` stays below the
+    /// `stop` of [`Injector::stream`].
+    pub(crate) fn advance_stream(&mut self, d: u32) {
+        if let Some(c) = &mut self.current {
+            c.next += d;
+        }
     }
 
     /// PAD flits this message needs under the current protocol.

@@ -66,7 +66,7 @@ pub use config::{Ablations, NetworkConfig, ProtocolKind, RoutingKind};
 pub use injector::{Injector, InjectorState, PendingMessage};
 pub use killmap::KilledMap;
 pub use link::LinkState;
-pub use network::Network;
+pub use network::{Network, TrainStats};
 pub use receiver::{DeliveredMessage, Receiver};
 pub use report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, TraceSummary};
 pub use retransmit::RetransmitScheme;

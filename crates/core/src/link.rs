@@ -141,6 +141,50 @@ impl LinkState {
         self.occupied > 0
     }
 
+    /// If the link carries nothing but lane `v`'s run of `worm`'s flits
+    /// (see [`cr_router::flit::stream_run`]), exactly one due on each of
+    /// the `len` cycles from `first_due` on, returns their sequence
+    /// numbers — the lane of a worm streaming one flit per cycle over a
+    /// `len`-cycle channel.
+    pub fn lone_lane(
+        &self,
+        v: usize,
+        worm: WormId,
+        first_due: Cycle,
+        len: usize,
+    ) -> Option<Range<u32>> {
+        let lane = self.lane(v);
+        if self.occupied != len || lane.len() != len {
+            return None;
+        }
+        let mut due = first_due;
+        let mut on_time = true;
+        let seqs = cr_router::flit::stream_run(
+            lane.map(|(at, f)| {
+                on_time &= *at == due;
+                due += 1;
+                f
+            }),
+            worm,
+        )?;
+        on_time.then_some(seqs)
+    }
+
+    /// Advances lane `v` by `d` cycles of a worm streaming one flit per
+    /// cycle, in closed form: each flit becomes the flit `d` places
+    /// further down the worm in the same slot, due `d` cycles later.
+    /// The lane must be the only one occupied, as
+    /// [`LinkState::lone_lane`] found it.
+    pub fn advance_lane(&mut self, v: usize, d: u32) {
+        let seg = self.seg(v);
+        let slots = self.slots.get_mut(seg).unwrap_or_default();
+        for (at, f) in self.lanes[v].iter_mut(slots) {
+            *at += u64::from(d);
+            *f = f.advanced(d);
+        }
+        self.wake += u64::from(d);
+    }
+
     /// Drops `worm`'s flits from lane `v` — teardown of the
     /// stall-holding link stage; returns how many went.
     pub(crate) fn purge(&mut self, v: usize, worm: WormId) -> usize {

@@ -78,6 +78,11 @@ mod sharded;
 #[path = "check_api.rs"]
 pub mod check_api;
 
+#[path = "train.rs"]
+mod train;
+
+pub use train::TrainStats;
+
 /// Checked narrowing of a dense table index or length to the `u32`
 /// the packed encodings and active-set members use.
 pub(crate) fn idx32(i: usize) -> u32 {
@@ -322,6 +327,9 @@ pub struct Network {
     /// Trackers still waiting on affected messages to deliver — the
     /// O(1) gate on the per-cycle drain check.
     churn_undrained: usize,
+
+    /// Live worm trains and their counters (DESIGN.md §10).
+    trains: train::Trains,
 }
 
 impl std::fmt::Debug for Network {
@@ -554,6 +562,7 @@ impl Network {
             churn_firings: Vec::new(),
             churn_trackers: Vec::new(),
             churn_undrained: 0,
+            trains: train::Trains::new(n),
             killed: Arc::new(KilledMap::new()),
             registry_lifetime,
             fwd_tokens: Vec::new(),
@@ -683,14 +692,20 @@ impl Network {
     /// output port feeds it.
     pub fn link_stall_stats(&self) -> Vec<(cr_sim::LinkId, LinkStats)> {
         let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.links.len()];
+        self.for_each_link_stats(|li, s| out[li] = (self.tables.link_ids[li], *s));
+        out
+    }
+
+    /// Calls `f` with every link's original index and counters, in
+    /// router order, borrowing them where they live.
+    fn for_each_link_stats(&self, mut f: impl FnMut(usize, &LinkStats)) {
         for (n, router) in self.routers.iter().enumerate() {
-            for (p, s) in router.link_stats().iter().enumerate() {
+            for (p, s) in router.port_stats().enumerate() {
                 if let Some(li) = self.tables.out_link(n, PortId::from_index(p)) {
-                    out[li] = (self.tables.link_ids[li], *s);
+                    f(li, s);
                 }
             }
         }
-        out
     }
 
     /// Flits currently buffered in routers or in flight on links.
@@ -772,6 +787,7 @@ impl Network {
 
     /// Marks a router possibly-active (it gained a flit).
     fn arm_router(&mut self, node: usize) {
+        debug_assert!(!self.trains.holds(node), "armed a train router");
         self.router_sets[self.node_shard[node] as usize].insert(idx32(node));
     }
 
@@ -801,6 +817,7 @@ impl Network {
     /// [`Injector::enqueue`] keeping the undrained counter and the
     /// active set current.
     fn injector_enqueue(&mut self, node: usize, channel: usize, msg: PendingMessage) {
+        debug_assert!(!self.trains.holds(node), "enqueued at a train node");
         let was_drained = self.injectors[node][channel].is_drained();
         self.injectors[node][channel].enqueue(msg);
         if was_drained {
@@ -819,6 +836,9 @@ impl Network {
         now: Cycle,
         worm: WormId,
     ) -> Option<(u32, Cycle)> {
+        if self.trains.any() {
+            self.train_before_teardown(node, now);
+        }
         let was_drained = self.injectors[node][channel].is_drained();
         let retx = self.injectors[node][channel].on_killed(now, worm);
         match (was_drained, self.injectors[node][channel].is_drained()) {
@@ -932,6 +952,9 @@ impl Network {
     /// Advances the simulation one cycle.
     pub fn step(&mut self) {
         let now = self.now;
+        if self.trains.any() {
+            self.trains_at_cycle_start(now);
+        }
 
         // Live churn fires first, as serial orchestrator code, so every
         // phase of the cycle sees the same dead-link set under every
@@ -950,6 +973,9 @@ impl Network {
         self.phase_injection(now);
         self.phase_route_and_traverse(now);
         self.phase_bookkeeping(now);
+        if !self.trains.candidates.is_empty() {
+            self.form_trains(now);
+        }
 
         self.now.tick();
     }
@@ -958,6 +984,7 @@ impl Network {
     /// returns the report.
     pub fn run(&mut self, cycles: u64) -> SimReport {
         let end = Cycle::new(self.now.as_u64().saturating_add(cycles));
+        self.trains_begin_run();
         while self.now < end {
             if self.deadlocked {
                 break;
@@ -973,6 +1000,7 @@ impl Network {
             }
             self.step();
         }
+        self.trains_end_run();
         self.report()
     }
 
@@ -982,6 +1010,14 @@ impl Network {
     /// incrementally maintained counters.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         let end = Cycle::new(self.now.as_u64().saturating_add(max_cycles));
+        self.trains_begin_run();
+        let quiescent = self.step_until_quiescent(end);
+        self.trains_end_run();
+        quiescent
+    }
+
+    /// [`Network::run_until_quiescent`]'s loop, up to cycle `end`.
+    fn step_until_quiescent(&mut self, end: Cycle) -> bool {
         while self.now < end {
             if self.deadlocked {
                 return false;
@@ -1041,10 +1077,12 @@ impl Network {
             ..TraceSummary::default()
         };
         let mut totals = LinkStats::default();
-        for (_, s) in self.link_stall_stats() {
-            totals.merge(&s);
-            trace.max_link_stall_cycles = trace.max_link_stall_cycles.max(s.stall_total());
-        }
+        let mut max_stall = 0;
+        self.for_each_link_stats(|_, s| {
+            totals.merge(s);
+            max_stall = max_stall.max(s.stall_total());
+        });
+        trace.max_link_stall_cycles = max_stall;
         trace.stall_busy_cycles = totals.stall_busy;
         trace.stall_dead_link_cycles = totals.stall_dead_link;
         trace.stall_backpressure_cycles = totals.stall_backpressure;
@@ -1190,12 +1228,11 @@ impl Network {
     /// global and serial. Shares its visit list, pop and re-arm steps
     /// with the quiet-cycle kernel.
     fn arrivals_ordered(&mut self, now: Cycle) {
-        let visit_all = self.reference_stepper;
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
         for (s, set) in self.link_sets.iter_mut().enumerate() {
             let all = self.link_bounds[s]..self.link_bounds[s + 1];
-            kernel::visit_list(&mut ids, set, all, visit_all);
+            kernel::visit_list(&mut ids, set, all, self.reference_stepper);
         }
         if self.link_sets.len() > 1 {
             // Per-shard lists are permuted-index-sorted; the scan
@@ -1209,22 +1246,28 @@ impl Network {
                 *id = self.link_perm[*id as usize];
             }
         }
-        for &pi32 in &ids {
-            let pi = pi32 as usize;
-            if self.links[pi].occupied() == 0 {
-                continue; // purged empty since it was armed
-            }
-            let set = self.link_shard[pi] as usize;
-            if !visit_all && self.links[pi].wake() > now {
-                self.link_sets[set].insert(pi32); // nothing due yet
-                continue;
-            }
-            let wake = self.scan_link_ordered(now, pi);
-            if self.links[pi].end_scan(wake) {
-                self.link_sets[set].insert(pi32);
-            }
+        for &pi in &ids {
+            self.visit_link_ordered(now, pi);
         }
         self.ids_scratch = ids;
+    }
+
+    /// One visit of the ordered scan to the link at permuted index
+    /// `pi`, leaving it armed while it holds flits.
+    fn visit_link_ordered(&mut self, now: Cycle, pi32: u32) {
+        let pi = pi32 as usize;
+        if self.links[pi].occupied() == 0 {
+            return; // purged empty since it was armed
+        }
+        let set = self.link_shard[pi] as usize;
+        if !self.reference_stepper && self.links[pi].wake() > now {
+            self.link_sets[set].insert(pi32); // nothing due yet
+            return;
+        }
+        let wake = self.scan_link_ordered(now, pi);
+        if self.links[pi].end_scan(wake) {
+            self.link_sets[set].insert(pi32);
+        }
     }
 
     /// One link of the ordered scan (`pi` is its permuted index);
@@ -1340,9 +1383,10 @@ impl Network {
         std::mem::swap(&mut self.fwd_tokens, &mut self.fwd_scratch);
         for i in 0..self.fwd_scratch.len() {
             let t = self.fwd_scratch[i];
-            crate::network::debug_worm(t.worm, || format!("{now} FWD {} at n{} {} {}", t.worm, t.node, t.port, t.vc));
+            if self.trains.any() {
+                self.train_before_teardown(t.node, now);
+            }
             let released = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
-            crate::network::debug_worm(t.worm, || format!("  released {released:?}"));
             match released {
                 Some(RouteTarget::Link { port, vc }) => {
                     if let Some((next_node, next_port)) = self.downstream_of(t.node, port) {
@@ -1367,7 +1411,9 @@ impl Network {
         std::mem::swap(&mut self.bwd_tokens, &mut self.bwd_scratch);
         for i in 0..self.bwd_scratch.len() {
             let t = self.bwd_scratch[i];
-            crate::network::debug_worm(t.worm, || format!("{now} BWD {} at n{} {} {}", t.worm, t.node, t.port, t.vc));
+            if self.trains.any() {
+                self.train_before_teardown(t.node, now);
+            }
             let _ = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
             self.continue_backward(now, t);
         }
@@ -1441,6 +1487,10 @@ impl Network {
     }
 
     fn phase_bookkeeping(&mut self, now: Cycle) {
+        if self.trains.any() {
+            // A train's routers forwarded a flit this cycle.
+            self.last_progress = now;
+        }
         if now.as_u64().is_multiple_of(256) {
             self.prune_registries(now);
         }
@@ -1479,7 +1529,10 @@ impl Network {
         let lifetime = self.registry_lifetime;
         self.killed_mut()
             .retain(|t| now.saturating_since(t) < lifetime);
-        let horizon = Cycle::new(now.as_u64().saturating_sub(4 * lifetime));
+        let horizon = self.prune_horizon(now);
+        if self.trains.any() {
+            self.trains_before_prune(now, horizon);
+        }
         // A receiver outside its shard's set holds no assembly, for
         // which `prune` is a no-op.
         let mut ids = std::mem::take(&mut self.ids_scratch);
@@ -1496,6 +1549,12 @@ impl Network {
             }
         }
         self.ids_scratch = ids;
+    }
+
+    /// Receiver assemblies untouched since before this are reaped by a
+    /// prune at cycle `now`.
+    fn prune_horizon(&self, now: Cycle) -> Cycle {
+        Cycle::new(now.as_u64().saturating_sub(4 * self.registry_lifetime))
     }
 
     // ------------------------------------------------------------------
@@ -1574,9 +1633,14 @@ impl Network {
             }
             target = target.min(at);
         }
-        if self.live_flits > 0 {
+        let trains = self.trains.any();
+        if let Some(at) = self.trains.next_end() {
+            // A train's end is stepped, never jumped past.
+            target = target.min(at);
+        } else if self.live_flits > 0 {
             // First cycle at which `saturating_since(last_progress) >
             // deadlock_threshold` holds — the watchdog must observe it.
+            // (While a train is live, every skipped cycle progresses.)
             target = target.min(self.last_progress + (self.cfg.deadlock_threshold + 1));
         }
         if target <= now {
@@ -1584,11 +1648,20 @@ impl Network {
         }
         // Catch-up prune for the skipped cycles [now, target - 1]: the
         // latest multiple-of-256 cycle in that range subsumes them all
-        // (prunes are monotone in `now`).
+        // (prunes are monotone in `now`). If it would misread a train's
+        // receiver stamp, the jump stops right after it, the train
+        // written back there.
         let last_skipped = target.as_u64() - 1;
         let prune_at = last_skipped - (last_skipped % 256);
         if prune_at >= now.as_u64() {
-            self.prune_registries(Cycle::new(prune_at));
+            let at = Cycle::new(prune_at);
+            if self.trains.misled_by_prune(self.prune_horizon(at)) {
+                target = at + 1;
+            }
+            self.prune_registries(at);
+        }
+        if trains {
+            self.last_progress = Cycle::new(target.as_u64() - 1);
         }
         self.now = target;
     }
@@ -1611,7 +1684,9 @@ impl Network {
         worm: WormId,
         cause: KillCause,
     ) {
-        crate::network::debug_worm(worm, || format!("{now} KILL {worm} cause {cause:?} at n{node} {port} {vc}"));
+        if self.trains.any() {
+            self.train_before_teardown(node, now);
+        }
         self.killed_mut().insert(worm, now);
         if cause == KillCause::Fault {
             self.counters.kills_fault += 1;
@@ -1675,10 +1750,6 @@ impl Network {
         }
         // The upstream chain has already released (the tail passed):
         // notify the source directly.
-        crate::network::debug_worm(t.worm, || {
-            let up = self.tables.in_upstream(t.node, t.port);
-            format!("  BWD stop at n{} {} {}: upstream {:?}", t.node, t.port, t.vc, up)
-        });
         self.notify_source(now, t.worm);
     }
 
@@ -1744,18 +1815,5 @@ impl Drop for Network {
         // the explicit order keeps teardown deterministic and lets the
         // no-thread-leak regression test assert it.
         self.team = None;
-    }
-}
-
-/// Env-gated per-worm teardown tracing: set `CR_DEBUG_W=m<id>` to log
-/// every kill and token step of that message to stderr. The filter is
-/// read once per process.
-pub(crate) fn debug_worm(worm: WormId, msg: impl Fn() -> String) {
-    static FILTER: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    let filter = FILTER.get_or_init(|| std::env::var("CR_DEBUG_W").ok());
-    if let Some(v) = filter {
-        if *v == format!("m{}", worm.message.as_u64()) {
-            eprintln!("{}", msg());
-        }
     }
 }

@@ -47,6 +47,8 @@ pub(super) struct Ctx<'a> {
     /// Reference driver: walk every component the shard owns instead
     /// of its armed set, and ignore the link wake estimates.
     pub visit_all: bool,
+    /// Worm trains may form this cycle: report ejected headers.
+    pub form_trains: bool,
 }
 
 /// One shard's mutable state, borrowed for the length of a kernel
@@ -109,6 +111,9 @@ pub(super) struct ShardScratch {
     pub undrained_delta: i64,
     /// Whether anything in this shard made forward progress.
     pub progress: bool,
+    /// `(node, worm)` of every header ejected this phase, while worm
+    /// trains may form: the formation candidates.
+    pub heads: Vec<(u32, WormId)>,
 }
 
 impl ShardScratch {
@@ -372,6 +377,9 @@ pub(super) fn route_traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut Sha
                         fx.counters.flits_dropped_killed += 1;
                         rx.discard(t.flit.worm);
                     } else {
+                        if ctx.form_trains && t.flit.is_head() {
+                            fx.heads.push((n32, t.flit.worm));
+                        }
                         fx.delivered.extend(rx.on_flit(now, t.flit));
                         if rx.assembling_len() > 0 {
                             // Open assembly: the periodic prune must

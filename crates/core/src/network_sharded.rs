@@ -52,7 +52,7 @@
 //! cycle takes the ordered global scan instead, under every driver.
 
 use super::kernel::{self, Ctx, Kernel, ShardScratch, ShardView};
-use super::{debug_worm, Network, SOURCE_GONE};
+use super::{Network, SOURCE_GONE};
 use crate::injector::Injector;
 use crate::link::LinkState;
 use crate::receiver::Receiver;
@@ -150,6 +150,7 @@ impl Network {
     /// the two routes).
     fn fan_out(&mut self, now: Cycle, kernel: Kernel) {
         let (trace_on, visit_all) = (self.trace.enabled(), self.reference_stepper);
+        let form_trains = self.trains.enabled;
         let num_shards = self.plan.num_shards();
         let Some(team) = self.team_route() else {
             let ctx = Ctx {
@@ -159,6 +160,7 @@ impl Network {
                 faults: &self.faults,
                 trace_on,
                 visit_all,
+                form_trains,
             };
             for s in 0..num_shards {
                 let mut view = ShardView {
@@ -192,6 +194,7 @@ impl Network {
                     faults: &faults,
                     trace_on,
                     visit_all,
+                    form_trains,
                 };
                 let mut view = ShardView {
                     routers: &mut w.routers,
@@ -303,7 +306,6 @@ impl Network {
             // the phase reads the registry or the token lists, so
             // applying them grouped by kind is state-identical.
             for worm in fx.kills.drain(..) {
-                debug_worm(worm, || format!("{now} KILL {worm} cause SourceTimeout"));
                 net.killed_mut().insert(worm, now);
             }
             net.fwd_tokens.append(&mut fx.tokens);
@@ -326,6 +328,9 @@ impl Network {
         self.at_barrier(|net, fx| {
             for i in 0..fx.push_li.len() {
                 let li = fx.push_li[i] as usize;
+                if net.trains.any() {
+                    net.train_before_push(li, now);
+                }
                 if now.as_u64() >= net.cfg.warmup {
                     net.link_flits[li] += 1;
                 }
@@ -359,6 +364,7 @@ impl Network {
                     net.delivery_log.push(m);
                 }
             }
+            net.trains.candidates.append(&mut fx.heads);
             net.apply_credits(fx);
             net.apply_deltas(now, fx);
         });

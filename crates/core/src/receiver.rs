@@ -232,6 +232,23 @@ impl Receiver {
         }
     }
 
+    /// When `worm`'s open assembly last took a flit.
+    pub(crate) fn assembly_stamp(&self, worm: WormId) -> Option<Cycle> {
+        self.assembling.get(&worm).map(|a| a.last_update)
+    }
+
+    /// Takes `d` more flits of `worm`'s open assembly in closed form —
+    /// `pads` of them padding, the last at `upto` — as a run of
+    /// [`Receiver::on_flit`] calls with no tail and no corrupted
+    /// payload would.
+    pub(crate) fn advance_stream(&mut self, worm: WormId, d: u32, pads: u32, upto: Cycle) {
+        if let Some(asm) = self.assembling.get_mut(&worm).filter(|_| d > 0) {
+            asm.flits_seen += d;
+            asm.last_update = upto;
+            self.counters.pad_flits += u64::from(pads);
+        }
+    }
+
     /// Discards the partial assembly of `worm` (forward kill reached
     /// the ejection port, or its flits were dropped mid-flight).
     pub fn discard(&mut self, worm: WormId) {

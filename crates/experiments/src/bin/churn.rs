@@ -3,15 +3,13 @@
 //! kill-and-revive storm. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 //!
-//! Extra flags beyond the shared harness set (`--jobs`, `--shards`,
-//! `--trace`, `--churn`):
+//! One extra flag beyond the shared harness set (`--jobs`, `--shards`,
+//! `--dense`, `--trace`, `--churn`):
 //!
 //! * `--emit-plan <path>` — write this run's generated storm schedule
 //!   as a `--churn`-compatible JSON plan (primitive kill/revive
 //!   events, expanded against the run's torus) and continue. Lets
 //!   `verify.sh` replay the identical storm through other runners.
-//! * `--dense` — force the dense reference stepper for every scheme
-//!   (slow; twin-run diffing against the default active stepper).
 
 use cr_experiments::{churn, Scale};
 
@@ -40,10 +38,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if args.iter().any(|a| a == "--dense") {
-        cr_experiments::churn::set_dense(true);
     }
 
     let results = churn::run(&cfg);

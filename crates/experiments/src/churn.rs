@@ -31,19 +31,6 @@ use cr_faults::ChurnSchedule;
 use cr_sim::{Cycle, SimRng};
 use cr_traffic::Trace;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Session-wide dense-stepper override (the runner's `--dense` flag):
-/// every scheme runs on the dense reference stepper instead of the
-/// active scheduler. Results must be byte-identical either way — the
-/// flag exists so `verify.sh` can twin-run and diff.
-static DENSE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the dense reference stepper for subsequent
-/// [`run`] calls.
-pub fn set_dense(on: bool) {
-    DENSE.store(on, Ordering::Relaxed);
-}
 
 /// Parameters for the churn storm run.
 #[derive(Debug, Clone)]
@@ -193,9 +180,6 @@ fn run_scheme(
         .seed(cfg.seed)
         .churn(storm);
     let mut net = build_traced(&mut b);
-    if DENSE.load(Ordering::Relaxed) {
-        net.set_reference_stepper(true);
-    }
     net.set_record_deliveries(true);
     net.schedule_trace(&workload);
 

@@ -5,7 +5,7 @@
 use cr_core::{NetworkBuilder, SimReport};
 use cr_topology::KAryNCube;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Session-wide job-count override set by `--jobs N` (0 = unset, fall
@@ -17,6 +17,13 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 /// execution strategy: any value produces byte-identical results
 /// (DESIGN.md §12), so this knob never appears in printed output.
 static SHARDS: AtomicUsize = AtomicUsize::new(0);
+
+/// Session-wide reference-driver override set by `--dense`: every
+/// network built through [`run_report`] / [`measure`] steps on the
+/// reference driver (no active sets, no fast-forward, no worm trains)
+/// instead of the default one. Results must be byte-identical either
+/// way — the flag exists so `verify.sh` can twin-run and diff.
+static DENSE: AtomicBool = AtomicBool::new(false);
 
 /// Session-wide event-trace dump path set by `--trace <path>` (`None`
 /// = tracing off, the default). Guarded by a mutex because sweeps run
@@ -149,6 +156,13 @@ pub fn jobs() -> usize {
 /// `set_shards(1)` restores the serial stepper.
 pub fn set_shards(shards: usize) {
     SHARDS.store(shards.max(1), Ordering::Relaxed);
+}
+
+/// Forces (or releases) the reference driver for every network
+/// subsequently built through [`run_report`] / [`measure`] (the
+/// `--dense` flag).
+pub fn set_dense(on: bool) {
+    DENSE.store(on, Ordering::Relaxed);
 }
 
 /// The shard count runs are currently built with: the [`set_shards`]
@@ -286,7 +300,9 @@ impl Scale {
     /// serial. Results are identical either way — only wall clock
     /// changes. A `--churn <plan.json>` flag (via [`set_churn_plan`])
     /// installs a live kill/revive schedule on every network built;
-    /// the plan's JSON schema is documented in `EXPERIMENTS.md`.
+    /// the plan's JSON schema is documented in `EXPERIMENTS.md`. And
+    /// `--dense` (via [`set_dense`]) steps every network on the
+    /// reference driver, for twin-run diffs.
     ///
     /// A missing or unparsable value for any of these flags exits
     /// with status 2 and a diagnostic rather than running with
@@ -307,6 +323,9 @@ impl Scale {
         if let Some(n) = parsed.shards {
             set_shards(n);
         }
+        if parsed.dense {
+            set_dense(true);
+        }
         if let Some(p) = &parsed.trace {
             apply_trace_arg(p);
         }
@@ -323,6 +342,7 @@ struct CommonArgs {
     scale: Scale,
     jobs: Option<usize>,
     shards: Option<usize>,
+    dense: bool,
     trace: Option<String>,
     churn: Option<String>,
 }
@@ -342,6 +362,7 @@ fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
         scale: Scale::Paper,
         jobs: None,
         shards: None,
+        dense: false,
         trace: None,
         churn: None,
     };
@@ -372,6 +393,7 @@ fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
             _ => out.churn = Some(value.to_string()),
         }
     }
+    out.dense = args.iter().any(|a| a == "--dense");
     if args.iter().any(|a| a == "--tiny") {
         out.scale = Scale::Tiny;
     } else if args.iter().any(|a| a == "--quick") {
@@ -433,7 +455,8 @@ pub fn measure(builder: &mut NetworkBuilder, scale: Scale) -> MeasuredPoint {
 
 /// Builds the network, honouring the process-wide `--trace` sink (when
 /// tracing is active the network gets a bounded event ring sized
-/// [`TRACE_RING_CAPACITY`]) and the process-wide `--shards` setting.
+/// [`TRACE_RING_CAPACITY`]) and the process-wide `--shards` and
+/// `--dense` settings.
 /// Pair with [`finish_run`].
 pub(crate) fn build_traced(builder: &mut NetworkBuilder) -> cr_core::Network {
     if trace_active() {
@@ -448,7 +471,9 @@ pub(crate) fn build_traced(builder: &mut NetworkBuilder) -> cr_core::Network {
             builder.shards(n);
         }
     }
-    builder.build()
+    let mut net = builder.build();
+    net.set_reference_stepper(DENSE.load(Ordering::Relaxed));
+    net
 }
 
 /// Runs a [`build_traced`] network for `cycles` and, when tracing is
@@ -536,14 +561,15 @@ mod tests {
                 scale: Scale::Quick,
                 jobs: Some(3),
                 shards: Some(4),
+                dense: true,
                 trace: Some("t.jsonl".into()),
                 churn: Some("c.json".into()),
             }
         );
         let bare = parse(&[]).expect("no flags");
         assert_eq!(
-            (bare.scale, bare.jobs, bare.shards),
-            (Scale::Paper, None, None)
+            (bare.scale, bare.jobs, bare.shards, bare.dense),
+            (Scale::Paper, None, None, false)
         );
         assert_eq!(
             parse(&["--tiny", "--quick"]).map(|a| a.scale),

@@ -66,7 +66,7 @@ pub mod tab_pds;
 pub mod table;
 
 pub use harness::{
-    churn_plan, run_report, set_churn_plan, set_shards, set_trace_path, shards, sweep,
+    churn_plan, run_report, set_churn_plan, set_dense, set_shards, set_trace_path, shards, sweep,
     trace_active, MeasuredPoint, Scale, SweepRunner,
 };
 pub use table::Table;

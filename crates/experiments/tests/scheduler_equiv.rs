@@ -19,9 +19,9 @@
 use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
 use cr_experiments::{Scale, SweepRunner};
 use cr_faults::FaultModel;
-use cr_sim::{NodeId, SimRng};
+use cr_sim::{Cycle, NodeId, Rng, SimRng};
 use cr_topology::KAryNCube;
-use cr_traffic::{LengthDistribution, TrafficPattern};
+use cr_traffic::{LengthDistribution, Trace, TraceEvent, TrafficPattern};
 
 /// Runs the same configuration through the active-set stepper and the
 /// dense reference stepper for `cycles`, asserting report + trace
@@ -172,6 +172,63 @@ fn quiescent_drain_twin_run_matches() {
     let d = dense.report().to_json();
     assert!(a == d, "drain reports differ\nactive:\n{a}\ndense:\n{d}");
     assert_eq!(active.take_trace_events(), dense.take_trace_events());
+}
+
+/// `sparse_torus128` at a sixty-fourth of its area: lone padded CR
+/// worms crossing a 16×16 torus one at a time, drained. Most of their
+/// hops fall inside worm trains (DESIGN.md §10), which the reference
+/// driver never forms.
+#[test]
+fn sparse_lone_worms_twin_run_matches() {
+    let radix = 16;
+    let mut rng = SimRng::from_seed(0x5A);
+    let events = (0..12u64)
+        .map(|i| {
+            let (x, y) = (rng.gen_range(0..radix), rng.gen_range(0..radix));
+            let (dx, dy) = (rng.gen_range(-6..7i64), rng.gen_range(1..7i64));
+            let wrap = |v: usize, d: i64| (v as i64 + d).rem_euclid(radix as i64) as usize;
+            TraceEvent {
+                at: Cycle::new(i * 60),
+                src: NodeId::from_index(y * radix + x),
+                dst: NodeId::from_index(wrap(y, dy) * radix + wrap(x, dx)),
+                length: 16,
+            }
+        })
+        .collect();
+    let trace = Trace::from_events(events);
+    let build = || {
+        let mut b = NetworkBuilder::new(KAryNCube::torus(radix, 2));
+        b.routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Cr)
+            .warmup(0)
+            .trace(1 << 14)
+            .seed(0x128);
+        let mut net = b.build();
+        net.schedule_trace(&trace);
+        net
+    };
+    let mut active = build();
+    let mut dense = build();
+    dense.set_reference_stepper(true);
+    assert!(active.run_until_quiescent(100_000), "drain");
+    assert!(dense.run_until_quiescent(100_000), "drain");
+    assert_eq!(active.now(), dense.now(), "drain clocks differ");
+    let (a, d) = (active.report(), dense.report());
+    let (a_json, d_json) = (a.to_json(), d.to_json());
+    assert!(
+        a_json == d_json,
+        "reports differ\nactive:\n{a_json}\ndense:\n{d_json}"
+    );
+    assert_eq!(active.take_trace_events(), dense.take_trace_events());
+    assert_eq!(a.counters.messages_delivered, 12);
+    let trains = active.train_stats();
+    assert!(trains.formed >= 10, "{trains:?}");
+    assert!(
+        2 * trains.flit_hops > a.trace.link_flits_forwarded,
+        "trains covered {} of {} flit-hops",
+        trains.flit_hops,
+        a.trace.link_flits_forwarded
+    );
 }
 
 /// A faulty FCR sweep through the parallel executor: active vs dense

@@ -2,6 +2,7 @@
 
 use cr_sim::{Cycle, MessageId, NodeId};
 use std::fmt;
+use std::ops::Range;
 
 /// Identity of one worm *instance* in flight: a message plus its
 /// retransmission attempt number.
@@ -78,6 +79,20 @@ impl FlitKind {
     /// Returns `true` for the header flit.
     pub fn is_head(self) -> bool {
         matches!(self, FlitKind::Head)
+    }
+
+    /// The role of flit `seq` in a worm of `worm_len` flits whose
+    /// first `payload_len` carry the message (see [`worm_flits`]).
+    pub fn at(seq: u32, payload_len: u32, worm_len: u32) -> FlitKind {
+        if seq == 0 {
+            FlitKind::Head
+        } else if seq + 1 == worm_len {
+            FlitKind::Tail
+        } else if seq >= payload_len {
+            FlitKind::Pad
+        } else {
+            FlitKind::Body
+        }
     }
 }
 
@@ -160,6 +175,19 @@ impl Flit {
     pub fn is_head(&self) -> bool {
         self.kind.is_head()
     }
+
+    /// The flit `d` places further down the same worm, with everything
+    /// that is not a function of the position (hops taken, flags)
+    /// unchanged: what occupies this flit's slot `d` cycles later in a
+    /// worm streaming one flit per cycle.
+    pub fn advanced(&self, d: u32) -> Flit {
+        let seq = self.seq + d;
+        Flit {
+            seq,
+            kind: FlitKind::at(seq, self.payload_len, self.worm_len),
+            ..*self
+        }
+    }
 }
 
 impl fmt::Display for Flit {
@@ -239,18 +267,9 @@ pub fn worm_flit_at(
     assert!(payload_len >= 2, "a worm needs a head and a tail flit");
     let worm_len = payload_len + pad;
     assert!(seq < worm_len, "flit {seq} past a {worm_len}-flit worm");
-    let kind = if seq == 0 {
-        FlitKind::Head
-    } else if seq == worm_len - 1 {
-        FlitKind::Tail
-    } else if seq >= payload_len {
-        FlitKind::Pad
-    } else {
-        FlitKind::Body
-    };
     Flit::new(
         worm,
-        kind,
+        FlitKind::at(seq, payload_len, worm_len),
         src,
         dst,
         seq,
@@ -259,6 +278,29 @@ pub fn worm_flit_at(
         payload_len,
         created,
     )
+}
+
+/// The sequence numbers `flits` (front to back) cover when they are a
+/// run of consecutive body or pad flits of `worm`, none corrupted or
+/// escaped — what a queue holds of a worm streaming behind its
+/// ejected header — and `None` otherwise. An empty run covers `0..0`.
+pub fn stream_run<'a>(
+    flits: impl IntoIterator<Item = &'a Flit>,
+    worm: WormId,
+) -> Option<Range<u32>> {
+    let mut seqs: Option<Range<u32>> = None;
+    for f in flits {
+        let body = matches!(f.kind, FlitKind::Body | FlitKind::Pad);
+        if f.worm != worm || !body || f.corrupted || f.escaped {
+            return None;
+        }
+        match &mut seqs {
+            None => seqs = Some(f.seq..f.seq + 1),
+            Some(run) if run.end == f.seq => run.end += 1,
+            Some(_) => return None,
+        }
+    }
+    Some(seqs.unwrap_or(0..0))
 }
 
 #[cfg(test)]
@@ -325,6 +367,44 @@ mod tests {
         assert_eq!(flits.len(), 2);
         assert!(flits[0].is_head());
         assert!(flits[1].is_tail());
+    }
+
+    /// Advancing a flit gives the flit the generator builds for the
+    /// later position — role included — and keeps what the flit picked
+    /// up in flight.
+    #[test]
+    fn advanced_flit_is_the_later_flit_of_the_same_worm() {
+        let (src, dst) = (NodeId::new(0), NodeId::new(1));
+        let at = |seq| worm_flit_at(worm(), src, dst, 3, 4, 9, Cycle::new(5), seq);
+        for seq in 1..6 {
+            for d in 0..7 - seq {
+                let mut f = at(seq);
+                f.hops = 4;
+                let mut want = at(seq + d);
+                want.hops = 4;
+                assert_eq!(f.advanced(d), want, "seq {seq} + {d}");
+            }
+        }
+        assert_eq!(at(5).advanced(1).kind, FlitKind::Tail);
+    }
+
+    #[test]
+    fn stream_run_accepts_only_a_consecutive_mid_worm_run() {
+        let fs: Vec<Flit> =
+            worm_flits(worm(), NodeId::new(0), NodeId::new(1), 3, 4, 0, Cycle::ZERO).collect();
+        assert_eq!(stream_run(&fs[2..5], worm()), Some(2..5));
+        assert_eq!(stream_run(&[], worm()), Some(0..0));
+        assert_eq!(stream_run(&fs[0..2], worm()), None, "head");
+        assert_eq!(stream_run(&fs[5..7], worm()), None, "tail");
+        assert_eq!(stream_run([&fs[2], &fs[4]], worm()), None, "gap");
+        assert_eq!(
+            stream_run(&fs[2..4], worm().next_attempt()),
+            None,
+            "other worm"
+        );
+        let mut bad = fs[3];
+        bad.corrupted = true;
+        assert_eq!(stream_run([&fs[2], &bad], worm()), None, "corrupted");
     }
 
     #[test]

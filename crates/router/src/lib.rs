@@ -40,8 +40,8 @@ pub mod routing;
 
 pub use flit::{Flit, FlitKind, WormId};
 pub use router::{
-    LinkStallStreak, LinkStats, PortKind, Router, RouterConfig, RouterCounters, RouteTarget,
-    Traversal,
+    LinkStallStreak, LinkStats, LoneStream, PortKind, RouteTarget, Router, RouterConfig,
+    RouterCounters, Traversal,
 };
 pub use routing::{
     DimensionOrder, DuatoProtocol, FullMeshOrdered, MinimalAdaptive, PlanarAdaptive, RouteCtx,

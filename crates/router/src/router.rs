@@ -205,6 +205,17 @@ pub struct Traversal {
     pub target: RouteTarget,
 }
 
+/// One worm streaming through a router with nothing else to do, as
+/// [`Router::lone_stream`] finds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoneStream {
+    /// Where the worm is headed from this router.
+    pub target: RouteTarget,
+    /// Sequence numbers of its buffered flits, front to back (empty
+    /// when none is buffered).
+    pub seqs: Range<u32>,
+}
+
 /// Result of flushing one worm out of one input VC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushResult {
@@ -1002,7 +1013,79 @@ impl Router {
     /// Per-neighbor-output-port utilization/stall counters, indexed by
     /// port. Always maintained (tracing on or off).
     pub fn link_stats(&self) -> Vec<LinkStats> {
-        self.ports.iter().map(|p| p.stats).collect()
+        self.port_stats().copied().collect()
+    }
+
+    /// [`Router::link_stats`] without collecting them, port by port.
+    pub fn port_stats(&self) -> impl ExactSizeIterator<Item = &LinkStats> + '_ {
+        self.ports.iter().map(|p| &p.stats)
+    }
+
+    /// If the router's only work is streaming `worm` out of input VC
+    /// `(port, vc)` — no other flit buffered, no unrouted input, no
+    /// other output VC or ejection port allocated, no stall streak open
+    /// — with room in the VC for the next flit in, a credit for the
+    /// next flit out and a live output link, returns where the worm
+    /// goes and which of its flits the VC holds (a consecutive run of
+    /// body or pad flits, see [`crate::flit::stream_run`]). The
+    /// worm-train formation walk asks this of every router on a path.
+    pub fn lone_stream(&self, port: PortId, vc: VcId, worm: WormId) -> Option<LoneStream> {
+        let k = self.in_idx(port, vc);
+        let ivc = &self.inputs[k];
+        let alone = ivc.worm == Some(worm)
+            && self.occupancy == ivc.buf.len()
+            && ivc.buf.len() < ivc.seg().len()
+            && self.unrouted.is_empty()
+            && self.open_streaks == 0;
+        if !alone {
+            return None;
+        }
+        let target = ivc.route?;
+        let ours = Some((port, vc));
+        let only = |i: usize, of: usize, o: Option<(PortId, VcId)>| o == ours.filter(|_| i == of);
+        let exclusive = match target {
+            RouteTarget::Link { port: op, vc: ov } => {
+                let out = &self.ports[op.index()];
+                self.busy_out.len() == 1
+                    && self.busy_out.contains(op.index())
+                    && (out.vcs.iter().enumerate()).all(|(v, o)| only(v, ov.index(), o.owner))
+                    && out.vcs[ov.index()].credits > 0
+                    && !self.dead_out[op.index()]
+                    && self.ejects.iter().all(Option::is_none)
+            }
+            RouteTarget::Eject { port: e } => {
+                self.busy_out.is_empty()
+                    && (self.ejects.iter().enumerate()).all(|(i, &o)| only(i, e, o))
+            }
+        };
+        let seqs = crate::flit::stream_run(ivc.buf.iter(self.slots(k)), worm);
+        Some(LoneStream {
+            target,
+            seqs: seqs?,
+        })
+        .filter(|_| exclusive)
+    }
+
+    /// Advances the stream [`Router::lone_stream`] found at input VC
+    /// `(port, vc)` by `d` cycles in closed form: each buffered flit
+    /// becomes the flit `d` places further down the worm in the same
+    /// slot, `d` more flits count as forwarded (out of the output port,
+    /// for a link route), and the VC last moved at `upto`.
+    pub fn advance_stream(&mut self, port: PortId, vc: VcId, d: u32, upto: Cycle) {
+        if d == 0 {
+            return;
+        }
+        let k = self.in_idx(port, vc);
+        let ivc = &mut self.inputs[k];
+        let slots = self.slab.get_mut(ivc.seg()).unwrap_or_default();
+        for f in ivc.buf.iter_mut(slots) {
+            *f = f.advanced(d);
+        }
+        ivc.last_progress = upto;
+        self.counters.flits_forwarded += u64::from(d);
+        if let Some(RouteTarget::Link { port: op, .. }) = ivc.route {
+            self.ports[op.index()].stats.flits_forwarded += u64::from(d);
+        }
     }
 
     /// Turns finished-stall-streak recording on or off. Off (the

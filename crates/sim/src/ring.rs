@@ -111,6 +111,18 @@ impl Ring {
         (0..ring.len()).map(move |i| &seg[ring.slot(seg.len(), i)])
     }
 
+    /// The queued elements, front to back, mutably.
+    pub fn iter_mut<'a, T>(&self, seg: &'a mut [T]) -> impl Iterator<Item = &'a mut T> {
+        // The queue is the run `head..` of the segment, wrapping to
+        // its start past the end.
+        let (wrapped, from_head) = seg.split_at_mut(self.head as usize);
+        let first = self.len().min(from_head.len());
+        let rest = self.len() - first;
+        from_head[..first]
+            .iter_mut()
+            .chain(wrapped[..rest].iter_mut())
+    }
+
     /// Removes the elements for which `keep` returns `false`,
     /// preserving the order of the rest; returns how many went.
     pub fn retain<T: Copy>(&mut self, seg: &mut [T], mut keep: impl FnMut(&T) -> bool) -> usize {
@@ -320,7 +332,8 @@ mod tests {
 
     /// Several rings over one slab against a `VecDeque` each, under
     /// random operation sequences: every call returns what the model
-    /// returns, `retain` keeps order, contents read back equal through
+    /// returns, `retain` keeps order, `iter_mut` reaches every queued
+    /// element in order and nothing else, contents read back equal through
     /// `get` and `iter` after every call (so wrap-around is exercised
     /// at every head position), a full ring refuses the push and hands
     /// the item back, and no ring ever writes outside its segment.
@@ -347,11 +360,19 @@ mod tests {
                         assert_eq!(ring.push(seg, item), Ok(()));
                     }
                     1 => assert_eq!(ring.pop(seg), model.pop_front()),
-                    2 => {
+                    2 if a % 2 == 0 => {
                         let keep = |x: &u32| !(*x as usize + a).is_multiple_of(3);
                         let before = model.len();
                         model.retain(keep);
                         assert_eq!(ring.retain(seg, keep), before - model.len());
+                    }
+                    2 => {
+                        for x in ring.iter_mut(seg) {
+                            *x += 1 << 24;
+                        }
+                        for x in model.iter_mut() {
+                            *x += 1 << 24;
+                        }
                     }
                     _ => {
                         if let Some(front) = ring.front_mut(seg) {
@@ -383,6 +404,7 @@ mod tests {
         assert_eq!(ring.front(none), None);
         assert_eq!(ring.pop(none), None);
         assert_eq!(ring.retain(none, |_| true), 0);
+        assert_eq!(ring.iter_mut(none).count(), 0);
         assert_eq!(ring.push(none, 1), Err(1));
     }
 

@@ -132,6 +132,27 @@ impl ActiveSet {
         true
     }
 
+    /// Removes `id`; returns `true` if it was a member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not below the capacity.
+    #[inline]
+    pub fn remove(&mut self, id: u32) -> bool {
+        assert!((id as usize) < self.capacity, "id out of range");
+        let w = id as usize / 64;
+        let bit = 1 << (id % 64);
+        if self.words[w] & bit == 0 {
+            return false;
+        }
+        self.words[w] &= !bit;
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+        true
+    }
+
     /// The members in ascending id order (the set is left as is).
     ///
     /// Word indices and ids are computed in `u32`: the constructor
@@ -240,7 +261,7 @@ mod tests {
 
     /// Model check against `BTreeSet`, over capacities on both sides of
     /// the word (64) and summary-word (4 096) boundaries: arbitrary
-    /// interleavings of insert / contains / iter / drain / clear agree
+    /// interleavings of insert / remove / contains / iter / drain / clear agree
     /// with the reference set, walks come out ascending and exact, and
     /// a drain or clear leaves no stale word or summary bit behind
     /// (every later walk still equals the model).
@@ -263,9 +284,13 @@ mod tests {
             let steps = src.usize_in(0..81);
             for _ in 0..steps {
                 match src.usize_in(0..12) {
-                    0..=5 => {
+                    0..=3 => {
                         let id = id(src);
                         assert_eq!(sut.insert(id), model.insert(id));
+                    }
+                    4..=5 => {
+                        let id = id(src);
+                        assert_eq!(sut.remove(id), model.remove(&id));
                     }
                     6..=7 => {
                         let id = id(src);
