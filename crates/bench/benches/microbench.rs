@@ -387,14 +387,19 @@ fn bench_link_visit() {
 
 /// The two ends of a worm train's life (DESIGN.md §10), priced per
 /// path hop through the calls the network makes for each hop. Forming
-/// asks the router whether it streams the worm and nothing else
-/// (`Router::lone_stream`) and the link whether its lane holds exactly
-/// the worm's flits, due on consecutive cycles (`LinkState::lone_lane`);
-/// materialising advances both in closed form
-/// (`Router::advance_stream`, `LinkState::advance_lane`). The path is
-/// 50 hops of 4-port, 1-VC torus routers in the steady state of a
-/// padded worm (empty input VC, one flit on each link), walked 20 times
-/// per sample: `median_ns / 1 000` is ns per path hop.
+/// asks the router whether the worm streams on a channel of its own
+/// (`Router::channel_stream`) and the link whether its lane holds
+/// exactly the worm's flits, due on consecutive cycles
+/// (`LinkState::lone_lane`); materialising advances both in closed
+/// form (`Router::advance_stream`, `LinkState::advance_lane`). The
+/// path is 50 hops of 4-port, 1-VC torus routers in the steady state
+/// of a padded worm (empty input VC, one flit on each link), walked 20
+/// times per sample: `median_ns / 1 000` is ns per path hop.
+///
+/// `reject` is the walk a formation candidate pays for nothing: the
+/// same path whose last link carries its flit a cycle late, so every
+/// hop is asked and the last one refuses. `median_ns / 20` is ns per
+/// rejected walk.
 fn bench_train() {
     const HOPS: usize = 50;
     const WALKS: usize = 20;
@@ -440,12 +445,28 @@ fn bench_train() {
         let mut lone = 0;
         for _ in 0..WALKS {
             for (r, link) in routers.iter().zip(&links) {
-                lone += usize::from(r.lone_stream(in_port, vc, worm).is_some());
+                lone += usize::from(r.channel_stream(in_port, vc, worm).is_ok());
                 lone += usize::from(link.lone_lane(0, worm, Cycle::new(1), 1).is_some());
             }
         }
         assert_eq!(lone, 2 * HOPS * WALKS);
         lone
+    });
+
+    let mut late = LinkState::new(cfg.num_vcs, cfg.buffer_depth + cfg.link_depth);
+    late.push(0, Cycle::new(2), flit(1)).expect("empty lane");
+    g.bench("reject", || {
+        let mut rejected = 0;
+        for _ in 0..WALKS {
+            let mut path = routers.iter().zip(links[..HOPS - 1].iter().chain([&late]));
+            let streams = path.all(|(r, link)| {
+                r.channel_stream(in_port, vc, worm).is_ok()
+                    && link.lone_lane(0, worm, Cycle::new(1), 1).is_some()
+            });
+            rejected += usize::from(!streams);
+        }
+        assert_eq!(rejected, WALKS);
+        rejected
     });
 
     let mut upto = Cycle::ZERO;

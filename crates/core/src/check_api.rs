@@ -307,6 +307,7 @@ impl ProtocolStep for CheckNet {
         // The live-churn kill path (`apply_churn`) minus its
         // metrics-only work (drain trackers, trace events).
         self.net.faults_mut().kill_link(link);
+        self.net.trains.forget_tails();
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.tables.link_head[li];

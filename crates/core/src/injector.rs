@@ -97,6 +97,8 @@ pub(crate) struct InjectorStream {
     pub stop: u32,
     /// Payload flits of the message; the flits from here on are padding.
     pub payload_len: u32,
+    /// Sequence number of the worm's tail flit.
+    pub tail: u32,
 }
 
 #[derive(Debug)]
@@ -233,6 +235,7 @@ impl Injector {
             next: c.next,
             stop,
             payload_len: c.msg.payload_len,
+            tail,
         })
     }
 

@@ -170,6 +170,12 @@ impl Tables {
         let (up_node, up_out) = self.in_upstream[self.slot(node, in_port)?];
         (up_node != NONE).then_some((up_node as usize, up_out))
     }
+
+    /// Index of the link feeding `node`'s input `in_port`.
+    fn in_link(&self, node: usize, in_port: PortId) -> Option<usize> {
+        let (up_node, up_out) = self.in_upstream(node, in_port)?;
+        self.out_link(up_node, up_out)
+    }
 }
 
 /// A complete simulated network. Build one with
@@ -562,7 +568,7 @@ impl Network {
             churn_firings: Vec::new(),
             churn_trackers: Vec::new(),
             churn_undrained: 0,
-            trains: train::Trains::new(n),
+            trains: train::Trains::new(descs.len(), n * cfg.inject_channels),
             killed: Arc::new(KilledMap::new()),
             registry_lifetime,
             fwd_tokens: Vec::new(),
@@ -787,14 +793,17 @@ impl Network {
 
     /// Marks a router possibly-active (it gained a flit).
     fn arm_router(&mut self, node: usize) {
-        debug_assert!(!self.trains.holds(node), "armed a train router");
         self.router_sets[self.node_shard[node] as usize].insert(idx32(node));
     }
 
     /// Marks an injector possibly-active (it gained work).
     fn arm_injector(&mut self, node: usize, channel: usize) {
-        self.injector_sets[self.node_shard[node] as usize]
-            .insert(idx32(node * self.cfg.inject_channels + channel));
+        let id = node * self.cfg.inject_channels + channel;
+        debug_assert!(
+            self.trains.on_injector(id).is_none(),
+            "armed a train's injector"
+        );
+        self.injector_sets[self.node_shard[node] as usize].insert(idx32(id));
     }
 
     /// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
@@ -815,15 +824,18 @@ impl Network {
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
-    /// active set current.
+    /// active set current (an injector a worm train streams from stays
+    /// out of its set until the train is written back).
     fn injector_enqueue(&mut self, node: usize, channel: usize, msg: PendingMessage) {
-        debug_assert!(!self.trains.holds(node), "enqueued at a train node");
+        let held = self.trains.any() && self.train_before_enqueue(node, channel, self.now);
         let was_drained = self.injectors[node][channel].is_drained();
         self.injectors[node][channel].enqueue(msg);
         if was_drained {
             self.undrained_injectors += 1;
         }
-        self.arm_injector(node, channel);
+        if !held {
+            self.arm_injector(node, channel);
+        }
     }
 
     /// [`Injector::on_killed`] keeping the undrained counter and the
@@ -837,7 +849,7 @@ impl Network {
         worm: WormId,
     ) -> Option<(u32, Cycle)> {
         if self.trains.any() {
-            self.train_before_teardown(node, now);
+            self.train_before_requeue(node, channel, now);
         }
         let was_drained = self.injectors[node][channel].is_drained();
         let retx = self.injectors[node][channel].on_killed(now, worm);
@@ -1148,6 +1160,7 @@ impl Network {
             Some(at) if at <= now => {}
             _ => return,
         }
+        self.trains.forget_tails();
         let mut firings = std::mem::take(&mut self.churn_firings);
         firings.clear();
         let tables = Arc::clone(&self.tables);
@@ -1384,7 +1397,7 @@ impl Network {
         for i in 0..self.fwd_scratch.len() {
             let t = self.fwd_scratch[i];
             if self.trains.any() {
-                self.train_before_teardown(t.node, now);
+                self.train_before_teardown(t.node, t.port, now);
             }
             let released = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
             match released {
@@ -1412,7 +1425,7 @@ impl Network {
         for i in 0..self.bwd_scratch.len() {
             let t = self.bwd_scratch[i];
             if self.trains.any() {
-                self.train_before_teardown(t.node, now);
+                self.train_before_teardown(t.node, t.port, now);
             }
             let _ = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
             self.continue_backward(now, t);
@@ -1567,8 +1580,9 @@ impl Network {
     ///
     /// * no traffic sources (each `poll` draws RNG every cycle);
     /// * no teardown tokens in flight;
-    /// * every router in the active set is empty with no open stall
-    ///   streak (so routing/traversal do nothing and close no streak);
+    /// * every router in the active set holds no flit outside the
+    ///   streams worm trains hold and no open stall streak (so
+    ///   routing/traversal do nothing and close no streak);
     /// * every injector in the set is either stale or backing off
     ///   with a future resume cycle (`step` early-returns untouched);
     /// * every link in the set is empty or has no flit due yet.
@@ -1589,8 +1603,7 @@ impl Network {
         let now = self.now;
         let mut target = end;
         for n in self.router_sets.iter().flat_map(ActiveSet::iter) {
-            let router = &self.routers[n as usize];
-            if router.total_occupancy() > 0 || router.has_open_streaks() {
+            if self.routers[n as usize].needs_visit() {
                 return;
             }
         }
@@ -1685,8 +1698,9 @@ impl Network {
         cause: KillCause,
     ) {
         if self.trains.any() {
-            self.train_before_teardown(node, now);
+            self.train_before_teardown(node, port, now);
         }
+        self.trains.forget_tail(worm);
         self.killed_mut().insert(worm, now);
         if cause == KillCause::Fault {
             self.counters.kills_fault += 1;

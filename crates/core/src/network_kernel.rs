@@ -322,13 +322,14 @@ pub(super) fn injection(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScr
 /// foreign shard's link) or its delivery into the shard's own
 /// receiver. Finished stall streaks buffer as `LinkStall` events
 /// (routers only record streaks while tracing), and a router still
-/// holding flits or an open streak re-arms.
+/// holding flits outside the streams worm trains hold, or an open
+/// streak, re-arms.
 ///
 /// Nothing a visit reads is written by another router's visit — every
 /// credit, orphan drops included, lands at the barrier — so routers may
 /// be visited in any order and shards in parallel. A router not
-/// visited is empty with no open streak, for which every step here is
-/// a no-op that draws no RNG.
+/// visited holds no flit but held ones and no open streak, for which
+/// every step here is a no-op that draws no RNG.
 pub(super) fn route_traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut ShardScratch) {
     let now = ctx.now;
     let mut ids = std::mem::take(&mut fx.ids);
@@ -404,7 +405,7 @@ pub(super) fn route_traverse(ctx: &Ctx<'_>, sh: &mut ShardView<'_>, fx: &mut Sha
                 }
             }
         }
-        if router.total_occupancy() > 0 || router.has_open_streaks() {
+        if router.needs_visit() {
             sh.router_set.insert(n32);
         }
     }

@@ -306,6 +306,7 @@ impl Network {
             // the phase reads the registry or the token lists, so
             // applying them grouped by kind is state-identical.
             for worm in fx.kills.drain(..) {
+                net.trains.forget_tail(worm);
                 net.killed_mut().insert(worm, now);
             }
             net.fwd_tokens.append(&mut fx.tokens);
@@ -341,6 +342,7 @@ impl Network {
             fx.push_vc.clear();
             fx.push_flit.clear();
             for m in fx.delivered.drain(..) {
+                net.trains.check_delivery(&m);
                 net.counters.messages_delivered += 1;
                 net.counters.payload_flits_delivered += u64::from(m.payload_len);
                 if m.corrupt {

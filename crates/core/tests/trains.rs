@@ -1,15 +1,18 @@
 //! Worm trains (DESIGN.md §10) against the reference driver, which
 //! never forms them.
 //!
-//! A train advances a lone padded worm's steady pipeline in closed
-//! form and writes it back (*materialises* it) before anything can
-//! observe or touch its path. The property below runs random small
-//! fabrics in random-length `run` / `run_until_quiescent` chunks under
-//! both drivers and compares everything at every chunk boundary — the
-//! model checker's full state encoding, the report and the drained
-//! trace — so every write-back is checked at an arbitrary offset into
-//! its train. The pinned cases after it each aim at one way a train
-//! could be observed early or late.
+//! A train advances a padded worm's steady pipeline in closed form,
+//! holding its channels while other worms cross its routers, and
+//! writes it back (*materialises* it) before anything can observe or
+//! touch what it holds. The property below runs random small fabrics —
+//! crossing worms, Bernoulli sources, 1- and 2-VC channels — in
+//! random-length `run` / `run_until_quiescent` chunks under both
+//! drivers and compares everything at every chunk boundary — the model
+//! checker's full state encoding, the report and the drained trace —
+//! so every write-back is checked at an arbitrary offset into its
+//! train. Debug builds also check every train that runs to its end
+//! against its closed-form tail-delivery cycle. The pinned cases after
+//! it each aim at one way a train could be observed early or late.
 
 use cr_core::check_api::{CheckNet, ProtocolStep};
 use cr_core::{Network, NetworkBuilder, ProtocolKind, RoutingKind, TrainStats};
@@ -17,7 +20,7 @@ use cr_faults::ChurnSchedule;
 use cr_sim::check::{check, Config, Source};
 use cr_sim::{Cycle, LinkId, NodeId};
 use cr_topology::{KAryNCube, Topology};
-use cr_traffic::{Trace, TraceEvent};
+use cr_traffic::{LengthDistribution, Trace, TraceEvent, TrafficPattern};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The id of the link from `from` to `to`.
@@ -38,14 +41,17 @@ fn event(at: u64, src: NodeId, dst: NodeId, length: u32) -> TraceEvent {
 
 /// A random small fabric and its plan: a lone worm along a row (its
 /// minimal path is unique, so its nodes and links are known up front),
-/// worms crossing it — some along a column through one of its routers
-/// — perhaps a message entering at one of its mid-path nodes and a
-/// kill-and-revive of one of its links, and the chunks to run it in,
-/// mostly short so that trains are cut at arbitrary offsets.
+/// worms crossing it — some along a column through one of its routers,
+/// sharing the router but not the channels — perhaps a message
+/// entering at one of its mid-path nodes, perhaps Bernoulli sources at
+/// every node, a kill-and-revive of one of its links, and the chunks to
+/// run it in, mostly short so that trains are cut at arbitrary offsets.
 struct Case {
     builder: NetworkBuilder,
     trace: Trace,
     chunks: Vec<(u64, bool)>,
+    /// Bernoulli sources are attached (the run never drains).
+    sources: bool,
 }
 
 fn random_case(src: &mut Source<'_>) -> Case {
@@ -126,6 +132,12 @@ fn random_case(src: &mut Source<'_>) -> Case {
             .revive_link(Cycle::new(kill + src.u64_in(1..200)), link);
         b.churn(churn);
     }
+    let sources = src.bool_any();
+    if sources {
+        let lengths = LengthDistribution::Fixed(src.usize_in(2..24));
+        let load = [0.02, 0.08, 0.2][src.usize_in(0..3)];
+        b.traffic(TrafficPattern::Uniform, lengths, load);
+    }
     events.sort_by_key(|e| e.at);
     let chunks = src.vec_with(1..40, |s| {
         let longest = [8, 60][s.usize_in(0..2)];
@@ -135,6 +147,7 @@ fn random_case(src: &mut Source<'_>) -> Case {
         builder: b,
         trace: Trace::from_events(events),
         chunks,
+        sources,
     }
 }
 
@@ -159,9 +172,12 @@ fn assert_same(active: &mut CheckNet, reference: &mut CheckNet, when: &str) {
     );
 }
 
-/// Cases run, and cases in which a train formed.
+/// Cases run, and cases in which a train formed; the same over the
+/// cases with Bernoulli sources.
 static CASES: AtomicU64 = AtomicU64::new(0);
 static WITH_TRAINS: AtomicU64 = AtomicU64::new(0);
+static SOURCED: AtomicU64 = AtomicU64::new(0);
+static SOURCED_WITH_TRAINS: AtomicU64 = AtomicU64::new(0);
 
 #[test]
 fn chunked_runs_match_the_reference_driver_at_every_boundary() {
@@ -196,10 +212,12 @@ fn chunked_runs_match_the_reference_driver_at_every_boundary() {
                 break;
             }
         }
-        let done = active.run_until_quiescent(20_000);
+        // Sources never drain: their tail run is a bounded one.
+        let budget = if case.sources { 2_000 } else { 20_000 };
+        let done = active.run_until_quiescent(budget);
         assert_eq!(
             done,
-            reference.run_until_quiescent(20_000),
+            reference.run_until_quiescent(budget),
             "drain outcomes differ"
         );
         assert_same(&mut active, &mut reference, "drain");
@@ -214,6 +232,12 @@ fn chunked_runs_match_the_reference_driver_at_every_boundary() {
         if stats.formed > 0 {
             WITH_TRAINS.fetch_add(1, Ordering::Relaxed);
         }
+        if case.sources {
+            SOURCED.fetch_add(1, Ordering::Relaxed);
+            if stats.formed > 0 {
+                SOURCED_WITH_TRAINS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     });
     let (cases, with) = (
         CASES.load(Ordering::Relaxed),
@@ -222,6 +246,14 @@ fn chunked_runs_match_the_reference_driver_at_every_boundary() {
     assert!(
         2 * with > cases,
         "trains formed in only {with} of {cases} cases"
+    );
+    let (sourced, with) = (
+        SOURCED.load(Ordering::Relaxed),
+        SOURCED_WITH_TRAINS.load(Ordering::Relaxed),
+    );
+    assert!(
+        2 * with > sourced,
+        "trains formed beside Bernoulli sources in only {with} of {sourced} cases"
     );
 }
 
@@ -357,35 +389,126 @@ fn a_foreign_header_at_a_train_router_forwards_on_the_reference_cycle() {
     assert!(foreign >= 4, "every crossing header met a train: {foreign}");
 }
 
-/// A teardown reaching a train's path mid-cycle writes the train back
-/// with the arrivals of the cycle already done: here a backward kill
-/// re-queues, at a router on the train's row, a fault-killed message
-/// that router had finished injecting. Swept over the timings that put
-/// the kill inside the train.
+/// A teardown reaching a train's channel mid-cycle writes the train
+/// back with the arrivals of the cycle already done: here a backward
+/// kill re-queues, at the train's own source injector, a fault-killed
+/// message that injector had finished sending just before the train's
+/// worm (on a 16-ary 2-cube, where the killed worm's path is long
+/// enough to outlive the train's formation). The same kind of kill
+/// re-queued at another router on a train's row touches none of its
+/// channels and leaves it running. Swept over the timings that put the
+/// kill inside the train.
 #[test]
 fn a_teardown_reaching_a_path_node_sees_the_cycles_arrivals() {
+    let run = |grid: &KAryNCube, cut: LinkId, kill: u64, messages: &[Message]| {
+        let mut churn = ChurnSchedule::new();
+        churn
+            .kill_link(Cycle::new(kill), cut)
+            .revive_link(Cycle::new(kill + 20), cut);
+        let mut b = NetworkBuilder::new(grid.clone());
+        b.routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Fcr)
+            .warmup(0)
+            .churn(churn)
+            .trace(1 << 12);
+        let (mut active, mut reference) = twins(&mut b, messages);
+        assert!(drain_both(&mut active, &mut reference, 10_000));
+        active.train_stats()
+    };
+
     let grid = KAryNCube::torus(8, 2);
     let at = |x: usize, y: usize| grid.node_at(&[x, y]);
     let cut = link_between(&grid, at(2, 2), at(2, 3));
-    let mut token = 0;
     for lone_at in 4..16 {
         for kill in 6..18 {
-            let mut churn = ChurnSchedule::new();
-            churn
-                .kill_link(Cycle::new(kill), cut)
-                .revive_link(Cycle::new(kill + 20), cut);
-            let mut b = NetworkBuilder::new(grid.clone());
-            b.routing(RoutingKind::Adaptive { vcs: 1 })
-                .protocol(ProtocolKind::Fcr)
-                .warmup(0)
-                .churn(churn)
-                .trace(1 << 12);
             let down = (0, at(2, 0), at(2, 3), 4);
             let lone = (lone_at, at(0, 0), at(3, 0), 200);
-            let (mut active, mut reference) = twins(&mut b, &[down, lone]);
-            assert!(drain_both(&mut active, &mut reference, 10_000));
-            token += active.train_stats().token;
+            let stats = run(&grid, cut, kill, &[down, lone]);
+            assert_eq!(stats.token, 0, "a teardown off the train's channels");
+        }
+    }
+
+    let grid = KAryNCube::torus(16, 2);
+    let at = |x: usize, y: usize| grid.node_at(&[x, y]);
+    let cut = link_between(&grid, at(0, 6), at(0, 7));
+    let mut token = 0;
+    for lone_at in 0..2 {
+        for kill in 18..32 {
+            let down = (0, at(0, 0), at(0, 7), 4);
+            let lone = (lone_at, at(0, 0), at(4, 0), 200);
+            token += run(&grid, cut, kill, &[down, lone]).token;
         }
     }
     assert!(token > 0, "no teardown met a train");
+}
+
+/// A lone worm from `(0, 0)` to `(hops, 0)` on an 8-ary 2-cube under
+/// plain wormhole minimal-adaptive routing on one VC: every hop of its
+/// train holds a channel of its own and the rest of each router steps.
+fn lone_channel_worm(hops: usize) -> (NetworkBuilder, NodeId, NodeId) {
+    let (mut b, from, to) = lone_worm(hops);
+    b.routing(RoutingKind::Adaptive { vcs: 1 });
+    (b, from, to)
+}
+
+/// A header entering at a router on a train's path whose only way on
+/// is the output the train holds waits there beside the train, which
+/// keeps running, and forwards on exactly the cycle it does under the
+/// reference driver: the one after the train's worm releases the port.
+#[test]
+fn a_foreign_header_blocked_on_a_held_output_forwards_on_the_reference_cycle() {
+    let grid = KAryNCube::torus(8, 2);
+    let mut cycles = 0;
+    for start in [20, 45, 90, 150] {
+        let (mut b, from, to) = lone_channel_worm(3);
+        let blocked = (start, grid.node_at(&[1, 0]), grid.node_at(&[2, 0]), 12);
+        let (mut active, mut reference) = twins(&mut b, &[(0, from, to, 400), blocked]);
+        assert!(drain_both(&mut active, &mut reference, 10_000));
+        let stats = active.train_stats();
+        assert_eq!(stats.materialised(), stats.end, "{stats:?}");
+        cycles += stats.cycles;
+    }
+    assert!(cycles > 4 * 350, "the train ran past the waiting header");
+}
+
+/// A message queued at the injector a train streams from only waits
+/// its turn: the train runs on to its end, and the injector steps the
+/// message on the reference cycle afterwards.
+#[test]
+fn an_enqueue_into_the_trains_own_injector_only_queues() {
+    let grid = KAryNCube::torus(8, 2);
+    for at in [30, 80, 200] {
+        let (mut b, from, to) = lone_channel_worm(3);
+        let next = (at, from, grid.node_at(&[0, 3]), 20);
+        let (mut active, mut reference) = twins(&mut b, &[(0, from, to, 600), next]);
+        assert!(drain_both(&mut active, &mut reference, 10_000));
+        let stats = active.train_stats();
+        assert_eq!((stats.enqueue, stats.foreign_flit, stats.token), (0, 0, 0));
+        assert!(stats.cycles > 500, "{stats:?}");
+    }
+}
+
+/// On 2-VC channels a header routed at a path router could win the
+/// sibling VC of the train's output and share its bandwidth, so such a
+/// hop holds the router whole: a message entering there writes the
+/// train back first, and a header that could take the sibling VC then
+/// does so on the reference cycle.
+#[test]
+fn a_sibling_vc_grant_keeps_a_two_vc_hop_router_exclusive() {
+    let grid = KAryNCube::torus(8, 2);
+    let mut enqueue = 0;
+    for start in [20, 45, 90] {
+        let (mut b, from, to) = lone_worm(3);
+        b.routing(RoutingKind::Adaptive { vcs: 2 });
+        let sibling = (start, grid.node_at(&[1, 0]), grid.node_at(&[2, 0]), 12);
+        let (mut active, mut reference) = twins(&mut b, &[(0, from, to, 400), sibling]);
+        assert!(drain_both(&mut active, &mut reference, 10_000));
+        let stats = active.train_stats();
+        assert!(stats.formed > 0, "{stats:?}");
+        enqueue += stats.enqueue;
+    }
+    assert!(
+        enqueue >= 3,
+        "every entering message met a train: {enqueue}"
+    );
 }

@@ -16,7 +16,7 @@
 //! actually a no-op, or any fast-forward past a cycle that mattered
 //! shows up here as a diff.
 
-use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
+use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind, TrainStats};
 use cr_experiments::{Scale, SweepRunner};
 use cr_faults::FaultModel;
 use cr_sim::{Cycle, NodeId, Rng, SimRng};
@@ -25,9 +25,9 @@ use cr_traffic::{LengthDistribution, Trace, TraceEvent, TrafficPattern};
 
 /// Runs the same configuration through the active-set stepper and the
 /// dense reference stepper for `cycles`, asserting report + trace
-/// equality. The builder closure is called twice so each run owns a
-/// fresh network.
-fn assert_twin(label: &str, cycles: u64, mut build: impl FnMut() -> NetworkBuilder) {
+/// equality, and returns the active run's worm-train counters. The
+/// builder closure is called twice so each run owns a fresh network.
+fn assert_twin(label: &str, cycles: u64, mut build: impl FnMut() -> NetworkBuilder) -> TrainStats {
     let mut active = build().build();
     let mut dense = build().build();
     dense.set_reference_stepper(true);
@@ -48,6 +48,7 @@ fn assert_twin(label: &str, cycles: u64, mut build: impl FnMut() -> NetworkBuild
     );
     // The report is real, not an empty stub.
     assert!(a.contains("counters"), "{label}: empty report");
+    active.train_stats()
 }
 
 /// Fig. 9 shape: plain CR, adaptive routing, uniform traffic.
@@ -229,6 +230,81 @@ fn sparse_lone_worms_twin_run_matches() {
         trains.flit_hops,
         a.trace.link_flits_forwarded
     );
+}
+
+/// `dense_torus64_sh2` at radix 16 on two shards with two threads: one
+/// message from every fourth node, starts staggered over 384 cycles,
+/// drained. Most worms cross others' routers, so this is where trains
+/// hold their channels while the rest of each router steps.
+#[test]
+fn dense_mirror_on_two_shards_twin_run_matches() {
+    let radix = 16;
+    let stride = 4;
+    let mut rng = SimRng::from_seed(0xD64);
+    let phase = rng.gen_range(0..stride);
+    let events = (0..radix * radix / stride)
+        .map(|k| {
+            let src = k * stride + phase;
+            let (x, y) = (src % radix, src / radix);
+            let (dx, dy) = (rng.gen_range(-5..6i64), rng.gen_range(1..6i64));
+            let wrap = |v: usize, d: i64| (v as i64 + d).rem_euclid(radix as i64) as usize;
+            TraceEvent {
+                at: Cycle::new((k % 16) as u64 * 24),
+                src: NodeId::from_index(src),
+                dst: NodeId::from_index(wrap(y, dy) * radix + wrap(x, dx)),
+                length: 16,
+            }
+        })
+        .collect();
+    let trace = Trace::from_events(events);
+    let build = |reference: bool| {
+        let mut b = NetworkBuilder::new(KAryNCube::torus(radix, 2));
+        b.routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Cr)
+            .warmup(0)
+            .shards(2)
+            .trace(1 << 14)
+            .seed(0x64);
+        let mut net = b.build();
+        net.set_shard_threads(Some(2));
+        net.set_reference_stepper(reference);
+        net.schedule_trace(&trace);
+        net
+    };
+    let (mut active, mut dense) = (build(false), build(true));
+    assert!(active.run_until_quiescent(100_000), "drain");
+    assert!(dense.run_until_quiescent(100_000), "drain");
+    assert_eq!(active.now(), dense.now(), "drain clocks differ");
+    let (a, d) = (active.report(), dense.report());
+    let (a_json, d_json) = (a.to_json(), d.to_json());
+    assert!(
+        a_json == d_json,
+        "reports differ\nactive:\n{a_json}\ndense:\n{d_json}"
+    );
+    assert_eq!(active.take_trace_events(), dense.take_trace_events());
+    assert_eq!(
+        a.counters.messages_delivered,
+        (radix * radix / stride) as u64
+    );
+    let trains = active.train_stats();
+    assert!(trains.flit_hops > 0, "no train share: {trains:?}");
+}
+
+/// `sat_torus8` past saturation with its Bernoulli source, briefly:
+/// trains form between the sources' polls.
+#[test]
+fn sat_mirror_with_bernoulli_sources_twin_run_matches() {
+    let trains = assert_twin("sat_torus8 mirror", 1_000, || {
+        let mut b = NetworkBuilder::new(KAryNCube::torus(8, 2));
+        b.routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Cr)
+            .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), 0.4)
+            .warmup(200)
+            .trace(1 << 14)
+            .seed(0x58);
+        b
+    });
+    assert!(trains.flit_hops > 0, "no train share: {trains:?}");
 }
 
 /// A faulty FCR sweep through the parallel executor: active vs dense

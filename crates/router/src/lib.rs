@@ -40,7 +40,7 @@ pub mod routing;
 
 pub use flit::{Flit, FlitKind, WormId};
 pub use router::{
-    LinkStallStreak, LinkStats, LoneStream, PortKind, RouteTarget, Router, RouterConfig,
+    LinkStallStreak, LinkStats, LoneStream, NoStream, PortKind, RouteTarget, Router, RouterConfig,
     RouterCounters, Traversal,
 };
 pub use routing::{

@@ -205,8 +205,8 @@ pub struct Traversal {
     pub target: RouteTarget,
 }
 
-/// One worm streaming through a router with nothing else to do, as
-/// [`Router::lone_stream`] finds it.
+/// One worm streaming out of an input VC on a channel of its own, as
+/// [`Router::channel_stream`] finds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoneStream {
     /// Where the worm is headed from this router.
@@ -214,6 +214,18 @@ pub struct LoneStream {
     /// Sequence numbers of its buffered flits, front to back (empty
     /// when none is buffered).
     pub seqs: Range<u32>,
+}
+
+/// Why [`Router::channel_stream`] found no stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoStream {
+    /// The worm is not moving one flit per cycle here: its VC is full,
+    /// its output has no credit, a dead link or an open stall streak,
+    /// or the VC holds something other than a consecutive run of its
+    /// body or pad flits.
+    NotStreaming,
+    /// Another worm holds the VC or a sibling VC of its output.
+    Shared,
 }
 
 /// Result of flushing one worm out of one input VC.
@@ -265,8 +277,19 @@ fn size32(n: usize) -> u32 {
 struct OutputVc {
     /// The input VC currently holding this output channel.
     owner: Option<(PortId, VcId)>,
+    /// A worm train holds the owner's stream ([`Router::hold_stream`]):
+    /// the traversal stage leaves this VC to the train.
+    held: bool,
     /// Free buffer slots at the downstream input VC.
     credits: u32,
+}
+
+/// One ejection port: which input VC holds it, and whether a worm
+/// train holds that VC's stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct EjectPort {
+    owner: Option<(PortId, VcId)>,
+    held: bool,
 }
 
 /// Everything the traversal stage keeps about one neighbor output
@@ -313,10 +336,13 @@ pub struct Router {
     occupancy: usize,
     /// How many ports have a stall streak open — O(1) answer to
     /// [`Router::has_open_streaks`].
-    open_streaks: usize,
+    open_streaks: u32,
+    /// How many of the `occupancy` flits sit in input VCs whose
+    /// streams worm trains hold: no visit moves them.
+    held_flits: u32,
     cfg: RouterConfig,
     /// Which input VC holds each ejection port.
-    ejects: InlineArr<Option<(PortId, VcId)>, 4>,
+    ejects: InlineArr<EjectPort, 4>,
     counters: RouterCounters,
     node: NodeId,
     /// Whether finished stall streaks are kept for the trace layer.
@@ -355,6 +381,7 @@ impl Router {
         }
         let out = OutputVc {
             owner: None,
+            held: false,
             credits: size32(cfg.buffer_depth + cfg.link_depth),
         };
         let port = || OutPort {
@@ -370,8 +397,9 @@ impl Router {
             busy_out: BitSet::new(cfg.num_node_ports),
             occupancy: 0,
             open_streaks: 0,
+            held_flits: 0,
             cfg,
-            ejects: InlineArr::new(cfg.num_eject, None),
+            ejects: InlineArr::new(cfg.num_eject, EjectPort::default()),
             counters: RouterCounters::default(),
             node,
             record_streaks: false,
@@ -450,11 +478,12 @@ impl Router {
     }
 
     /// Whether neighbor output `port` belongs on the traversal
-    /// worklist: some VC of it is allocated, or a stall streak is open.
+    /// worklist: some VC of it is allocated to a stream no worm train
+    /// holds, or a stall streak is open.
     #[inline]
     fn port_is_busy(&self, port: usize) -> bool {
         let port = &self.ports[port];
-        port.open.is_some() || port.vcs.iter().any(|o| o.owner.is_some())
+        port.open.is_some() || port.vcs.iter().any(|o| o.owner.is_some() && !o.held)
     }
 
     /// Re-derives `port`'s membership in the traversal worklist.
@@ -667,8 +696,8 @@ impl Router {
         let worm = front.worm;
         // Ejection?
         if front.dst == self.node {
-            if let Some(e) = self.ejects.iter().position(Option::is_none) {
-                self.ejects[e] = Some(self.in_pv(k));
+            if let Some(e) = self.ejects.iter().position(|e| e.owner.is_none()) {
+                self.ejects[e].owner = Some(self.in_pv(k));
                 self.grant(k, RouteTarget::Eject { port: e }, worm);
             }
             return 0;
@@ -860,6 +889,7 @@ impl Router {
                 let Some((ip, iv)) = out.owner else {
                     continue;
                 };
+                debug_assert!(!out.held, "a busy port carries a held stream");
                 let (k, (word, bit)) = (self.in_idx(ip, iv), bit_of(ip));
                 if used[word] & bit != 0 || out.credits == 0 {
                     if blocked.is_none() {
@@ -931,7 +961,11 @@ impl Router {
 
         // Ejection ports: one flit each per cycle.
         for e in 0..self.ejects.len() {
-            let Some((ip, iv)) = self.ejects[e] else {
+            let EjectPort {
+                owner: Some((ip, iv)),
+                held: false,
+            } = self.ejects[e]
+            else {
                 continue;
             };
             let (word, bit) = bit_of(ip);
@@ -943,7 +977,7 @@ impl Router {
             };
             used[word] |= bit;
             if flit.is_tail() {
-                self.ejects[e] = None;
+                self.ejects[e].owner = None;
             }
             emit(Traversal {
                 flit,
@@ -962,7 +996,7 @@ impl Router {
     #[inline]
     fn note_link_cycle(
         OutPort { stats, open, .. }: &mut OutPort,
-        open_count: &mut usize,
+        open_count: &mut u32,
         finished: &mut Vec<LinkStallStreak>,
         record: bool,
         dead: bool,
@@ -1021,52 +1055,106 @@ impl Router {
         self.ports.iter().map(|p| &p.stats)
     }
 
-    /// If the router's only work is streaming `worm` out of input VC
-    /// `(port, vc)` — no other flit buffered, no unrouted input, no
-    /// other output VC or ejection port allocated, no stall streak open
-    /// — with room in the VC for the next flit in, a credit for the
-    /// next flit out and a live output link, returns where the worm
-    /// goes and which of its flits the VC holds (a consecutive run of
-    /// body or pad flits, see [`crate::flit::stream_run`]). The
-    /// worm-train formation walk asks this of every router on a path.
-    pub fn lone_stream(&self, port: PortId, vc: VcId, worm: WormId) -> Option<LoneStream> {
+    /// If input VC `(port, vc)` streams `worm` on a channel of its
+    /// own — the VC holds a consecutive run of the worm's body or pad
+    /// flits (see [`crate::flit::stream_run`]) with room for the next
+    /// one in, and its output has a credit, a live link, no open stall
+    /// streak and no sibling VC allocated — returns where the worm goes
+    /// and which of its flits the VC holds. Nothing else in the router
+    /// is looked at: other ports keep stepping beside the stream. The
+    /// worm-train formation walk asks this of every hop of a path.
+    pub fn channel_stream(
+        &self,
+        port: PortId,
+        vc: VcId,
+        worm: WormId,
+    ) -> Result<LoneStream, NoStream> {
         let k = self.in_idx(port, vc);
         let ivc = &self.inputs[k];
-        let alone = ivc.worm == Some(worm)
-            && self.occupancy == ivc.buf.len()
-            && ivc.buf.len() < ivc.seg().len()
-            && self.unrouted.is_empty()
-            && self.open_streaks == 0;
-        if !alone {
-            return None;
-        }
-        let target = ivc.route?;
-        let ours = Some((port, vc));
-        let only = |i: usize, of: usize, o: Option<(PortId, VcId)>| o == ours.filter(|_| i == of);
-        let exclusive = match target {
-            RouteTarget::Link { port: op, vc: ov } => {
-                let out = &self.ports[op.index()];
-                self.busy_out.len() == 1
-                    && self.busy_out.contains(op.index())
-                    && (out.vcs.iter().enumerate()).all(|(v, o)| only(v, ov.index(), o.owner))
-                    && out.vcs[ov.index()].credits > 0
-                    && !self.dead_out[op.index()]
-                    && self.ejects.iter().all(Option::is_none)
-            }
-            RouteTarget::Eject { port: e } => {
-                self.busy_out.is_empty()
-                    && (self.ejects.iter().enumerate()).all(|(i, &o)| only(i, e, o))
-            }
-        };
+        let target = ivc.route.filter(|_| ivc.worm == Some(worm));
+        let target = target.ok_or(NoStream::Shared)?;
         let seqs = crate::flit::stream_run(ivc.buf.iter(self.slots(k)), worm);
-        Some(LoneStream {
-            target,
-            seqs: seqs?,
-        })
-        .filter(|_| exclusive)
+        let seqs = seqs.ok_or(NoStream::NotStreaming)?;
+        if ivc.buf.len() == ivc.seg().len() {
+            return Err(NoStream::NotStreaming);
+        }
+        if let RouteTarget::Link { port: op, vc: ov } = target {
+            let out = &self.ports[op.index()];
+            let sibling = |(v, o): (usize, &OutputVc)| v != ov.index() && o.owner.is_some();
+            if out.vcs.iter().enumerate().any(sibling) {
+                return Err(NoStream::Shared);
+            }
+            if out.open.is_some() || out.vcs[ov.index()].credits == 0 || self.dead_out[op.index()] {
+                return Err(NoStream::NotStreaming);
+            }
+        }
+        Ok(LoneStream { target, seqs })
     }
 
-    /// Advances the stream [`Router::lone_stream`] found at input VC
+    /// Whether input VC `(port, vc)` holds the router's only work: every
+    /// buffered flit is in it, no input is unrouted, no stall streak is
+    /// open and no output VC or ejection port is allocated but its own
+    /// route. A stream out of a multi-VC physical channel is held with
+    /// the whole router, because a header routed here could win a
+    /// sibling VC and share the channel's bandwidth.
+    pub fn alone_with(&self, port: PortId, vc: VcId) -> bool {
+        let k = self.in_idx(port, vc);
+        let ivc = &self.inputs[k];
+        let ours = Some((port, vc));
+        let route = ivc.route;
+        let only = |o: Option<(PortId, VcId)>, target: RouteTarget| {
+            o.is_none() || (o == ours && route == Some(target))
+        };
+        self.occupancy == ivc.buf.len()
+            && self.unrouted.is_empty()
+            && self.open_streaks == 0
+            && self.ports.iter().enumerate().all(|(p, out)| {
+                out.vcs.iter().enumerate().all(|(v, o)| {
+                    let target = RouteTarget::Link {
+                        port: PortId::from_index(p),
+                        vc: VcId::from_index(v),
+                    };
+                    only(o.owner, target)
+                })
+            })
+            && (self.ejects.iter().enumerate())
+                .all(|(e, o)| only(o.owner, RouteTarget::Eject { port: e }))
+    }
+
+    /// Hands the stream [`Router::channel_stream`] found at input VC
+    /// `(port, vc)` to a worm train: its output VC (or ejection port)
+    /// leaves the traversal stage and its flits stop counting as work
+    /// for [`Router::needs_visit`], until [`Router::release_stream`].
+    /// Every other port keeps stepping.
+    pub fn hold_stream(&mut self, port: PortId, vc: VcId) {
+        self.set_held(port, vc, true);
+    }
+
+    /// Gives a held stream back to the traversal stage.
+    pub fn release_stream(&mut self, port: PortId, vc: VcId) {
+        self.set_held(port, vc, false);
+    }
+
+    fn set_held(&mut self, port: PortId, vc: VcId, held: bool) {
+        let k = self.in_idx(port, vc);
+        let len = size32(self.inputs[k].buf.len());
+        if held {
+            self.held_flits += len;
+        } else {
+            self.held_flits -= len;
+        }
+        match self.inputs[k].route {
+            Some(RouteTarget::Link { port: op, vc: ov }) => {
+                let (p, v) = self.out_idx(op, ov);
+                self.ports[p].vcs[v].held = held;
+                self.refresh_busy(p);
+            }
+            Some(RouteTarget::Eject { port: e }) => self.ejects[e].held = held,
+            None => debug_assert!(false, "held a stream with no route"),
+        }
+    }
+
+    /// Advances the stream [`Router::channel_stream`] found at input VC
     /// `(port, vc)` by `d` cycles in closed form: each buffered flit
     /// becomes the flit `d` places further down the worm in the same
     /// slot, `d` more flits count as forwarded (out of the output port,
@@ -1151,11 +1239,13 @@ impl Router {
         match released {
             Some(RouteTarget::Link { port: op, vc: ov }) => {
                 let (p, v) = self.out_idx(op, ov);
+                debug_assert!(!self.ports[p].vcs[v].held, "flushed a held stream");
                 self.ports[p].vcs[v].owner = None;
                 self.refresh_busy(p);
             }
             Some(RouteTarget::Eject { port: ep }) => {
-                self.ejects[ep] = None;
+                debug_assert!(!self.ejects[ep].held, "flushed a held stream");
+                self.ejects[ep].owner = None;
             }
             None => {}
         }
@@ -1212,7 +1302,7 @@ impl Router {
 
     /// Which input VC holds ejection port `e`, if any.
     pub fn eject_owner(&self, e: usize) -> Option<(PortId, VcId)> {
-        self.ejects[e]
+        self.ejects[e].owner
     }
 
     /// Position of this router's adaptive tie-break RNG, in 32-bit
@@ -1241,12 +1331,22 @@ impl Router {
     /// and closing it late would reorder `LinkStall` trace events.
     pub fn has_open_streaks(&self) -> bool {
         debug_assert_eq!(
-            self.open_streaks,
+            self.open_streaks as usize,
             self.ports.iter().filter(|p| p.open.is_some()).count(),
             "incremental open-streak count diverged at {}",
             self.node
         );
         self.open_streaks > 0
+    }
+
+    /// Whether a visit has anything to do: a flit outside the streams
+    /// worm trains hold, or an open stall streak. The active-set
+    /// scheduler keeps exactly these routers armed; a router whose only
+    /// flits are held is a no-op to visit (its held outputs are off the
+    /// traversal worklist, its held ejection ports skipped, its held
+    /// VCs routed).
+    pub fn needs_visit(&self) -> bool {
+        self.total_occupancy() > self.held_flits as usize || self.has_open_streaks()
     }
 
     /// Size of the allocation worklist: input VCs that are non-empty
@@ -1695,11 +1795,11 @@ mod tests {
     #[test]
     fn record_sizes_stay_within_budget() {
         use std::mem::{offset_of, size_of};
-        assert_eq!(size_of::<Router>(), 552, "Router bytes");
+        assert_eq!(size_of::<Router>(), 560, "Router bytes");
         assert_eq!(size_of::<OutPort>(), 128, "OutPort bytes");
         assert_eq!(size_of::<InputVc>(), 64, "InputVc bytes");
         // Everything a streaming visit reads of the router record
-        // itself sits in front of the RNG, in its first five lines.
-        assert_eq!(offset_of!(Router, rng), 328, "hot prefix of Router");
+        // itself sits in front of the RNG, in its first six lines.
+        assert_eq!(offset_of!(Router, rng), 336, "hot prefix of Router");
     }
 }

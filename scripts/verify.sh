@@ -48,6 +48,15 @@ if ! diff -q "$check_dir/check1.json" "$check_dir/check2.json" > /dev/null; then
     rm -rf "$check_dir"
     exit 1
 fi
+# Its closed state spaces are pinned as well: the `cksum` of the --json
+# report sits in scripts/check_digest.txt. Like the digests below, a
+# change that moves it re-records it on purpose (and says so in
+# CHANGES.md), never silently.
+if ! cksum < "$check_dir/check1.json" | diff scripts/check_digest.txt - >&2; then
+    echo "verify: FAIL — cksum of 'cr-check --all --budget 200000 --json' differs from scripts/check_digest.txt" >&2
+    rm -rf "$check_dir"
+    exit 1
+fi
 if ! ./target/release/cr-check --mutate all --budget 200000 \
         --emit-cex "$check_dir/cex.json" > /dev/null
 then
@@ -59,7 +68,7 @@ then
 fi
 ./target/release/cr-check --replay "$check_dir/cex.json" > /dev/null
 rm -rf "$check_dir"
-echo "verify: cr-check battery closed, mutations falsified, counterexample replayed"
+echo "verify: cr-check battery closed and matches scripts/check_digest.txt, mutations falsified, counterexample replayed"
 
 cargo test -q --offline --workspace
 
@@ -126,7 +135,9 @@ echo "verify: sharded --tiny output identical to serial"
 # And on the reference driver (DESIGN.md §10), which visits every
 # component every cycle, never fast-forwards and never forms a worm
 # train: the whole battery must match the default driver byte for byte
-# (about a second on a 2-vCPU VM).
+# (about a second on a 2-vCPU VM). Worm trains form beside Bernoulli
+# sources too, so this diff puts them under all eighteen modules, most
+# of which are source-driven.
 ./target/release/all --tiny --jobs 1 --dense > "$tmpdir/tiny_dense.txt"
 if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_dense.txt" > /dev/null; then
     echo "verify: FAIL — --dense --tiny output differs from the default driver" >&2
