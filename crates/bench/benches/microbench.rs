@@ -301,8 +301,8 @@ fn bench_link_visit() {
         Cycle::ZERO,
         1,
     );
-    // `kernel::arrivals_quiet`'s body for one link; returns the flits
-    // it moved into `dst`.
+    // The arrivals scan's body for one healthy link of a fault-free
+    // network; returns the flits it moved into `dst`.
     let visit = |link: &mut LinkState, dst: &mut Router, set: &mut ActiveSet, now: Cycle| {
         if link.occupied() == 0 {
             return 0;
@@ -334,7 +334,7 @@ fn bench_link_visit() {
         )
     };
 
-    // Includes the barrier's push and the downstream flush that frees
+    // Includes the route + traverse push and the downstream flush that frees
     // the slot again.
     let (mut link, mut dst, mut set) = fresh();
     g.bench("accept_due", || {

@@ -6,10 +6,10 @@
 //! resulting `target/bench/BENCH_sweep.json` records the wall clock of
 //! each configuration plus a derived simulated-cycles-per-second
 //! throughput; its `meta` block states the job count the run was
-//! measured under, and every benchmark object carries its own
-//! `(jobs, shards)` configuration so scripts/bench_compare.sh keys
-//! comparisons on the full configuration — the committed repo-root
-//! snapshot is the recorded baseline the ISSUE asks for.
+//! measured under, and every benchmark object carries its own `jobs`
+//! count so scripts/bench_compare.sh keys comparisons on
+//! `(name, jobs)` — the committed repo-root snapshot is the recorded
+//! baseline.
 //!
 //! The sweeps are bit-identical by construction (each point owns its
 //! seed), so the two configurations do identical work; any wall-clock
@@ -180,8 +180,8 @@ fn run_idle(case: IdleCase, dense: bool) -> u64 {
 /// FCR riding out a live kill-and-revive storm (DESIGN.md §13): a
 /// seeded set of regional outages fires while a finite message trace
 /// drains. Exercises the churn hot path — per-cycle schedule checks,
-/// dead-out flag flips, drain trackers, and the sharded arrivals
-/// gate flipping parallel -> serial -> parallel.
+/// dead-out flag flips, drain trackers, and fault detection on the
+/// arrivals scan.
 fn churn_net() -> Network {
     let topo = KAryNCube::torus(8, 2);
     let mut schedule = cr_faults::ChurnSchedule::new();
@@ -296,70 +296,18 @@ fn run_large(case: LargeCase) -> u64 {
     net.now().as_u64()
 }
 
-/// Builds the *dense* variant of a large fabric for the shard-scaling
-/// pairs: one message per node, arrivals staggered over a short
-/// window, so per-cycle router/link stepping — the work sharding
-/// splits — dominates instead of fast-forwarded dead air.
-fn shard_net(case: LargeCase, shards: usize) -> Network {
-    let kind = case.kind();
-    let mut b = NetworkBuilder::from_kind(&kind);
-    match case {
-        LargeCase::Torus64 | LargeCase::Torus256 | LargeCase::FatTree16 => {
-            b.routing(RoutingKind::Adaptive { vcs: 1 })
-                .protocol(ProtocolKind::Cr)
-        }
-        LargeCase::FullMesh128 => b
-            .routing(RoutingKind::FullMeshOrdered)
-            .protocol(ProtocolKind::Baseline),
-    }
-    .warmup(0)
-    .seed(0x5A)
-    .shards(shards);
-    let mut net = b.build();
-    let n = kind.num_nodes() as u64;
-    // One message per node on small fabrics; every 4th node on the
-    // 4 096-node torus — still >1 000 concurrent worms, but the drain
-    // stays affordable at full bench sample counts.
-    let stride = if n > 1024 { 4 } else { 1 };
-    let events: Vec<TraceEvent> = (0..n)
-        .step_by(stride)
-        .map(|k| TraceEvent {
-            at: Cycle::new((k % 64) * 4),
-            src: NodeId::new(k as u32),
-            dst: NodeId::new(((k.wrapping_mul(2531) + n / 2 + 1) % n) as u32),
-            length: 16,
-        })
-        .filter(|e| e.src != e.dst)
-        .collect();
-    net.schedule_trace(&Trace::from_events(events));
-    net
-}
-
-/// Drains a dense shard-scaling scenario; returns the final cycle.
-/// The `_sh1`/`_sh4` pairs run the identical simulation (the shard
-/// twin-run tests prove byte-equality), so their `cycles_per_sec`
-/// ratio is the sharded stepper's speedup — or, on a single-core
-/// host, its overhead.
-fn run_shard(case: LargeCase, shards: usize) -> u64 {
-    let mut net = shard_net(case, shards);
-    let done = net.run_until_quiescent(2_000_000);
-    assert!(done, "shard-scaling scenario must drain");
-    net.now().as_u64()
-}
-
 fn main() {
     let jobs = pool::effective_jobs(None);
     let mut g = Group::new("sweep");
 
     g.sample_size(10);
-    g.bench_cycles_at("tiny_serial", sim_cycles(Scale::Tiny), 1, 1, || {
+    g.bench_cycles_at("tiny_serial", sim_cycles(Scale::Tiny), 1, || {
         run_sweep(1, Scale::Tiny)
     });
     g.bench_cycles_at(
         &format!("tiny_parallel_j{jobs}"),
         sim_cycles(Scale::Tiny),
         jobs,
-        1,
         || run_sweep(jobs, Scale::Tiny),
     );
     // A fixed jobs = 2 point exists on every host (even single-core
@@ -367,20 +315,19 @@ fn main() {
     // carries a jobs > 1 configuration for the executor to be compared
     // under.
     if jobs != 2 {
-        g.bench_cycles_at("tiny_parallel_j2", sim_cycles(Scale::Tiny), 2, 1, || {
+        g.bench_cycles_at("tiny_parallel_j2", sim_cycles(Scale::Tiny), 2, || {
             run_sweep(2, Scale::Tiny)
         });
     }
 
     g.sample_size(5);
-    g.bench_cycles_at("quick_serial", sim_cycles(Scale::Quick), 1, 1, || {
+    g.bench_cycles_at("quick_serial", sim_cycles(Scale::Quick), 1, || {
         run_sweep(1, Scale::Quick)
     });
     g.bench_cycles_at(
         &format!("quick_parallel_j{jobs}"),
         sim_cycles(Scale::Quick),
         jobs,
-        1,
         || run_sweep(jobs, Scale::Quick),
     );
 
@@ -429,26 +376,6 @@ fn main() {
             LargeCase::FatTree16 | LargeCase::FullMesh128 => 15,
         });
         g.bench_cycles(name, cycles, || run_large(case));
-    }
-
-    // Shard-scaling pairs: the same dense drain at shards = 1 (serial
-    // stepper) and shards = 4 (spatial sharding, DESIGN.md §12). The
-    // workload is one message per node, so stepping dominates and the
-    // pair ratio measures sharding itself rather than fast-forward.
-    let shard_pairs = [
-        ("large_torus64_drain", LargeCase::Torus64),
-        ("large_fattree16_drain", LargeCase::FatTree16),
-        ("large_fullmesh128_drain", LargeCase::FullMesh128),
-    ];
-    for (name, case) in shard_pairs {
-        let cycles = run_shard(case, 1);
-        // Same cost-scaled sampling as the drain family above.
-        g.sample_size(match case {
-            LargeCase::Torus64 | LargeCase::Torus256 => 3,
-            LargeCase::FatTree16 | LargeCase::FullMesh128 => 10,
-        });
-        g.bench_cycles_at(&format!("{name}_sh1"), cycles, 1, 1, || run_shard(case, 1));
-        g.bench_cycles_at(&format!("{name}_sh4"), cycles, 1, 4, || run_shard(case, 4));
     }
 
     g.finish();

@@ -35,9 +35,6 @@ pub struct BenchResult {
     /// Worker-job count the routine ran under (sweep-level
     /// parallelism); 1 unless recorded via [`Group::bench_cycles_at`].
     pub jobs: usize,
-    /// Spatial shard count the routine's networks stepped with; 1
-    /// unless recorded via [`Group::bench_cycles_at`].
-    pub shards: usize,
 }
 
 /// A named collection of benchmarks that report together.
@@ -102,23 +99,20 @@ impl Group {
     }
 
     /// Benchmarks a simulation `routine` measured under an explicit
-    /// `(jobs, shards)` configuration, recorded per benchmark in the
-    /// JSON. Comparisons key benchmarks by `(name, jobs, shards)`
-    /// (scripts/bench_compare.sh), so the same scenario measured at a
-    /// different worker or shard count is a distinct data point rather
-    /// than a regression of the old one.
+    /// `jobs` count, recorded per benchmark in the JSON. Comparisons
+    /// key benchmarks by `(name, jobs)` (scripts/bench_compare.sh), so
+    /// the same scenario measured at a different worker count is a
+    /// distinct data point rather than a regression of the old one.
     pub fn bench_cycles_at<T>(
         &mut self,
         name: &str,
         sim_cycles: u64,
         jobs: usize,
-        shards: usize,
         routine: impl FnMut() -> T,
     ) {
         self.bench_cycles(name, sim_cycles, routine);
         if let Some(last) = self.results.last_mut() {
             last.jobs = jobs;
-            last.shards = shards;
         }
     }
 
@@ -155,7 +149,6 @@ impl Group {
             mean_ns: samples_ns.iter().sum::<u64>() / n as u64,
             sim_cycles: 0,
             jobs: 1,
-            shards: 1,
         };
         println!(
             "{:<28} {:>14} median  {:>14} p95  ({} samples)",
@@ -173,10 +166,9 @@ impl Group {
     /// was created and the effective parallelism
     /// ([`cr_sim::pool::effective_jobs`] at group creation), so a
     /// recorded baseline states the conditions it was measured under.
-    /// Each benchmark object additionally carries its own `jobs` and
-    /// `shards` fields (both 1 unless set via
-    /// [`Group::bench_cycles_at`]) so comparisons can key on the full
-    /// `(name, jobs, shards)` configuration.
+    /// Each benchmark object additionally carries its own `jobs` field
+    /// (1 unless set via [`Group::bench_cycles_at`]) so comparisons can
+    /// key on `(name, jobs)`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("group", Json::from(self.name.as_str())),
@@ -198,7 +190,6 @@ impl Group {
                     let mut fields = vec![
                         ("name", Json::from(r.name.as_str())),
                         ("jobs", Json::from(r.jobs as u64)),
-                        ("shards", Json::from(r.shards as u64)),
                         ("samples", Json::from(r.samples)),
                         ("min_ns", Json::from(r.min_ns)),
                         ("median_ns", Json::from(r.median_ns)),
@@ -346,14 +337,12 @@ mod tests {
         let mut g = Group::new("harness_selftest_at");
         g.sample_size(2);
         g.bench_cycles("plain", 100, || 1u64 + 1);
-        g.bench_cycles_at("configured", 100, 4, 7, || 2u64 + 2);
+        g.bench_cycles_at("configured", 100, 4, || 2u64 + 2);
         let json = g.to_json();
         let benches = json.get("benchmarks").unwrap().as_arr().unwrap();
         let field = |b: &Json, k: &str| b.get(k).and_then(Json::as_u64).unwrap();
         assert_eq!(field(&benches[0], "jobs"), 1);
-        assert_eq!(field(&benches[0], "shards"), 1);
         assert_eq!(field(&benches[1], "jobs"), 4);
-        assert_eq!(field(&benches[1], "shards"), 7);
         assert!(field(&benches[1], "cycles_per_sec") > 0);
     }
 

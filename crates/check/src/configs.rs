@@ -84,13 +84,11 @@ fn line2_net() -> CheckNet {
             .deadlock_threshold(DEADLOCK_THRESHOLD)
             .warmup(0)
             .seed(1)
-            .shards(1)
             .build(),
     )
 }
 
-/// The `ring3` network, unbuilt (one shard unless the caller says
-/// otherwise).
+/// The `ring3` network, unbuilt.
 pub fn ring3_builder() -> NetworkBuilder {
     let mut b = NetworkBuilder::new(KAryNCube::torus(3, 1));
     b.routing(RoutingKind::Adaptive { vcs: 1 })
@@ -100,8 +98,7 @@ pub fn ring3_builder() -> NetworkBuilder {
         .retransmit(RetransmitScheme::StaticGap { gap: 6 })
         .deadlock_threshold(DEADLOCK_THRESHOLD)
         .warmup(0)
-        .seed(1)
-        .shards(1);
+        .seed(1);
     b
 }
 
@@ -118,13 +115,11 @@ fn mesh4_net() -> CheckNet {
             .deadlock_threshold(DEADLOCK_THRESHOLD)
             .warmup(0)
             .seed(1)
-            .shards(1)
             .build(),
     )
 }
 
-/// The `torus2x2-*` network under `protocol`, unbuilt (one shard
-/// unless the caller says otherwise).
+/// The `torus2x2-*` network under `protocol`, unbuilt.
 pub fn torus2x2_builder(protocol: ProtocolKind) -> NetworkBuilder {
     let mut b = NetworkBuilder::new(KAryNCube::torus(2, 2));
     b.routing(RoutingKind::Adaptive { vcs: 1 })
@@ -135,8 +130,7 @@ pub fn torus2x2_builder(protocol: ProtocolKind) -> NetworkBuilder {
         .retransmit(RetransmitScheme::StaticGap { gap: 4 })
         .deadlock_threshold(DEADLOCK_THRESHOLD)
         .warmup(0)
-        .seed(1)
-        .shards(1);
+        .seed(1);
     b
 }
 
@@ -262,7 +256,6 @@ fn no_padding_net() -> CheckNet {
             .deadlock_threshold(DEADLOCK_THRESHOLD)
             .warmup(0)
             .seed(1)
-            .shards(1)
             .ablations(Ablations {
                 disable_padding: true,
                 ..Ablations::default()

@@ -37,7 +37,6 @@ pub struct NetworkBuilder {
     cfg: NetworkConfig,
     faults: FaultModel,
     traffic: Option<(TrafficPattern, LengthDistribution, f64)>,
-    shards: Option<usize>,
 }
 
 impl NetworkBuilder {
@@ -54,19 +53,15 @@ impl NetworkBuilder {
             cfg: NetworkConfig::default(),
             faults: FaultModel::new(),
             traffic: None,
-            shards: None,
         }
     }
 
-    /// Number of spatial shards the active stepper partitions the
-    /// fabric into (see DESIGN.md §12). `1` (the default) is the
-    /// serial stepper; any value is byte-identical to it. When this
-    /// knob is never called, the `CR_SHARDS` environment variable is
-    /// consulted, then serial. Deliberately *not* part of
-    /// [`NetworkConfig`]: shard count is an execution strategy, not an
-    /// experiment parameter, and must never leak into printed results.
-    pub fn shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = Some(shards);
+    /// Inert: the sharded stepper this configured was removed, and
+    /// every network steps on one serial driver. Kept only because the
+    /// frozen benchmark (`cr-perf`) still calls it; due for deletion
+    /// with ROADMAP item 5(b).
+    #[doc(hidden)]
+    pub fn shards(&mut self, _shards: usize) -> &mut Self {
         self
     }
 
@@ -269,7 +264,6 @@ impl NetworkBuilder {
             self.faults.clone(),
             sources,
             offered,
-            cr_sim::shard::effective_shards(self.shards),
         )
     }
 }

@@ -8,8 +8,8 @@
 //! The encoder must read router buffers, link lanes, teardown tokens
 //! and the killed registry — private simulation state that must stay
 //! private (tests and tools should not be able to mutate or depend on
-//! it). Declaring this module inside `network.rs` (the same trick the
-//! sharded stepper uses) grants field access without widening any
+//! it). Declaring this module inside `network.rs` (as the kernel and
+//! phase modules are) grants field access without widening any
 //! visibility.
 //!
 //! # Canonical encoding
@@ -49,7 +49,6 @@
 //! let net = NetworkBuilder::new(KAryNCube::mesh(2, 1))
 //!     .routing(RoutingKind::Adaptive { vcs: 1 })
 //!     .protocol(ProtocolKind::Cr)
-//!     .shards(1)
 //!     .build();
 //! let mut cn = CheckNet::new(net);
 //! cn.inject(NodeId::new(0), NodeId::new(1), 2);
@@ -141,9 +140,9 @@ pub trait ProtocolStep {
 /// A [`Network`] wrapped for model checking: deliveries recorded, and
 /// every [`MessageId`] the checker injects tracked under its
 /// interleaving-independent [`FlowKey`]. The network is taken as
-/// built — whichever driver and shard count it was given is what the
-/// checker drives; the canonical encoding reads protocol state only,
-/// so every driver must reach the same states.
+/// built — whichever driver it was given is what the checker drives;
+/// the canonical encoding reads protocol state only, so every driver
+/// must reach the same states.
 pub struct CheckNet {
     net: Network,
     /// Flow label of every message injected through
@@ -159,16 +158,15 @@ pub struct CheckNet {
 /// checker configurations whose routing function is *not* one of the
 /// [`RoutingKind`](crate::RoutingKind) presets (the `--mutate` knobs
 /// plant deliberately unsound routing functions here). No traffic
-/// sources are attached and the plan is one shard; `cfg` still
-/// describes the protocol, buffering and (for padding budgets)
-/// the nominal routing kind.
+/// sources are attached; `cfg` still describes the protocol,
+/// buffering and (for padding budgets) the nominal routing kind.
 pub fn assemble_with_routing(
     topo: Box<dyn Topology>,
     cfg: NetworkConfig,
     routing: Box<dyn RoutingFunction>,
     faults: FaultModel,
 ) -> Network {
-    Network::assemble(topo, cfg, routing, faults, Vec::new(), 0.0, 1)
+    Network::assemble(topo, cfg, routing, faults, Vec::new(), 0.0)
 }
 
 impl CheckNet {
@@ -306,7 +304,7 @@ impl ProtocolStep for CheckNet {
     fn kill_link_now(&mut self, link: LinkId) {
         // The live-churn kill path (`apply_churn`) minus its
         // metrics-only work (drain trackers, trace events).
-        self.net.faults_mut().kill_link(link);
+        self.net.faults.kill_link(link);
         self.net.trains.forget_tails();
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
@@ -317,7 +315,7 @@ impl ProtocolStep for CheckNet {
     }
 
     fn revive_link_now(&mut self, link: LinkId) {
-        self.net.faults_mut().revive_link(link);
+        self.net.faults.revive_link(link);
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.tables.link_head[li];
@@ -414,10 +412,7 @@ impl ProtocolStep for CheckNet {
         }
 
         // --- links ----------------------------------------------------------
-        // Walked in original index order; state lives at the permuted
-        // slot.
-        for li in 0..net.links.len() {
-            let link = &net.links[net.link_perm[li] as usize];
+        for link in &net.links {
             for lane in (0..num_vcs).map(|v| link.lane(v)) {
                 put_u64(out, lane.len() as u64);
                 for &(arrive, ref f) in lane {
@@ -507,11 +502,10 @@ impl ProtocolStep for CheckNet {
             let Some((src, src_port)) = net.tables.in_upstream(dst, dst_port) else {
                 continue;
             };
-            let pi = net.link_perm[li] as usize;
             for v in 0..num_vcs {
                 let vc = VcId::from_index(v);
                 let credits = net.routers[src].credits(src_port, vc);
-                let wire = net.links[pi].lane(v).len();
+                let wire = net.links[li].lane(v).len();
                 let buffered = net.routers[dst].occupancy(dst_port, vc);
                 if credits + wire + buffered != depth {
                     return Err(format!(

@@ -20,20 +20,19 @@
 //! 6. **Routing/allocation + switch traversal** — one visit per
 //!    router: unrouted headers try for an output, then every allocated
 //!    output forwards a flit if it can; departing flits enter link
-//!    pipelines or receivers, and credits return upstream at the
-//!    phase's barrier.
+//!    pipelines or receivers, and credits return upstream once every
+//!    router has traversed.
 //! 7. Bookkeeping: registry pruning and the deadlock watchdog.
 //!
-//! # Kernel, drivers, barriers
+//! # Kernels and effects
 //!
-//! Phases 1, 5 and 6 are written once, as three kernels over one
-//! shard's state (`network_kernel.rs`); `network_sharded.rs` fans each
-//! out over the shard plan and applies its buffered effects at the
-//! phase's barrier (DESIGN.md §12) — three fan-outs and three barriers
-//! a cycle. A serial run is the one-shard plan. This file keeps what is serial by nature — churn, tokens, path-wide
-//! detection, traffic, bookkeeping, the kill machinery — and the
-//! ordered arrivals scan, the one phase body that cannot be sharded
-//! (it draws the fault RNG in global link order).
+//! Phases 5 and 6 are written as kernels (`network_kernel.rs`) that
+//! mutate only the components they visit and buffer every other
+//! effect in a sink; `network_phases.rs` runs each kernel and then
+//! applies its sink (DESIGN.md §12), which makes the two phases
+//! visit-order-free. This file keeps everything else: churn, arrivals,
+//! tokens, path-wide detection, traffic, bookkeeping and the kill
+//! machinery, each applying its effects in place.
 //!
 //! # Active-set scheduling
 //!
@@ -61,19 +60,17 @@ use cr_router::{
     Flit, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
 };
 use cr_sim::sched::ActiveSet;
-use cr_sim::shard::Sharded;
 use cr_sim::trace::{Event, KillCause, TraceSink, TraceStats};
 use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
 use cr_traffic::TrafficSource;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 #[path = "network_kernel.rs"]
 mod kernel;
 
-#[path = "network_sharded.rs"]
-mod sharded;
+#[path = "network_phases.rs"]
+mod phases;
 
 #[path = "check_api.rs"]
 pub mod check_api;
@@ -143,9 +140,6 @@ struct Tables {
     /// upstream output port), node [`NONE`] where unconnected; read
     /// via [`Tables::in_upstream`].
     in_upstream: Vec<(u32, PortId)>,
-    /// Inverse of `Network::link_perm`: permuted index -> original
-    /// link index.
-    link_orig: Vec<u32>,
     /// Injection channels per node (`cfg.inject_channels`).
     chans: usize,
 }
@@ -181,35 +175,26 @@ impl Tables {
 /// A complete simulated network. Build one with
 /// [`NetworkBuilder`](crate::NetworkBuilder).
 pub struct Network {
-    // The wiring tables and the serially-mutated killed/faults
-    // registries sit behind `Arc` so a team fan-out can hand clones to
-    // the persistent workers' 'static tasks. The mutable registries
-    // are only written through `killed_mut` / `faults_mut`, which
-    // assert the task clones are gone.
-    tables: Arc<Tables>,
+    tables: Tables,
     cfg: NetworkConfig,
-    faults: Arc<FaultModel>,
+    faults: FaultModel,
     timeout: u64,
 
-    // Per-component mutable state is stored in per-shard chunks
-    // ([`Sharded`]): a kernel borrows its shard's chunks as slices, a
-    // team task takes them by value and hands them back — no borrows
-    // cross the thread boundary. Serial code indexes flat.
-    routers: Sharded<Router>,
-    injectors: Sharded<Vec<Injector>>,
-    receivers: Sharded<Receiver>,
+    routers: Vec<Router>,
+    injectors: Vec<Vec<Injector>>,
+    receivers: Vec<Receiver>,
     sources: Vec<TrafficSource>,
 
-    links: Sharded<LinkState>,
-    /// Inverse of `Tables::link_ids`: `link_by_id[id.index()]` =
-    /// original link index (`u32::MAX` for ids the topology never
-    /// handed out).
+    /// Link state, by link index (the order of `Topology::links`).
+    links: Vec<LinkState>,
+    /// Inverse of `Tables::link_ids`: `link_by_id[id.index()]` = link
+    /// index (`u32::MAX` for ids the topology never handed out).
     link_by_id: Vec<u32>,
 
     /// Post-warmup flits carried per link (channel-utilization
     /// statistics).
     link_flits: Vec<u64>,
-    killed: Arc<KilledMap>,
+    killed: KilledMap,
     registry_lifetime: u64,
     fwd_tokens: Vec<Token>,
     bwd_tokens: Vec<Token>,
@@ -253,25 +238,19 @@ pub struct Network {
     // rebuilt by every kernel's re-arm pass whichever driver is
     // running, so they are always a superset of the truly active
     // components. That keeps switching drivers mid-run legal.
-    /// Routers with buffered flits or an open stall streak, one set
-    /// per shard (global node ids; shard ownership is fixed by
-    /// `node_shard`). Concatenating the per-shard sorted drains in
-    /// shard order reproduces the global ascending order because
-    /// shards own contiguous node-id ranges.
-    router_sets: Vec<ActiveSet>,
-    /// Links with flits in flight or parked in the channel latches,
-    /// one set per shard, keyed by *permuted* link index (see
-    /// `link_perm`).
-    link_sets: Vec<ActiveSet>,
+    /// Routers with buffered flits or an open stall streak.
+    router_set: ActiveSet,
+    /// Links with flits in flight or parked in the channel latches.
+    link_set: ActiveSet,
     /// Injectors (flat id `node * inject_channels + channel`) with a
-    /// worm in hand or queued messages, one set per shard.
-    injector_sets: Vec<ActiveSet>,
-    /// Receivers that may hold an open assembly (node ids), one set
-    /// per shard: recorded when `on_flit` leaves an assembly open,
-    /// drained and rebuilt by [`Network::prune_registries`], so the
-    /// periodic prune visits those and not every node.
-    receiver_sets: Vec<ActiveSet>,
-    /// Visit-list scratch of the ordered arrivals scan.
+    /// worm in hand or queued messages.
+    injector_set: ActiveSet,
+    /// Receivers that may hold an open assembly (node ids): recorded
+    /// when `on_flit` leaves an assembly open, drained and rebuilt by
+    /// [`Network::prune_registries`], so the periodic prune visits
+    /// those and not every node.
+    receiver_set: ActiveSet,
+    /// Visit-list scratch of the arrivals scan and the prune.
     ids_scratch: Vec<u32>,
     /// Flits in routers + links, maintained incrementally; the O(1)
     /// backing of [`Network::flits_in_flight`].
@@ -282,46 +261,9 @@ pub struct Network {
     /// `true` = the reference driver: every phase visits every
     /// component, link wakes are ignored, no fast-forward.
     reference_stepper: bool,
-    /// `true` = fan out through the owned hand-off and the team even
-    /// where the inline route would do (equivalence tests and the
-    /// benchmark use this to price that machinery).
-    force_sharded: bool,
-
-    // --- spatial sharding state (DESIGN.md §12) ---
-    /// Contiguous node-id partition of the fabric; serial (one shard)
-    /// unless the builder asked for more.
-    plan: cr_sim::shard::Plan,
-    /// `node_shard[node]` = owning shard (the plan's owner table).
-    node_shard: Vec<u16>,
-    /// `link_perm[orig li]` = permuted index. Link *state* (`links`)
-    /// is stored grouped by owning shard (the shard of
-    /// the link's **destination** node, which is the side arrivals
-    /// mutate), ascending original index within each shard, so each
-    /// shard's links form one contiguous slice. Identity when serial.
-    link_perm: Vec<u32>,
-    /// Permuted-index range of shard `s`: `link_bounds[s] ..
-    /// link_bounds[s + 1]`.
-    link_bounds: Vec<usize>,
-    /// `link_shard[permuted]` = owning shard.
-    link_shard: Vec<u16>,
-    /// Per-shard effects sinks of the phase kernels, drained at each
-    /// phase barrier in shard order.
-    shard_scratch: Vec<kernel::ShardScratch>,
-    /// Worker-thread override for team fan-outs (tests force >1 on
-    /// single-core machines); `None` = available parallelism.
-    shard_threads: Option<usize>,
-    /// Persistent worker team, spawned at the first fan-out of a
-    /// multi-shard (or forced) plan and reused for every fan-out
-    /// thereafter (DESIGN.md §12). `None` until then, and reset by
-    /// [`Network::set_shard_threads`]. Shut down (workers joined)
-    /// ahead of the shard state by [`Network`]'s `Drop`.
-    team: Option<cr_sim::pool::Team>,
-    /// `true` once any link has ever been dead during a step. Under a
-    /// fault-detecting protocol with a nonzero detection-miss rate, a
-    /// corrupted flit may have survived its dead-link arrival and
-    /// still be roaming, so the per-cycle parallel-arrivals gate must
-    /// stay conservative forever after (DESIGN.md §12).
-    ever_dead: bool,
+    /// The phase kernels' effects sink, applied after each kernel
+    /// (DESIGN.md §12).
+    fx: kernel::Effects,
 
     // --- live fault churn state (DESIGN.md §13) ---
     /// Scratch for [`cr_faults::FaultModel::apply_churn_due`], reused
@@ -360,13 +302,9 @@ impl Network {
         mut faults: FaultModel,
         sources: Vec<TrafficSource>,
         offered_load: f64,
-        shards: usize,
     ) -> Self {
         cfg.validate();
         let n = topo.num_nodes();
-        let plan = cr_sim::shard::Plan::from_hint(topo.partition_hint(shards), n, shards);
-        let node_shard = plan.owner_table();
-        let num_shards = plan.num_shards();
         let root = SimRng::from_seed(cfg.seed);
         let num_vcs = routing.num_vcs();
 
@@ -443,32 +381,7 @@ impl Network {
                 (d.src.as_u32(), d.src_port);
         }
 
-        // Group link *state* storage by owning shard (the shard of the
-        // destination node), ascending original index within a shard,
-        // so each shard's links are one contiguous mutable slice. With
-        // one shard the permutation is the identity.
-        let mut link_bounds = vec![0usize; num_shards + 1];
-        for d in &descs {
-            link_bounds[node_shard[d.dst.index()] as usize + 1] += 1;
-        }
-        for s in 0..num_shards {
-            link_bounds[s + 1] += link_bounds[s];
-        }
-        let mut next = link_bounds.clone();
-        let mut link_perm = vec![0u32; descs.len()];
-        let mut link_orig = vec![0u32; descs.len()];
-        let mut link_shard = vec![0u16; descs.len()];
-        for (idx, d) in descs.iter().enumerate() {
-            let s = node_shard[d.dst.index()] as usize;
-            let pi = next[s];
-            next[s] += 1;
-            link_perm[idx] = idx32(pi);
-            link_orig[pi] = idx32(idx);
-            // cr-lint: allow(integer-narrowing, reason = "s indexes node_shard, whose entries are already u16 shard numbers")
-            link_shard[pi] = s as u16;
-        }
-
-        // `LinkId` -> original link index, for resolving churn firings
+        // `LinkId` -> link index, for resolving churn firings
         // back to link state.
         let max_id = descs.iter().map(|d| d.id.index() + 1).max().unwrap_or(0);
         let mut link_by_id = vec![u32::MAX; max_id];
@@ -508,44 +421,20 @@ impl Network {
             }
         }
 
-        // Per-shard chunk sizes for the owned-state stores: nodes by
-        // the plan's contiguous ranges, links by the permuted
-        // per-shard grouping. Every `LinkState` is identical (empty)
-        // at construction, so chunking the original-order vector by
-        // the permuted group sizes is exact.
-        let node_sizes: Vec<usize> = (0..num_shards).map(|s| plan.range(s).len()).collect();
-        let link_sizes: Vec<usize> = (0..num_shards)
-            .map(|s| link_bounds[s + 1] - link_bounds[s])
-            .collect();
-        let ever_dead = faults.num_dead_links() > 0;
-
         let warmup = Cycle::new(cfg.warmup);
         Network {
             latency: LatencyRecorder::new(warmup),
             throughput: ThroughputMeter::new(warmup, n),
-            router_sets: (0..num_shards).map(|_| ActiveSet::new(n)).collect(),
-            link_sets: (0..num_shards).map(|_| ActiveSet::new(links.len())).collect(),
-            injector_sets: (0..num_shards)
-                .map(|_| ActiveSet::new(n * cfg.inject_channels))
-                .collect(),
-            receiver_sets: (0..num_shards).map(|_| ActiveSet::new(n)).collect(),
+            router_set: ActiveSet::new(n),
+            link_set: ActiveSet::new(links.len()),
+            injector_set: ActiveSet::new(n * cfg.inject_channels),
+            receiver_set: ActiveSet::new(n),
             ids_scratch: Vec::new(),
             live_flits: 0,
             undrained_injectors: 0,
             reference_stepper: false,
-            force_sharded: false,
-            shard_scratch: (0..num_shards)
-                .map(|_| kernel::ShardScratch::default())
-                .collect(),
-            shard_threads: None,
-            team: None,
-            ever_dead,
-            plan,
-            node_shard,
-            link_perm,
-            link_bounds,
-            link_shard,
-            tables: Arc::new(Tables {
+            fx: kernel::Effects::default(),
+            tables: Tables {
                 topo,
                 routing,
                 stride,
@@ -553,23 +442,22 @@ impl Network {
                 link_head,
                 link_ids,
                 in_upstream,
-                link_orig,
                 chans: cfg.inject_channels,
-            }),
-            faults: Arc::new(faults),
+            },
+            faults,
             timeout,
-            routers: Sharded::from_flat(routers, &node_sizes),
-            injectors: Sharded::from_flat(injectors, &node_sizes),
-            receivers: Sharded::from_flat(receivers, &node_sizes),
+            routers,
+            injectors,
+            receivers,
             sources,
             link_flits: vec![0; links.len()],
-            links: Sharded::from_flat(links, &link_sizes),
+            links,
             link_by_id,
             churn_firings: Vec::new(),
             churn_trackers: Vec::new(),
             churn_undrained: 0,
             trains: train::Trains::new(descs.len(), n * cfg.inject_channels),
-            killed: Arc::new(KilledMap::new()),
+            killed: KilledMap::new(),
             registry_lifetime,
             fwd_tokens: Vec::new(),
             bwd_tokens: Vec::new(),
@@ -611,30 +499,6 @@ impl Network {
     /// The effective source timeout in cycles.
     pub fn timeout(&self) -> u64 {
         self.timeout
-    }
-
-    /// Mutable access to the killed-worm registry. The `Arc` is only
-    /// cloned into shard-task contexts that are dropped before any
-    /// serial code runs again, so the uniqueness assert holds and
-    /// `make_mut` never actually copies.
-    pub(crate) fn killed_mut(&mut self) -> &mut KilledMap {
-        debug_assert_eq!(
-            Arc::strong_count(&self.killed),
-            1,
-            "killed registry aliased at mutation time"
-        );
-        Arc::make_mut(&mut self.killed)
-    }
-
-    /// Mutable access to the fault model, same contract as
-    /// [`Network::killed_mut`].
-    pub(crate) fn faults_mut(&mut self) -> &mut FaultModel {
-        debug_assert_eq!(
-            Arc::strong_count(&self.faults),
-            1,
-            "fault model aliased at mutation time"
-        );
-        Arc::make_mut(&mut self.faults)
     }
 
     /// Live event counters.
@@ -702,7 +566,7 @@ impl Network {
         out
     }
 
-    /// Calls `f` with every link's original index and counters, in
+    /// Calls `f` with every link's index and counters, in
     /// router order, borrowing them where they live.
     fn for_each_link_stats(&self, mut f: impl FnMut(usize, &LinkStats)) {
         for (n, router) in self.routers.iter().enumerate() {
@@ -731,9 +595,8 @@ impl Network {
     /// `false` (the default) the active-set visit lists. The two are
     /// byte-identical in every observable output; the reference
     /// driver exists as the equivalence baseline for set membership,
-    /// wake estimates and fast-forward, composes with any shard
-    /// count, and may be switched at any point of a run (the active
-    /// sets stay exact under both).
+    /// wake estimates and fast-forward, and may be switched at any
+    /// point of a run (the active sets stay exact under both).
     pub fn set_reference_stepper(&mut self, dense: bool) {
         self.reference_stepper = dense;
     }
@@ -743,37 +606,16 @@ impl Network {
         self.reference_stepper
     }
 
-    /// Forces every fan-out through the owned hand-off and
-    /// `Team::run`, even where the inline route would do (a one-shard
-    /// plan, or a team one thread wide). Results are identical either
-    /// way — both routes run the same kernels and barriers — so this
-    /// only changes which machinery runs: equivalence tests and the
-    /// benchmark use it to exercise and price the hand-off.
-    pub fn set_force_sharded(&mut self, on: bool) {
-        self.force_sharded = on;
-    }
+    /// Inert: the sharded stepper this selected was removed, and
+    /// every network steps on one serial driver. Kept only because the
+    /// frozen benchmark (`cr-perf`) still calls it; due for deletion
+    /// with ROADMAP item 5(b).
+    #[doc(hidden)]
+    pub fn set_force_sharded(&mut self, _on: bool) {}
 
-    /// Number of spatial shards the network steps with (1 = serial).
-    pub fn num_shards(&self) -> usize {
-        self.plan.num_shards()
-    }
-
-    /// Overrides the worker-thread count of team fan-outs (`None`,
-    /// the default, sizes the team to the machine's available
-    /// parallelism, capped at the shard count; a team one thread wide
-    /// is never dispatched to — the kernels run inline). Results are identical
-    /// for every value — equivalence tests force >1 to exercise real
-    /// cross-thread handoff even on single-core machines; benchmarks
-    /// may pin it for stable measurements.
-    pub fn set_shard_threads(&mut self, threads: Option<usize>) {
-        if self.shard_threads != threads {
-            // The persistent team is sized from this setting; drop it
-            // (joining its workers) so the next fan-out respawns at
-            // the new width.
-            self.team = None;
-        }
-        self.shard_threads = threads;
-    }
+    /// Inert, like [`Network::set_force_sharded`].
+    #[doc(hidden)]
+    pub fn set_shard_threads(&mut self, _threads: Option<usize>) {}
 
     /// All traffic drained: nothing buffered or in flight, nothing
     /// scheduled, every injector empty. O(1) via the incremental
@@ -793,7 +635,7 @@ impl Network {
 
     /// Marks a router possibly-active (it gained a flit).
     fn arm_router(&mut self, node: usize) {
-        self.router_sets[self.node_shard[node] as usize].insert(idx32(node));
+        self.router_set.insert(idx32(node));
     }
 
     /// Marks an injector possibly-active (it gained work).
@@ -803,24 +645,18 @@ impl Network {
             self.trains.on_injector(id).is_none(),
             "armed a train's injector"
         );
-        self.injector_sets[self.node_shard[node] as usize].insert(idx32(id));
+        self.injector_set.insert(idx32(id));
     }
 
     /// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
     /// the link's active-set membership current.
-    /// `li` is an original link index; state lives at the permuted
-    /// slot, in the chunk of the link's owning shard (resolved once,
-    /// so the per-flit path has no flat `Sharded` lookup).
     fn push_onto_link(&mut self, li: usize, vc: VcId, arrive: Cycle, flit: Flit) {
-        let pi = self.link_perm[li] as usize;
-        let s = self.link_shard[pi] as usize;
-        let at = pi - self.link_bounds[s];
-        let pushed = self.links.chunk_mut(s)[at].push(vc.index(), arrive, flit);
+        let pushed = self.links[li].push(vc.index(), arrive, flit);
         assert!(
             pushed.is_ok(),
             "link {li} lane {vc} overflow: a flit was sent without a credit"
         );
-        self.link_sets[s].insert(idx32(pi));
+        self.link_set.insert(idx32(li));
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
@@ -968,13 +804,9 @@ impl Network {
             self.trains_at_cycle_start(now);
         }
 
-        // Live churn fires first, as serial orchestrator code, so every
-        // phase of the cycle sees the same dead-link set under every
-        // driver (DESIGN.md §13).
+        // Live churn fires first, so every phase of the cycle sees the
+        // same dead-link set (DESIGN.md §13).
         self.apply_churn(now);
-        if !self.ever_dead && self.faults.num_dead_links() > 0 {
-            self.ever_dead = true;
-        }
 
         self.phase_arrivals(now);
         self.phase_tokens(now);
@@ -1149,12 +981,11 @@ impl Network {
     /// active sets, emits `link_killed` / `link_revived` trace events,
     /// and opens one drain tracker per event.
     ///
-    /// Runs as serial orchestrator code at the top of [`Network::step`]
-    /// before any phase, so every driver observes the same dead-link
-    /// set for the whole cycle. Flits already in flight on a killed
-    /// link are *not* flushed here: corruption is assessed at arrival
-    /// time (both arrivals bodies read the live fault model), exactly
-    /// as with static faults.
+    /// Runs at the top of [`Network::step`] before any phase, so every
+    /// driver observes the same dead-link set for the whole cycle.
+    /// Flits already in flight on a killed link are *not* flushed
+    /// here: corruption is assessed at arrival time (arrivals read the
+    /// live fault model), exactly as with static faults.
     fn apply_churn(&mut self, now: Cycle) {
         match self.faults.next_churn_at() {
             Some(at) if at <= now => {}
@@ -1163,9 +994,8 @@ impl Network {
         self.trains.forget_tails();
         let mut firings = std::mem::take(&mut self.churn_firings);
         firings.clear();
-        let tables = Arc::clone(&self.tables);
-        self.faults_mut()
-            .apply_churn_due(&*tables.topo, now, &mut firings);
+        self.faults
+            .apply_churn_due(&*self.tables.topo, now, &mut firings);
         let num_vcs = self.tables.routing.num_vcs();
         for f in &firings {
             let mut affected: Vec<MessageId> = Vec::new();
@@ -1186,7 +1016,7 @@ impl Network {
                     }
                 }
                 // Flits already on the wire arrive corrupted.
-                let link = &self.links[self.link_perm[li] as usize];
+                let link = &self.links[li];
                 for (_, flit) in (0..num_vcs).flat_map(|v| link.lane(v)) {
                     affected.push(flit.worm.message);
                 }
@@ -1231,84 +1061,58 @@ impl Network {
     // Phases
     // ------------------------------------------------------------------
 
-    /// Ordered arrivals: the whole fabric's links in ascending
-    /// *original* index, every due flit delivered into its downstream
-    /// router — fault injection, killed-worm filtering, corruption
-    /// detection, then acceptance — with effects applied in place.
-    /// Taken by every driver on a cycle an arrival may draw the fault
-    /// RNG or kill a worm (`arrivals_parallel_ok` is false): both
-    /// happen in pop order on one sequential stream, so the scan is
-    /// global and serial. Shares its visit list, pop and re-arm steps
-    /// with the quiet-cycle kernel.
-    fn arrivals_ordered(&mut self, now: Cycle) {
+    /// Arrivals: the visited links in ascending index, every due flit
+    /// delivered into its downstream router — fault injection,
+    /// killed-worm filtering, corruption detection, then acceptance —
+    /// with effects applied in place. Corruption and detection draw
+    /// the fault RNG in pop order on one sequential stream, and a
+    /// detection kill tears its worm down on the spot, so the scan
+    /// order is part of the model.
+    fn phase_arrivals(&mut self, now: Cycle) {
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
-        for (s, set) in self.link_sets.iter_mut().enumerate() {
-            let all = self.link_bounds[s]..self.link_bounds[s + 1];
-            kernel::visit_list(&mut ids, set, all, self.reference_stepper);
-        }
-        if self.link_sets.len() > 1 {
-            // Per-shard lists are permuted-index-sorted; the scan
-            // order is ascending by original index. A one-shard plan
-            // skips this: its permutation is the identity.
-            for id in ids.iter_mut() {
-                *id = self.tables.link_orig[*id as usize];
-            }
-            ids.sort_unstable();
-            for id in ids.iter_mut() {
-                *id = self.link_perm[*id as usize];
-            }
-        }
-        for &pi in &ids {
-            self.visit_link_ordered(now, pi);
+        let all = 0..self.links.len();
+        kernel::visit_list(&mut ids, &mut self.link_set, all, self.reference_stepper);
+        for &li in &ids {
+            self.visit_link(now, li);
         }
         self.ids_scratch = ids;
     }
 
-    /// One visit of the ordered scan to the link at permuted index
-    /// `pi`, leaving it armed while it holds flits.
-    fn visit_link_ordered(&mut self, now: Cycle, pi32: u32) {
-        let pi = pi32 as usize;
-        if self.links[pi].occupied() == 0 {
+    /// One visit of the arrivals scan to link `li`, leaving it armed
+    /// while it holds flits.
+    fn visit_link(&mut self, now: Cycle, li32: u32) {
+        let li = li32 as usize;
+        if self.links[li].occupied() == 0 {
             return; // purged empty since it was armed
         }
-        let set = self.link_shard[pi] as usize;
-        if !self.reference_stepper && self.links[pi].wake() > now {
-            self.link_sets[set].insert(pi32); // nothing due yet
+        if !self.reference_stepper && self.links[li].wake() > now {
+            self.link_set.insert(li32); // nothing due yet
             return;
         }
-        let wake = self.scan_link_ordered(now, pi);
-        if self.links[pi].end_scan(wake) {
-            self.link_sets[set].insert(pi32);
+        let wake = self.scan_link(now, li);
+        if self.links[li].end_scan(wake) {
+            self.link_set.insert(li32);
         }
     }
 
-    /// One link of the ordered scan (`pi` is its permuted index);
-    /// returns the link's next wake.
-    fn scan_link_ordered(&mut self, now: Cycle, pi: usize) -> Cycle {
-        let li = self.tables.link_orig[pi] as usize;
+    /// One link of the arrivals scan; returns the link's next wake.
+    fn scan_link(&mut self, now: Cycle, li: usize) -> Cycle {
         let (dst_node, dst_port) = self.tables.link_head[li];
         let link_id = self.tables.link_ids[li];
-        // Constant per link, so resolved once and not per flit: its
-        // fault state (churn fires before any phase), and where its
-        // state and its destination router sit. A link is stored with
-        // the shard of its destination node, so one chunk index
-        // serves both and no flat `Sharded` lookup is left in the
-        // loop.
+        // Constant per link, so resolved once and not per flit: churn
+        // fires before any phase.
         let link_dead = self.faults.is_dead(link_id);
         let detects_faults = self.cfg.protocol.detects_faults();
-        let s = self.link_shard[pi] as usize;
-        let link_at = pi - self.link_bounds[s];
-        let dst_at = dst_node - self.plan.range(s).start;
         let dst32 = idx32(dst_node);
         let mut wake = LinkState::NEVER;
-        for v in 0..self.links.chunk_mut(s)[link_at].num_lanes() {
+        for v in 0..self.links[li].num_lanes() {
             let vc = VcId::from_index(v);
-            while let Some((mut flit, killed)) = self.links.chunk_mut(s)[link_at].pop_due(
+            while let Some((mut flit, killed)) = self.links[li].pop_due(
                 v,
                 now,
                 &self.killed,
-                &self.routers.chunk_mut(s)[dst_at],
+                &self.routers[dst_node],
                 dst_port,
                 &mut wake,
             ) {
@@ -1344,8 +1148,8 @@ impl Network {
                 if flit.corrupted && detects_faults {
                     self.counters.detections_missed += 1;
                 }
-                self.routers.chunk_mut(s)[dst_at].accept(now, dst_port, vc, flit);
-                self.router_sets[s].insert(dst32);
+                self.routers[dst_node].accept(now, dst_port, vc, flit);
+                self.router_set.insert(dst32);
                 self.last_progress = now;
             }
         }
@@ -1362,7 +1166,7 @@ impl Network {
         let Some(li) = self.tables.out_link(up_node, up_out) else {
             return;
         };
-        let purged = self.links[self.link_perm[li] as usize].purge(vc.index(), worm);
+        let purged = self.links[li].purge(vc.index(), worm);
         self.live_flits -= purged;
         for _ in 0..purged {
             self.counters.flits_dropped_killed += 1;
@@ -1436,11 +1240,9 @@ impl Network {
     /// only routers in the active set can trigger (the reference
     /// driver asks every router anyway). The sets are read, *not*
     /// drained — the route + traverse kernel owns their
-    /// drain-and-rebuild. Kills are rare and walk cross-shard teardown
-    /// chains, so this stays serial; they arm injectors, never
-    /// routers, so each set can be lifted out while `path_wide_one`
-    /// borrows the network (an arm would hit the empty stand-in and
-    /// panic).
+    /// drain-and-rebuild. Kills arm injectors, never routers, so the
+    /// set can be lifted out while `path_wide_one` borrows the network
+    /// (an arm would hit the empty stand-in and panic).
     fn phase_path_wide(&mut self, now: Cycle, threshold: u64) {
         if self.reference_stepper {
             for node in 0..self.routers.len() {
@@ -1448,15 +1250,11 @@ impl Network {
             }
             return;
         }
-        // Walking the per-shard sets in shard order visits nodes in
-        // global ascending order (contiguous node ranges).
-        for s in 0..self.router_sets.len() {
-            let set = std::mem::replace(&mut self.router_sets[s], ActiveSet::new(0));
-            for node in set.iter() {
-                self.path_wide_one(now, threshold, node as usize);
-            }
-            self.router_sets[s] = set;
+        let set = std::mem::replace(&mut self.router_set, ActiveSet::new(0));
+        for node in set.iter() {
+            self.path_wide_one(now, threshold, node as usize);
         }
+        self.router_set = set;
     }
 
     fn path_wide_one(&mut self, now: Cycle, threshold: u64, node: usize) {
@@ -1540,25 +1338,22 @@ impl Network {
     /// relies on exactly that.
     fn prune_registries(&mut self, now: Cycle) {
         let lifetime = self.registry_lifetime;
-        self.killed_mut()
-            .retain(|t| now.saturating_since(t) < lifetime);
+        self.killed.retain(|t| now.saturating_since(t) < lifetime);
         let horizon = self.prune_horizon(now);
         if self.trains.any() {
             self.trains_before_prune(now, horizon);
         }
-        // A receiver outside its shard's set holds no assembly, for
-        // which `prune` is a no-op.
+        // A receiver outside the set holds no assembly, for which
+        // `prune` is a no-op.
         let mut ids = std::mem::take(&mut self.ids_scratch);
-        for s in 0..self.receiver_sets.len() {
-            ids.clear();
-            let (set, all) = (&mut self.receiver_sets[s], self.plan.range(s));
-            kernel::visit_list(&mut ids, set, all, self.reference_stepper);
-            for &n in &ids {
-                let rx = &mut self.receivers[n as usize];
-                rx.prune(horizon);
-                if rx.assembling_len() > 0 {
-                    self.receiver_sets[s].insert(n);
-                }
+        ids.clear();
+        let all = 0..self.receivers.len();
+        kernel::visit_list(&mut ids, &mut self.receiver_set, all, self.reference_stepper);
+        for &n in &ids {
+            let rx = &mut self.receivers[n as usize];
+            rx.prune(horizon);
+            if rx.assembling_len() > 0 {
+                self.receiver_set.insert(n);
             }
         }
         self.ids_scratch = ids;
@@ -1602,13 +1397,13 @@ impl Network {
         }
         let now = self.now;
         let mut target = end;
-        for n in self.router_sets.iter().flat_map(ActiveSet::iter) {
+        for n in self.router_set.iter() {
             if self.routers[n as usize].needs_visit() {
                 return;
             }
         }
         let chans = self.cfg.inject_channels;
-        for id in self.injector_sets.iter().flat_map(ActiveSet::iter) {
+        for id in self.injector_set.iter() {
             let inj = &self.injectors[id as usize / chans][id as usize % chans];
             if !inj.has_step_work() {
                 continue; // stale entry
@@ -1618,9 +1413,8 @@ impl Network {
                 _ => return, // sending or resuming now: must step
             }
         }
-        // Members are permuted indices — exactly how `links` is stored.
-        for pi in self.link_sets.iter().flat_map(ActiveSet::iter) {
-            let link = &self.links[pi as usize];
+        for li in self.link_set.iter() {
+            let link = &self.links[li as usize];
             if link.occupied() == 0 {
                 continue; // purged empty since it was armed
             }
@@ -1701,7 +1495,7 @@ impl Network {
             self.train_before_teardown(node, port, now);
         }
         self.trains.forget_tail(worm);
-        self.killed_mut().insert(worm, now);
+        self.killed.insert(worm, now);
         if cause == KillCause::Fault {
             self.counters.kills_fault += 1;
         }
@@ -1818,16 +1612,5 @@ impl Network {
     fn downstream_of(&self, node: usize, out_port: PortId) -> Option<(usize, PortId)> {
         let li = self.tables.out_link(node, out_port)?;
         Some(self.tables.link_head[li])
-    }
-}
-
-impl Drop for Network {
-    fn drop(&mut self) {
-        // Shut the worker team down (its threads joined) before any
-        // shard state is freed. The tasks own their chunks outright so
-        // no worker can reference freed state even without this, but
-        // the explicit order keeps teardown deterministic and lets the
-        // no-thread-leak regression test assert it.
-        self.team = None;
     }
 }

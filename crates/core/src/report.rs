@@ -90,9 +90,9 @@ macro_rules! with_counter_fields {
 }
 
 impl NetCounters {
-    /// Adds every counter of `other` into `self` — the deterministic
-    /// reduction for per-shard counter deltas (all fields are plain
-    /// sums, so merge order cannot matter).
+    /// Adds every counter of `other` into `self` — how a phase
+    /// kernel's counter deltas are applied (all fields are plain sums,
+    /// so merge order cannot matter).
     pub fn merge(&mut self, other: &NetCounters) {
         macro_rules! add {
             (($slf:ident, $oth:ident) $($f:ident,)*) => {{

@@ -143,7 +143,7 @@ struct Hop {
     /// The input VC the worm streams out of.
     port: PortId,
     vc: VcId,
-    /// Original index of the outgoing link, [`NONE`] at the
+    /// Index of the outgoing link, [`NONE`] at the
     /// destination.
     link: u32,
     /// The lane (output VC) the worm holds on it.
@@ -184,13 +184,13 @@ pub(super) struct Trains {
     pub enabled: bool,
     live: Vec<Train>,
     /// `link_train[li]` = 1 + index in `live` of the train holding
-    /// original link `li` — its own, or one into a router a multi-VC
+    /// link `li` — its own, or one into a router a multi-VC
     /// hop holds whole — 0 for none.
     link_train: Vec<u32>,
     /// The same per injector (`node * inject_channels + channel`): the
     /// train's source, or an injector of a router held whole.
     injector_train: Vec<u32>,
-    /// Headers that ejected this cycle, in barrier order: the
+    /// Headers that ejected this cycle, in traversal order: the
     /// formation candidates.
     pub candidates: Vec<(u32, WormId)>,
     pub stats: TrainStats,
@@ -221,7 +221,7 @@ impl Trains {
         !self.live.is_empty()
     }
 
-    /// The train holding original link `li`, if any.
+    /// The train holding link `li`, if any.
     #[inline]
     fn on_link(&self, li: usize) -> Option<usize> {
         (self.link_train[li] as usize).checked_sub(1)
@@ -342,8 +342,8 @@ impl Network {
         }
     }
 
-    /// At the route + traverse barrier, before a flit is pushed onto
-    /// original link `li`: if a train holds the link, it is written
+    /// After route + traverse, before a flit is pushed onto
+    /// link `li`: if a train holds the link, it is written
     /// back as of the end of this cycle.
     pub(super) fn train_before_push(&mut self, li: usize, now: Cycle) {
         if let Some(i) = self.trains.on_link(li) {
@@ -510,7 +510,7 @@ impl Network {
             if self.faults.is_dead(self.tables.link_ids[li]) {
                 return Err(Reject::NotStreaming);
             }
-            let link = &self.links[self.link_perm[li] as usize];
+            let link = &self.links[li];
             if link.occupied() != link.lane(lane.index()).len() {
                 return Err(Reject::Shared);
             }
@@ -561,9 +561,7 @@ impl Network {
         let stepping = |c: usize| (node, c) != source && self.injectors[node][c].has_step_work();
         let inbound = |q: usize| {
             let li = self.tables.in_link(node, PortId::from_index(q));
-            li.is_some_and(|li| {
-                idx32(li) != from_link && self.links[self.link_perm[li] as usize].occupied() > 0
-            })
+            li.is_some_and(|li| idx32(li) != from_link && self.links[li].occupied() > 0)
         };
         router.alone_with(port, vc)
             && !(0..self.cfg.inject_channels).any(stepping)
@@ -578,16 +576,15 @@ impl Network {
             let router = &mut self.routers[node];
             router.hold_stream(hop.port, hop.vc);
             if !router.needs_visit() {
-                self.router_sets[self.node_shard[node] as usize].remove(hop.node);
+                self.router_set.remove(hop.node);
             }
             if hop.link != NONE {
-                let pi = self.link_perm[hop.link as usize];
-                self.link_sets[self.link_shard[pi as usize] as usize].remove(pi);
+                self.link_set.remove(hop.link);
             }
         }
         let src = train.hops[0].node as usize;
         let injector = idx32(src * self.cfg.inject_channels + train.chan);
-        self.injector_sets[self.node_shard[src] as usize].remove(injector);
+        self.injector_set.remove(injector);
         let i = self.trains.live.len();
         self.trains.live.push(train);
         self.trains.mark(i, idx32(i + 1), &self.tables);
@@ -630,8 +627,7 @@ impl Network {
             router.advance_stream(hop.port, hop.vc, d, upto);
             router.release_stream(hop.port, hop.vc);
             if hop.link != NONE {
-                let pi = self.link_perm[hop.link as usize] as usize;
-                self.links[pi].advance_lane(hop.lane.index(), d);
+                self.links[hop.link as usize].advance_lane(hop.lane.index(), d);
                 self.link_flits[hop.link as usize] += counted;
             }
         }
@@ -663,11 +659,10 @@ impl Network {
         // Re-arm exactly what the kernels would have left armed.
         self.arm_injector(src, train.chan);
         for hop in train.hops.iter().filter(|h| h.link != NONE) {
-            let pi = self.link_perm[hop.link as usize];
             match replay {
-                Some(now) => self.visit_link_ordered(now, pi),
+                Some(now) => self.visit_link(now, hop.link),
                 None => {
-                    self.link_sets[self.link_shard[pi as usize] as usize].insert(pi);
+                    self.link_set.insert(hop.link);
                 }
             }
         }
@@ -724,10 +719,7 @@ mod tests {
             event(60, at(1, 6), at(1, 1), 8),
         ]));
         let mid = at(1, 0);
-        let armed = |net: &crate::Network| {
-            let shard = net.node_shard[mid.index()] as usize;
-            net.router_sets[shard].contains(mid.as_u32())
-        };
+        let armed = |net: &crate::Network| net.router_set.contains(mid.as_u32());
         let down = (0..grid.num_ports(mid))
             .map(PortId::from_index)
             .find(|&p| grid.neighbor(mid, p) == Some(at(1, 1)))

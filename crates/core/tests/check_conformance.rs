@@ -45,8 +45,7 @@ fn build(topo_pick: usize, fcr: bool) -> NetworkBuilder {
         .retransmit(RetransmitScheme::StaticGap { gap: 6 })
         .deadlock_threshold(10_000)
         .warmup(0)
-        .seed(7)
-        .shards(1);
+        .seed(7);
     b
 }
 

@@ -1,14 +1,12 @@
 //! Live fault churn regression tests (DESIGN.md §13).
 //!
-//! Churn events fire at cycle boundaries as serial orchestrator code
-//! shared by every stepper, so the dense reference, the serial
-//! active-set stepper, and the sharded stepper must stay
-//! byte-identical under any kill/revive schedule. These tests pin the
-//! specific hazards churn introduced:
+//! Churn events fire at cycle boundaries, before any phase, under
+//! both drivers, so the reference driver and the active-set driver
+//! must stay byte-identical under any kill/revive schedule. These
+//! tests pin the specific hazards churn introduced:
 //!
-//! * the sharded arrivals gate must re-read the *live* dead-link count
-//!   (a run that starts fault-free and loses a link mid-run flips from
-//!   the parallel arrivals path to the serial fallback);
+//! * a run that starts fault-free, loses links mid-run and gets them
+//!   back must not depend on anything decided while it was fault-free;
 //! * fast-forward must treat the next churn entry as a wake source and
 //!   never jump past a scheduled event, even on a totally idle fabric;
 //! * a revive must re-wake the upstream router so a worm parked behind
@@ -47,12 +45,11 @@ fn fcr_builder(seed: u64) -> NetworkBuilder {
     b
 }
 
-/// A run that starts fault-free and loses links mid-run must stay
-/// byte-identical across the dense, serial-active, and sharded
-/// steppers. This is the regression test for the sharded arrivals
-/// gate: at churn time `num_dead_links` flips from 0 to nonzero under
-/// a fault-detecting protocol, so the parallel arrivals path must hand
-/// over to the serial fallback on exactly the right cycle.
+/// A run that goes fault-free → faulty → fault-free under a
+/// fault-detecting protocol must stay byte-identical, report and trace
+/// stream, between the reference and the active-set driver: arrivals
+/// read the live fault model from exactly the churn cycle on, and stop
+/// seeing the dead links on the revive.
 #[test]
 fn mid_run_kill_is_stepper_identical() {
     let topo = KAryNCube::torus(4, 2);
@@ -73,32 +70,18 @@ fn mid_run_kill_is_stepper_identical() {
     dense.set_reference_stepper(true);
     let d = dense.run(1200).to_json();
 
-    let mut serial = build().build();
-    assert_eq!(serial.num_shards(), 1);
-    let s = serial.run(1200).to_json();
+    let mut active = build().build();
+    let report = active.run(1200);
+    assert_eq!(report.churn.events.len(), 4, "every kill and revive fired");
+    let a = report.to_json();
 
-    assert!(d == s, "dense vs serial under churn:\n{d}\n{s}");
-
-    for shards in [2usize, 4] {
-        let mut sharded = build().shards(shards).build();
-        assert!(sharded.num_shards() > 1);
-        sharded.set_shard_threads(Some(4));
-        let p = sharded.run(1200).to_json();
-        assert!(
-            s == p,
-            "serial vs shards={shards} under churn:\n{s}\n{p}"
-        );
-        assert_eq!(serial.now(), sharded.now());
-        assert_eq!(
-            serial.take_trace_events(),
-            sharded.take_trace_events(),
-            "shards={shards}: trace streams differ"
-        );
-        // Re-arm the serial events for the next shard count.
-        drop(serial);
-        serial = build().build();
-        serial.run(1200);
-    }
+    assert!(d == a, "dense vs active under churn:\n{d}\n{a}");
+    assert_eq!(dense.now(), active.now());
+    assert_eq!(
+        dense.take_trace_events(),
+        active.take_trace_events(),
+        "trace streams differ"
+    );
 }
 
 /// Fast-forward must never sleep past a scheduled churn event. On a

@@ -2,7 +2,8 @@
 //! bookkeeping — the things the scenario tests don't poke directly.
 
 use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
-use cr_sim::NodeId;
+use cr_faults::FaultModel;
+use cr_sim::{NodeId, SimRng};
 use cr_topology::{GraphTopology, KAryNCube};
 use cr_traffic::{LengthDistribution, TrafficPattern};
 
@@ -274,4 +275,41 @@ fn torus_256x256_assembles_and_numbers_flows() {
         .collect();
     seqs.sort();
     assert_eq!(seqs, vec![(a, b, 0), (a, b, 1), (a, b, 2), (c, a, 0)]);
+}
+
+/// `NetworkBuilder::shards`, `Network::set_shard_threads` and
+/// `Network::set_force_sharded` outlive the sharded stepper only for
+/// the benchmark's sake, and must change nothing: an FCR torus with
+/// dead links built through all three reports and traces byte for byte
+/// like the default build.
+#[test]
+fn sharding_shims_are_inert() {
+    let build = || {
+        let topo = KAryNCube::torus(4, 2);
+        let mut faults = FaultModel::new();
+        faults
+            .kill_random_links_connected(&topo, 2, &mut SimRng::from_seed(0xFA))
+            .expect("fault plan must keep the network connected");
+        let mut b = NetworkBuilder::new(topo);
+        b.routing(RoutingKind::AdaptiveMisroute {
+            vcs: 1,
+            extra_hops: 4,
+        })
+        .protocol(ProtocolKind::Fcr)
+        .faults(faults)
+        .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), 0.2)
+        .trace(1 << 14)
+        .seed(0x51);
+        b
+    };
+    let mut plain = build().build();
+    let mut shimmed = build().shards(4).build();
+    shimmed.set_shard_threads(Some(4));
+    shimmed.set_force_sharded(true);
+    let p = plain.run(2_000).to_json();
+    let s = shimmed.run(2_000).to_json();
+    assert!(p == s, "reports differ\nplain:\n{p}\nshimmed:\n{s}");
+    let events = plain.take_trace_events();
+    assert!(!events.is_empty(), "the run must trace");
+    assert_eq!(events, shimmed.take_trace_events(), "trace streams differ");
 }

@@ -95,20 +95,18 @@ fn random_networks_never_lose_a_wakeup() {
 }
 
 /// Switching drivers mid-run is legal, in any order and at any point:
-/// every driver runs the same phase kernels and leaves the active sets
-/// exact, so a run chopped into random segments — each picking
-/// (reference | active) × (forced team hand-off on | off) × (1 | 2
-/// worker threads), over a 1-, 2- or 3-shard plan — must finish with
-/// the same report, clock and trace stream as the plain serial active
-/// run.
+/// both drivers run the same phase bodies and leave the active sets
+/// exact, so a run chopped into random segments, each on the reference
+/// or the active-set driver, must finish with the same report, clock
+/// and trace stream as the plain active-set run.
 #[test]
 fn mid_run_stepper_switch_is_seamless() {
     const BUDGET: u64 = 60_000;
     check("scheduler_switch", Config::cases(30), |src| {
         let (mut b, plan) = random_case(src);
         b.trace(1 << 14);
-        let mut plain = b.shards(1).build();
-        let mut mixed = b.shards(src.usize_in(1..4)).build();
+        let mut plain = b.build();
+        let mut mixed = b.build();
         for &(from, to, len) in &plan {
             plain.send_message(NodeId::new(from), NodeId::new(to), len);
             mixed.send_message(NodeId::new(from), NodeId::new(to), len);
@@ -120,8 +118,6 @@ fn mid_run_stepper_switch_is_seamless() {
         // is finishes the drain with fast-forward allowed.
         for _ in 0..src.usize_in(1..7) {
             mixed.set_reference_stepper(src.bool_any());
-            mixed.set_force_sharded(src.bool_any());
-            mixed.set_shard_threads(Some(src.usize_in(1..3)));
             for _ in 0..src.usize_in(0..60) {
                 if mixed.is_deadlocked() || mixed.flits_in_flight() == 0 {
                     break;

@@ -373,7 +373,7 @@ fn a_prune_inside_a_long_train_keeps_the_assembly() {
 
 /// A header of another worm arriving at a router on a train's path
 /// (here it crosses the train's row on its way along a column) writes
-/// the train back at the barrier that pushes it, and then routes and
+/// the train back when its flit is pushed, and then routes and
 /// forwards on exactly the cycles it does under the reference driver.
 #[test]
 fn a_foreign_header_at_a_train_router_forwards_on_the_reference_cycle() {

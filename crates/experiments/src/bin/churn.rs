@@ -3,8 +3,8 @@
 //! kill-and-revive storm. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 //!
-//! One extra flag beyond the shared harness set (`--jobs`, `--shards`,
-//! `--dense`, `--trace`, `--churn`):
+//! One extra flag beyond the shared harness set (`--jobs`, `--dense`,
+//! `--trace`, `--churn`):
 //!
 //! * `--emit-plan <path>` — write this run's generated storm schedule
 //!   as a `--churn`-compatible JSON plan (primitive kill/revive

@@ -12,12 +12,6 @@ use std::sync::{Mutex, PoisonError};
 /// back to `CR_JOBS` / available parallelism at sweep time).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Session-wide shard-count override set by `--shards N` (0 = unset,
-/// fall back to `CR_SHARDS` / serial at build time). Shard count is an
-/// execution strategy: any value produces byte-identical results
-/// (DESIGN.md §12), so this knob never appears in printed output.
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
-
 /// Session-wide reference-driver override set by `--dense`: every
 /// network built through [`run_report`] / [`measure`] steps on the
 /// reference driver (no active sets, no fast-forward, no worm trains)
@@ -151,27 +145,11 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Pins the spatial shard count for every network subsequently built
-/// through [`run_report`] / [`measure`] (the `--shards N` flag).
-/// `set_shards(1)` restores the serial stepper.
-pub fn set_shards(shards: usize) {
-    SHARDS.store(shards.max(1), Ordering::Relaxed);
-}
-
 /// Forces (or releases) the reference driver for every network
 /// subsequently built through [`run_report`] / [`measure`] (the
 /// `--dense` flag).
 pub fn set_dense(on: bool) {
     DENSE.store(on, Ordering::Relaxed);
-}
-
-/// The shard count runs are currently built with: the [`set_shards`]
-/// override if present, else `CR_SHARDS`, else serial (1).
-pub fn shards() -> usize {
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => cr_sim::shard::effective_shards(None),
-        n => n,
-    }
 }
 
 /// Runs a batch of independent sweep points across worker threads.
@@ -294,20 +272,18 @@ impl Scale {
     /// Also applies a `--jobs N` / `--jobs=N` flag (via [`set_jobs`])
     /// so every experiment binary accepts the sweep-parallelism knob
     /// without its own flag plumbing; without the flag, sweeps use
-    /// `CR_JOBS` or all available cores. Likewise `--shards N` /
-    /// `--shards=N` (via [`set_shards`]) selects the spatial shard
-    /// count for every network built, defaulting to `CR_SHARDS` or
-    /// serial. Results are identical either way — only wall clock
-    /// changes. A `--churn <plan.json>` flag (via [`set_churn_plan`])
-    /// installs a live kill/revive schedule on every network built;
-    /// the plan's JSON schema is documented in `EXPERIMENTS.md`. And
+    /// `CR_JOBS` or all available cores. Results are identical either
+    /// way — only wall clock changes. A `--churn <plan.json>` flag
+    /// (via [`set_churn_plan`]) installs a live kill/revive schedule on
+    /// every network built; the plan's JSON schema is documented in
+    /// `EXPERIMENTS.md`. And
     /// `--dense` (via [`set_dense`]) steps every network on the
     /// reference driver, for twin-run diffs.
     ///
-    /// A missing or unparsable value for any of these flags exits
-    /// with status 2 and a diagnostic rather than running with
-    /// defaults. Flags the harness does not know are left to the
-    /// binary.
+    /// A missing or unparsable value for any of these flags, or the
+    /// removed `--shards`, exits with status 2 and a diagnostic rather
+    /// than running with defaults. Flags the harness does not know are
+    /// left to the binary.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let parsed = match parse_common_args(&args) {
@@ -319,9 +295,6 @@ impl Scale {
         };
         if let Some(n) = parsed.jobs {
             set_jobs(n);
-        }
-        if let Some(n) = parsed.shards {
-            set_shards(n);
         }
         if parsed.dense {
             set_dense(true);
@@ -341,7 +314,6 @@ impl Scale {
 struct CommonArgs {
     scale: Scale,
     jobs: Option<usize>,
-    shards: Option<usize>,
     dense: bool,
     trace: Option<String>,
     churn: Option<String>,
@@ -355,13 +327,14 @@ struct CommonArgs {
 ///
 /// # Errors
 ///
-/// A harness flag with no value, or a `--jobs` / `--shards` value
-/// that is not a non-negative integer.
+/// A harness flag with no value, a `--jobs` value that is not a
+/// non-negative integer, or `--shards` in either spelling: the sharded
+/// stepper it selected was removed, and a run that silently ignored
+/// it would not be the run that was asked for.
 fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
     let mut out = CommonArgs {
         scale: Scale::Paper,
         jobs: None,
-        shards: None,
         dense: false,
         trace: None,
         churn: None,
@@ -376,7 +349,14 @@ fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
             Some((flag, v)) => (flag, Some(v)),
             None => (arg.as_str(), None),
         };
-        if !matches!(flag, "--jobs" | "--shards" | "--trace" | "--churn") {
+        if flag == "--shards" {
+            return Err(
+                "--shards is no longer supported: the sharded stepper was removed and \
+                 every network steps serially"
+                    .to_string(),
+            );
+        }
+        if !matches!(flag, "--jobs" | "--trace" | "--churn") {
             continue;
         }
         let value = match inline {
@@ -388,7 +368,6 @@ fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
         };
         match flag {
             "--jobs" => out.jobs = Some(count(flag, value)?),
-            "--shards" => out.shards = Some(count(flag, value)?),
             "--trace" => out.trace = Some(value.to_string()),
             _ => out.churn = Some(value.to_string()),
         }
@@ -455,8 +434,7 @@ pub fn measure(builder: &mut NetworkBuilder, scale: Scale) -> MeasuredPoint {
 
 /// Builds the network, honouring the process-wide `--trace` sink (when
 /// tracing is active the network gets a bounded event ring sized
-/// [`TRACE_RING_CAPACITY`]) and the process-wide `--shards` and
-/// `--dense` settings.
+/// [`TRACE_RING_CAPACITY`]) and the process-wide `--dense` setting.
 /// Pair with [`finish_run`].
 pub(crate) fn build_traced(builder: &mut NetworkBuilder) -> cr_core::Network {
     if trace_active() {
@@ -464,12 +442,6 @@ pub(crate) fn build_traced(builder: &mut NetworkBuilder) -> cr_core::Network {
     }
     if let Some(plan) = churn_plan() {
         builder.churn(plan);
-    }
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => {}
-        n => {
-            builder.shards(n);
-        }
     }
     let mut net = builder.build();
     net.set_reference_stepper(DENSE.load(Ordering::Relaxed));
@@ -548,7 +520,6 @@ mod tests {
             "3",
             "--emit-plan",
             "plan.json",
-            "--shards=4",
             "--dense",
             "--trace=t.jsonl",
             "--churn",
@@ -560,7 +531,6 @@ mod tests {
             CommonArgs {
                 scale: Scale::Quick,
                 jobs: Some(3),
-                shards: Some(4),
                 dense: true,
                 trace: Some("t.jsonl".into()),
                 churn: Some("c.json".into()),
@@ -568,8 +538,8 @@ mod tests {
         );
         let bare = parse(&[]).expect("no flags");
         assert_eq!(
-            (bare.scale, bare.jobs, bare.shards, bare.dense),
-            (Scale::Paper, None, None, false)
+            (bare.scale, bare.jobs, bare.dense),
+            (Scale::Paper, None, false)
         );
         assert_eq!(
             parse(&["--tiny", "--quick"]).map(|a| a.scale),
@@ -582,11 +552,9 @@ mod tests {
         for (args, needle) in [
             (&["--jobs", "abc"][..], "invalid --jobs value 'abc'"),
             (&["--jobs=-1"][..], "invalid --jobs value '-1'"),
-            (&["--shards="][..], "invalid --shards value ''"),
-            (
-                &["--shards", "--tiny"][..],
-                "invalid --shards value '--tiny'",
-            ),
+            (&["--shards", "4"][..], "--shards is no longer supported"),
+            (&["--shards=2"][..], "--shards is no longer supported"),
+            (&["--shards="][..], "--shards is no longer supported"),
             (&["--tiny", "--jobs"][..], "--jobs needs a value"),
             (&["--trace"][..], "--trace needs a value"),
             (&["--jobs", "2", "--churn"][..], "--churn needs a value"),

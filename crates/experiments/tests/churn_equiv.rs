@@ -1,19 +1,17 @@
 //! Churn must not break stepper equivalence (DESIGN.md §13).
 //!
-//! Kill/revive events fire as serial orchestrator code at the top of
-//! every stepped cycle, so the dense reference, the serial active-set
-//! stepper, and the sharded stepper must remain byte-identical under
-//! any [`cr_faults::ChurnSchedule`] — including schedules that flip
-//! the sharded arrivals gate mid-run (fault-free -> faulty -> fault-
-//! free again under a fault-detecting protocol).
+//! Kill/revive events fire at the top of every stepped cycle, so the
+//! reference driver and the active-set driver must remain
+//! byte-identical under any [`cr_faults::ChurnSchedule`] — including
+//! schedules that go fault-free -> faulty -> fault-free again under a
+//! fault-detecting protocol.
 //!
 //! The fixed grid twin-runs the churn storm experiment's own fixture
-//! at `shards ∈ {2, 4, 7}` and sweep `jobs ∈ {1, 4}`. The property
-//! test extends it with random tiny networks and random kill/revive
-//! interleavings (every kill paired with a later revive), demanding
-//! dense == active == sharded reports, exactly-once delivery of a
-//! finite scheduled workload, and nothing left in flight after the
-//! drain.
+//! on both drivers and the experiment at sweep `jobs ∈ {1, 4}`. The
+//! property test extends it with random tiny networks and random
+//! kill/revive interleavings (every kill paired with a later revive),
+//! demanding dense == active reports, exactly-once delivery of a finite
+//! scheduled workload, and nothing left in flight after the drain.
 
 use cr_core::{NetworkBuilder, ProtocolKind, RoutingKind};
 use cr_faults::ChurnSchedule;
@@ -22,12 +20,8 @@ use cr_topology::{KAryNCube, Topology};
 use cr_traffic::{Trace, TraceEvent};
 use cr_experiments::{churn, Scale};
 
-/// The shard counts the fixed grid sweeps (mirrors `shard_equiv.rs`).
-const SHARD_COUNTS: [usize; 3] = [2, 4, 7];
-
 /// A churn storm that starts fault-free, kills links from two regions
-/// mid-run, and revives everything — under FCR this flips the sharded
-/// arrivals gate parallel -> serial -> parallel.
+/// mid-run, and revives everything.
 fn storm(scale: Scale) -> ChurnSchedule {
     let topo = KAryNCube::torus(scale.radix(), 2);
     let mut s = ChurnSchedule::new();
@@ -44,47 +38,26 @@ fn storm(scale: Scale) -> ChurnSchedule {
     s
 }
 
-/// Twin-runs one builder dense, serial-active, and sharded; demands
-/// byte-identical reports, clocks, and trace streams.
+/// Twin-runs one builder on the reference and the active-set driver;
+/// demands byte-identical reports, clocks, and trace streams.
 fn assert_churn_twin(label: &str, cycles: u64, mut build: impl FnMut() -> NetworkBuilder) {
     let mut dense = build().build();
     dense.set_reference_stepper(true);
     let d = dense.run(cycles).to_json();
-    let d_events = dense.take_trace_events();
 
-    let mut serial = build().build();
-    assert_eq!(serial.num_shards(), 1, "{label}: serial run got sharded");
-    let s = serial.run(cycles).to_json();
-    assert!(d == s, "{label}: dense vs serial differ\n{d}\n{s}");
-    assert_eq!(dense.now(), serial.now(), "{label}: dense clock differs");
+    let mut active = build().build();
+    let a = active.run(cycles).to_json();
+    assert!(d == a, "{label}: dense vs active differ\n{d}\n{a}");
+    assert_eq!(dense.now(), active.now(), "{label}: dense clock differs");
     assert_eq!(
-        d_events,
-        serial.take_trace_events(),
-        "{label}: dense vs serial trace streams differ"
+        dense.take_trace_events(),
+        active.take_trace_events(),
+        "{label}: dense vs active trace streams differ"
     );
-
-    for &shards in &SHARD_COUNTS {
-        let mut sharded = build().shards(shards).build();
-        assert!(
-            sharded.num_shards() > 1,
-            "{label}: shards={shards} fell back to serial"
-        );
-        sharded.set_shard_threads(Some(4));
-        let p = sharded.run(cycles).to_json();
-        assert!(
-            s == p,
-            "{label}: serial vs shards={shards} differ\n{s}\n{p}"
-        );
-        assert_eq!(
-            d_events,
-            sharded.take_trace_events(),
-            "{label}: shards={shards} trace streams differ"
-        );
-    }
 }
 
-/// The churn experiment's own FCR fixture, storm included, across all
-/// three steppers.
+/// The churn experiment's own FCR fixture, storm included, on both
+/// drivers.
 #[test]
 fn churn_storm_twin_matches() {
     let scale = Scale::Tiny;
@@ -141,8 +114,8 @@ fn churn_experiment_identical_across_jobs() {
 
 /// Property: a random tiny network under a random kill/revive
 /// interleaving (every kill gets a later revive) drains a finite
-/// scheduled workload with dense == active == sharded reports,
-/// exactly-once delivery, and zero flits left in flight.
+/// scheduled workload with dense == active reports, exactly-once
+/// delivery, and zero flits left in flight.
 #[test]
 fn prop_random_churn_interleavings_equivalent_and_exactly_once() {
     check::check(
@@ -184,7 +157,7 @@ fn prop_random_churn_interleavings_equivalent_and_exactly_once() {
             let workload = Trace::from_events(events);
             let offered = workload.len() as u64;
 
-            let build = |shards: usize| {
+            let build = || {
                 let mut b = NetworkBuilder::new(KAryNCube::torus(radix, 2));
                 b.routing(RoutingKind::AdaptiveMisroute {
                     vcs: 1,
@@ -193,35 +166,27 @@ fn prop_random_churn_interleavings_equivalent_and_exactly_once() {
                 .protocol(ProtocolKind::Fcr)
                 .warmup(0)
                 .churn(schedule.clone())
-                .seed(seed)
-                .shards(shards);
+                .seed(seed);
                 let mut net = b.build();
-                if shards > 1 {
-                    net.set_shard_threads(Some(2));
-                }
                 net.set_record_deliveries(true);
                 net.schedule_trace(&workload);
                 net
             };
 
-            let mut dense = build(1);
+            let mut dense = build();
             dense.set_reference_stepper(true);
-            let mut active = build(1);
-            let mut sharded = build(src.usize_in(2..5));
+            let mut active = build();
 
             let budget = 200_000;
             assert!(dense.run_until_quiescent(budget), "dense failed to drain");
             assert!(active.run_until_quiescent(budget), "active failed to drain");
-            assert!(sharded.run_until_quiescent(budget), "sharded failed to drain");
 
             let d = dense.report().to_json();
             let a = active.report().to_json();
-            let p = sharded.report().to_json();
             assert!(d == a, "dense vs active (seed {seed}):\n{d}\n{a}");
-            assert!(a == p, "active vs sharded (seed {seed}):\n{a}\n{p}");
 
-            // Exactly-once on every stepper, and nothing left behind.
-            for net in [&mut dense, &mut active, &mut sharded] {
+            // Exactly-once on both drivers, and nothing left behind.
+            for net in [&mut dense, &mut active] {
                 assert_eq!(net.flits_in_flight(), 0);
                 let mut delivered: Vec<u64> = net
                     .take_delivery_log()

@@ -9,6 +9,9 @@
 
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_experiments::{Scale, SweepRunner};
+use cr_faults::FaultModel;
+use cr_sim::SimRng;
+use cr_topology::KAryNCube;
 use cr_traffic::{LengthDistribution, TrafficPattern};
 
 fn sweep_reports(jobs: usize) -> Vec<String> {
@@ -93,5 +96,46 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         );
     }
     // Sanity: the reports are real, not empty stubs.
+    assert!(serial.iter().all(|s| s.contains("counters")));
+}
+
+/// A faulty FCR sweep (0, 2 and 4 dead links): fault draws and
+/// detection kills stay byte-identical under any job count.
+fn faulty_sweep_reports(jobs: usize) -> Vec<String> {
+    let scale = Scale::Tiny;
+    SweepRunner::new(jobs).run(
+        [0usize, 2, 4]
+            .into_iter()
+            .map(|dead| {
+                move || {
+                    let mut faults = FaultModel::new();
+                    let topo = KAryNCube::torus(scale.radix(), 2);
+                    faults
+                        .kill_random_links_connected(&topo, dead, &mut SimRng::from_seed(0xFA))
+                        .expect("fault plan must keep the network connected");
+                    let mut b = scale.builder();
+                    b.routing(RoutingKind::AdaptiveMisroute {
+                        vcs: 1,
+                        extra_hops: 4,
+                    })
+                    .protocol(ProtocolKind::Fcr)
+                    .faults(faults)
+                    .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), 0.2)
+                    .seed(0x16);
+                    b.build().run(scale.cycles()).to_json()
+                }
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn faulty_sweep_is_byte_identical_across_jobs() {
+    let serial = faulty_sweep_reports(1);
+    assert_eq!(
+        serial,
+        faulty_sweep_reports(4),
+        "faulty sweep differs across job counts"
+    );
     assert!(serial.iter().all(|s| s.contains("counters")));
 }

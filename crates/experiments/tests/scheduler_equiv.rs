@@ -232,12 +232,12 @@ fn sparse_lone_worms_twin_run_matches() {
     );
 }
 
-/// `dense_torus64_sh2` at radix 16 on two shards with two threads: one
-/// message from every fourth node, starts staggered over 384 cycles,
-/// drained. Most worms cross others' routers, so this is where trains
-/// hold their channels while the rest of each router steps.
+/// `dense_torus64_sh2` at radix 16: one message from every fourth
+/// node, starts staggered over 384 cycles, drained. Most worms cross
+/// others' routers, so this is where trains hold their channels while
+/// the rest of each router steps.
 #[test]
-fn dense_mirror_on_two_shards_twin_run_matches() {
+fn dense_mirror_twin_run_matches() {
     let radix = 16;
     let stride = 4;
     let mut rng = SimRng::from_seed(0xD64);
@@ -262,11 +262,9 @@ fn dense_mirror_on_two_shards_twin_run_matches() {
         b.routing(RoutingKind::Adaptive { vcs: 1 })
             .protocol(ProtocolKind::Cr)
             .warmup(0)
-            .shards(2)
             .trace(1 << 14)
             .seed(0x64);
         let mut net = b.build();
-        net.set_shard_threads(Some(2));
         net.set_reference_stepper(reference);
         net.schedule_trace(&trace);
         net

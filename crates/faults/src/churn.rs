@@ -6,8 +6,8 @@
 //! delivering *while* the fabric changes. A [`ChurnSchedule`] is the
 //! plan for such a run: an ordered list of [`ChurnEvent`]s, each
 //! stamped with the cycle at which it fires. The network applies due
-//! events at the top of every cycle — before arrivals — so all three
-//! steppers (dense, active-set, sharded) observe the exact same fault
+//! events at the top of every cycle — before arrivals — so both
+//! drivers (reference and active-set) observe the exact same fault
 //! state for the whole cycle and stay byte-identical.
 //!
 //! Two event classes exist:

@@ -251,8 +251,7 @@ impl FaultModel {
     /// transient rate is zero *right now*.
     ///
     /// Under a churn schedule this can flip from cycle to cycle, so it
-    /// is only safe for per-cycle decisions (the sharded stepper's
-    /// arrivals-phase gate re-reads it every cycle). Whole-run fast
+    /// is only safe for per-cycle decisions. Whole-run fast
     /// paths — anything decided once and never revisited, like
     /// skipping fault RNG for an entire run — must use
     /// [`FaultModel::will_stay_fault_free`] instead.

@@ -28,17 +28,15 @@ pub const SPAWN_EXEMPT_FILES: &[&str] = &["crates/sim/src/pool.rs"];
 /// here kills a whole sweep worker mid-run.
 pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/network.rs",
-    "crates/core/src/network_sharded.rs",
+    "crates/core/src/network_phases.rs",
     "crates/core/src/network_kernel.rs",
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
     "crates/core/src/link.rs",
     "crates/router/src/router.rs",
-    "crates/sim/src/fifo.rs",
     "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
-    "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",
     "crates/faults/src/churn.rs",
     "crates/experiments/src/harness.rs",
@@ -54,7 +52,7 @@ pub const PANIC_RULE_FILES: &[&str] = &[
 /// `// cr-lint: allow(integer-narrowing, reason = "…")`.
 pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/network.rs",
-    "crates/core/src/network_sharded.rs",
+    "crates/core/src/network_phases.rs",
     "crates/core/src/network_kernel.rs",
     "crates/core/src/injector.rs",
     "crates/core/src/receiver.rs",
@@ -62,10 +60,8 @@ pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/link.rs",
     "crates/core/src/check_api.rs",
     "crates/router/src/router.rs",
-    "crates/sim/src/fifo.rs",
     "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
-    "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",
     "crates/faults/src/churn.rs",
     "crates/check/src/model.rs",

@@ -173,8 +173,8 @@ impl Scan<'_> {
             let spawn = t.is_ident("spawn")
                 && self.next_is(i, '(')
                 && !(i > 0 && self.toks[i - 1].is_ident("fn"));
-            // `thread::scope` is a spawn in scoped clothing: shard
-            // workers and sweep points alike must go through the pool.
+            // `thread::scope` is a spawn in scoped clothing: sweep
+            // points must go through the pool.
             let scope = t.is_ident("scope")
                 && self.next_is(i, '(')
                 && self.prev_is(i, ':')
@@ -187,8 +187,7 @@ impl Scan<'_> {
                     "thread-spawn",
                     format!(
                         "thread {} outside cr_sim::pool: parallelism must flow through \
-                         the pool's persistent Team so results stay identical under any \
-                         --jobs",
+                         the pool so results stay identical under any --jobs",
                         if spawn { "spawn" } else { "scope" }
                     ),
                 );

@@ -1,5 +1,5 @@
 //@ lint-as: crates/core/src/fixture.rs
-fn shard_fan_out(tasks: Vec<fn()>) {
+fn fan_out(tasks: Vec<fn()>) {
     std::thread::scope(|s| {
         for t in tasks {
             s.spawn(move || t());

@@ -154,10 +154,8 @@ impl LinkStats {
     }
 
     /// Accumulates `other` into `self` field by field. All fields are
-    /// plain `u64` sums, so merging per-shard accumulators in any
-    /// order yields the same totals the serial stepper counts — this
-    /// is what lets the sharded stepper fold per-router stats into
-    /// one `SimReport` deterministically.
+    /// plain `u64` sums, so folding per-router stats into one
+    /// `SimReport` gives the same totals in any order.
     pub fn merge(&mut self, other: &LinkStats) {
         self.flits_forwarded += other.flits_forwarded;
         self.stall_busy += other.stall_busy;

@@ -102,9 +102,9 @@ impl<'a> RouteCtx<'a> {
 /// functions expand a port list inside it (DESIGN.md §11).
 ///
 /// Implementations are stateless decision tables (all randomness comes
-/// through the caller-supplied `RouteCtx` RNG), and the sharded
-/// stepper routes on several shards concurrently against one shared
-/// routing object — hence the `Send + Sync` bound.
+/// through the caller-supplied `RouteCtx` RNG); the `Send + Sync`
+/// bound lets a network, routing object included, run on any sweep
+/// worker.
 pub trait RoutingFunction: std::fmt::Debug + Send + Sync {
     /// Appends candidates for the header `ctx.flit` at `ctx.node`, in
     /// priority order (the router takes the first free one).

@@ -10,9 +10,7 @@
 //!   ([`SimRng`], backed by an in-repo ChaCha8 keystream): every
 //!   experiment in the reproduction is exactly reproducible from a
 //!   single 64-bit seed.
-//! * [`fifo`] — a bounded ring-buffer FIFO ([`Fifo`]) that owns its
-//!   storage.
-//! * [`ring`] — the same queue as a bare cursor ([`Ring`]) over slots
+//! * [`ring`] — a bounded FIFO as a bare cursor ([`Ring`]) over slots
 //!   its owner keeps in one slab, plus a small inline array
 //!   ([`InlineArr`]) and a small set on top of it ([`BitSet`]): what
 //!   router input VCs, worklists and link lanes are made of, so a flit
@@ -35,17 +33,18 @@
 //! # Examples
 //!
 //! ```
-//! use cr_sim::{Cycle, Fifo, NodeId, Rng, SimRng};
+//! use cr_sim::{Cycle, NodeId, Ring, Rng, SimRng};
 //!
 //! let mut rng = SimRng::from_seed(42);
 //! let node = NodeId::new(rng.gen_range(0..64u32));
 //! assert!(node.index() < 64);
 //!
-//! let mut fifo: Fifo<u32> = Fifo::with_capacity(2);
-//! fifo.push(1).unwrap();
-//! fifo.push(2).unwrap();
-//! assert!(fifo.is_full());
-//! assert_eq!(fifo.pop(), Some(1));
+//! let mut slots = [0u32; 2];
+//! let mut queue = Ring::default();
+//! queue.push(&mut slots[..], 1).unwrap();
+//! queue.push(&mut slots[..], 2).unwrap();
+//! assert_eq!(queue.push(&mut slots[..], 3), Err(3), "full");
+//! assert_eq!(queue.pop(&slots[..]), Some(1));
 //!
 //! let t = Cycle::ZERO + 10;
 //! assert_eq!(t.as_u64(), 10);
@@ -57,18 +56,15 @@
 mod chacha;
 pub mod check;
 pub mod cycle;
-pub mod fifo;
 pub mod ids;
 pub mod json;
 pub mod pool;
 pub mod ring;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod trace;
 
 pub use cycle::Cycle;
-pub use fifo::{Fifo, FifoFullError};
 pub use ids::{LinkId, MessageId, NodeId, PortId, VcId};
 pub use json::Json;
 pub use ring::{BitSet, InlineArr, Ring};

@@ -1,6 +1,5 @@
 //! Hermetic task parallelism: a scoped work-stealing pool for sweep
-//! batches, and a persistent worker [`Team`] for per-cycle shard
-//! fan-outs.
+//! batches.
 //!
 //! The experiment sweeps are embarrassingly parallel: every point is an
 //! independent deterministic simulation owning its own seed. [`run`]
@@ -26,22 +25,6 @@
 //! message ([`run`] resurfaces it as a panic once all workers have
 //! parked).
 //!
-//! # Persistent teams
-//!
-//! `std::thread::scope` is the wrong shape for the sharded stepper: a
-//! simulated cycle dispatches a few tiny shard batches, and re-spawning
-//! plus re-joining OS threads each time costs far more than the shard
-//! work itself. [`Team`] amortizes that: it spawns its workers once
-//! (this module is the single cr-lint-sanctioned thread-spawn site),
-//! then dispatches each batch by publishing it under a mutex and
-//! bumping an epoch. Workers claim task indices from the batch's
-//! atomic cursor, run them, and go back to waiting — a short spin on
-//! the epoch hint first, then a condvar park — so a batch dispatch is
-//! a notify, not a spawn. The caller's thread claims from the same
-//! cursor, which guarantees every batch completes even if no worker
-//! wakes in time. Results come back in submission order with the same
-//! panic semantics as [`try_run`].
-//!
 //! # Choosing a job count
 //!
 //! [`effective_jobs`] resolves, in order: an explicit request (e.g. a
@@ -54,17 +37,12 @@
 //! let tasks: Vec<_> = (0..8u64).map(|i| move || i * i).collect();
 //! let squares = cr_sim::pool::run(4, tasks);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! let team = cr_sim::pool::Team::new(4);
-//! let tasks: Vec<_> = (0..8u64).map(|i| move || i * i).collect();
-//! assert_eq!(team.run(tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// A task panicked inside the pool.
 ///
@@ -181,9 +159,8 @@ where
     })
 }
 
-/// The serial fallback shared by [`try_run`] and [`Team::try_run`]:
-/// runs `tasks` in submission order on the calling thread, stopping at
-/// the first panic.
+/// The serial fallback of [`try_run`]: runs `tasks` in submission
+/// order on the calling thread, stopping at the first panic.
 fn run_inline<T, F: FnOnce() -> T>(tasks: Vec<F>) -> Result<Vec<T>, PoolError> {
     let mut out = Vec::with_capacity(tasks.len());
     for (i, task) in tasks.into_iter().enumerate() {
@@ -252,251 +229,48 @@ fn claim<E>(deques: &[Mutex<VecDeque<E>>], w: usize) -> Option<E> {
     None
 }
 
-/// A task queued on a [`Team`]: result delivery is baked into the
-/// closure, so workers need no knowledge of the result type.
-type TeamJob = Box<dyn FnOnce() + Send>;
-
-/// One published batch: tasks behind per-slot mutexes plus the atomic
-/// cursor workers claim indices from.
-struct TeamBatch {
-    jobs: Vec<Mutex<Option<TeamJob>>>,
-    cursor: AtomicUsize,
-}
-
-/// Dispatch state shared between the orchestrator and the workers.
-struct TeamShared {
-    state: Mutex<TeamState>,
-    cv: Condvar,
-    /// Mirror of `state.epoch` that parked-adjacent workers can spin on
-    /// without taking the mutex.
-    epoch_hint: AtomicU64,
-}
-
-struct TeamState {
-    /// Bumped once per published batch (and once at shutdown); workers
-    /// use it to tell a fresh publication from a spurious wakeup.
-    epoch: u64,
-    batch: Option<Arc<TeamBatch>>,
-    shutdown: bool,
-}
-
-/// How long a worker spins on the epoch hint before parking on the
-/// condvar. Per-cycle shard dispatch arrives within microseconds, so a
-/// short spin usually skips the futex round-trip entirely.
-const TEAM_SPIN: u32 = 1024;
-
-/// A persistent worker team with epoch-ticketed batch dispatch.
+/// A fixed-width handle on [`try_run`]: every batch runs at the
+/// team's parallelism, in submission order, with [`try_run`]'s panic
+/// semantics.
 ///
-/// Built for the sharded stepper's per-cycle fan-outs: threads are
-/// spawned once at construction and reused for every batch, so the
-/// per-dispatch cost is a mutex publish plus a condvar notify instead
-/// of a full `thread::scope` spawn/join round trip. See the module
-/// docs for the protocol.
-///
-/// `Team::new(1)` (or fewer) spawns no threads at all; every batch then
-/// runs inline on the caller. Batches of one task also run inline.
-///
-/// Dropping the team sets the shutdown flag and joins every worker, so
-/// a `Team` owned by a simulation never outlives it.
+/// Inert: nothing in the workspace dispatches through it. It stays
+/// only because the frozen benchmark (`cr-perf`) still prices
+/// `Team::run`, and is due for deletion with ROADMAP item 5(b).
+#[doc(hidden)]
+#[derive(Debug)]
 pub struct Team {
-    shared: Arc<TeamShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Team {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Team")
-            .field("parallelism", &self.parallelism())
-            .finish()
-    }
-}
-
-/// Locks a team mutex, shrugging off poisoning: task panics are caught
-/// inside the job closures, and no invariant-bearing state is mutated
-/// under these locks anyway.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Claims and runs tasks from `batch` until its cursor runs past the
-/// end. Runs on workers *and* on the dispatching thread, so batch
-/// completion never depends on a worker waking up.
-fn team_run_batch(batch: &TeamBatch) {
-    loop {
-        let i = batch.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= batch.jobs.len() {
-            return;
-        }
-        let job = lock(&batch.jobs[i]).take();
-        if let Some(job) = job {
-            job();
-        }
-    }
+    parallelism: usize,
 }
 
 impl Team {
-    /// Creates a team of `parallelism - 1` worker threads (the
-    /// dispatching thread is the final member: it claims tasks from
-    /// every batch it publishes).
+    /// A team `parallelism` threads wide (at least one: the caller).
     pub fn new(parallelism: usize) -> Team {
-        let shared = Arc::new(TeamShared {
-            state: Mutex::new(TeamState {
-                epoch: 0,
-                batch: None,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-            epoch_hint: AtomicU64::new(0),
-        });
-        let workers = (1..parallelism.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Team::worker_loop(&shared))
-            })
-            .collect();
-        Team { shared, workers }
-    }
-
-    /// The team's total parallelism: worker threads plus the
-    /// dispatching caller.
-    pub fn parallelism(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    fn worker_loop(shared: &TeamShared) {
-        let mut seen = 0u64;
-        loop {
-            // Spin briefly before parking: in steady-state stepping the
-            // next batch lands microseconds after the last one retired.
-            let mut spins = 0;
-            while shared.epoch_hint.load(Ordering::Acquire) == seen && spins < TEAM_SPIN {
-                std::hint::spin_loop();
-                spins += 1;
-            }
-            let batch = {
-                let mut state = lock(&shared.state);
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.epoch != seen {
-                        seen = state.epoch;
-                        if let Some(b) = &state.batch {
-                            break Arc::clone(b);
-                        }
-                        // The epoch advanced but its batch already
-                        // retired (the orchestrator and the other
-                        // workers finished it): keep waiting.
-                    }
-                    state = shared.cv.wait(state).unwrap_or_else(|p| p.into_inner());
-                }
-            };
-            team_run_batch(&batch);
+        Team {
+            parallelism: parallelism.max(1),
         }
     }
 
-    /// Runs `tasks` on the team, returning results in submission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any task panicked — after the whole batch has drained,
-    /// with the first failing task's index and message. Use
-    /// [`Team::try_run`] to handle task panics as values.
+    /// The team's width.
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
+    /// [`run`] at the team's width.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        match self.try_run(tasks) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
+        run(self.parallelism, tasks)
     }
 
-    /// Like [`Team::run`], but surfaces a task panic as a [`PoolError`]
-    /// (lowest failing index) instead of resurfacing it.
-    ///
-    /// Every batch drains fully before this returns — a panicking task
-    /// neither hangs the batch nor wedges the team, and later batches
-    /// dispatch normally.
+    /// [`try_run`] at the team's width.
     pub fn try_run<T, F>(&self, tasks: Vec<F>) -> Result<Vec<T>, PoolError>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let n = tasks.len();
-        if self.workers.is_empty() || n <= 1 {
-            return run_inline(tasks);
-        }
-
-        // Result delivery rides inside each job, so the shared batch
-        // stays untyped. The channel also provides the happens-before
-        // edge: once all `n` results are received, every task closure
-        // (and everything it captured) has been dropped.
-        let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
-        let jobs: Vec<Mutex<Option<TeamJob>>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let tx = tx.clone();
-                let job: TeamJob = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(task))
-                        .map_err(|payload| panic_message(&payload));
-                    let _ = tx.send((i, result));
-                });
-                Mutex::new(Some(job))
-            })
-            .collect();
-        drop(tx);
-        let batch = Arc::new(TeamBatch {
-            jobs,
-            cursor: AtomicUsize::new(0),
-        });
-
-        {
-            let mut state = lock(&self.shared.state);
-            state.epoch = state.epoch.wrapping_add(1);
-            state.batch = Some(Arc::clone(&batch));
-            self.shared.epoch_hint.store(state.epoch, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
-
-        // The dispatcher is a team member too: claim from the same
-        // cursor so the batch completes even if every worker is still
-        // parked.
-        team_run_batch(&batch);
-
-        let results = collect_in_order(
-            n,
-            (0..n).map(|_| {
-                rx.recv()
-                    .expect("every team job sends exactly one result before dropping its sender")
-            }),
-        );
-        // Retire the batch so no worker holds it across the gap to the
-        // next dispatch (its task slots are already empty).
-        lock(&self.shared.state).batch = None;
-        results
-    }
-}
-
-impl Drop for Team {
-    fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-            state.epoch = state.epoch.wrapping_add(1);
-            self.shared.epoch_hint.store(state.epoch, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            // A worker can only terminate by observing `shutdown`; if
-            // one somehow panicked the team is already compromised, so
-            // surfacing that here is correct.
-            if handle.join().is_err() {
-                panic!("team worker panicked outside a task");
-            }
-        }
+        try_run(self.parallelism, tasks)
     }
 }
 
@@ -614,41 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn team_of_one_spawns_no_threads() {
-        // parallelism <= 1 runs batches inline: thread-local state set
-        // by tasks is visible to the caller afterwards.
-        thread_local! {
-            static MARK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        }
-        let team = Team::new(1);
-        assert_eq!(team.parallelism(), 1);
-        let tasks: Vec<_> = (0..4usize)
-            .map(|i| move || MARK.with(|m| m.set(m.get() + i)))
-            .collect();
-        team.run(tasks);
-        assert_eq!(MARK.with(std::cell::Cell::get), 0 + 1 + 2 + 3);
-    }
-
-    #[test]
-    fn team_reused_across_many_batches() {
-        // The whole point of the team: many small batches on the same
-        // threads. 200 batches of 8 tasks must all come back correct.
-        let team = Team::new(4);
-        for round in 0..200u64 {
-            let tasks: Vec<_> = (0..8u64).map(|i| move || round * 100 + i).collect();
-            let out = team.run(tasks);
-            assert_eq!(out, (0..8u64).map(|i| round * 100 + i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn team_empty_batch() {
-        let team = Team::new(4);
-        let out: Vec<u32> = team.run(Vec::<fn() -> u32>::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn team_survives_panicking_task() {
         let team = Team::new(4);
         let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..16usize)
@@ -667,91 +406,5 @@ mod tests {
         // The team stays usable: a later batch runs to completion.
         let out = team.run((0..8u32).map(|i| move || i + 1).collect::<Vec<_>>());
         assert_eq!(out, (1..=8u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn prop_team_panic_reports_lowest_index_and_team_stays_usable() {
-        // Property: for random batch sizes and random panic subsets,
-        // try_run reports the lowest panicking index, and the very next
-        // batch on the same team completes correctly.
-        let team = Team::new(3);
-        crate::check::check(
-            "pool::prop_team_panic_reports_lowest_index_and_team_stays_usable",
-            crate::check::Config::cases(32),
-            |src| {
-                let n = src.usize_in(1..24);
-                let mut panics = Vec::new();
-                for i in 0..n {
-                    if src.usize_in(0..4) == 0 {
-                        panics.push(i);
-                    }
-                }
-                let panic_set = panics.clone();
-                let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..n)
-                    .map(|i| {
-                        let boom = panic_set.contains(&i);
-                        Box::new(move || {
-                            if boom {
-                                panic!("prop boom {i}");
-                            }
-                            i * 7
-                        }) as Box<dyn FnOnce() -> usize + Send>
-                    })
-                    .collect();
-                match team.try_run(tasks) {
-                    Ok(out) => {
-                        assert!(panics.is_empty(), "panicking batch reported Ok");
-                        assert_eq!(out, (0..n).map(|i| i * 7).collect::<Vec<_>>());
-                    }
-                    Err(e) => {
-                        assert_eq!(Some(e.task_index), panics.first().copied());
-                        assert_eq!(e.message, format!("prop boom {}", e.task_index));
-                    }
-                }
-                // Later batches still run.
-                let out = team.run((0..4usize).map(|i| move || i + 1).collect::<Vec<_>>());
-                assert_eq!(out, vec![1, 2, 3, 4]);
-            },
-        );
-    }
-
-    #[test]
-    fn team_drop_joins_workers() {
-        // Dropping a team must not leave threads behind. A spawned
-        // thread inherits its creator's `comm`, so tagging this thread
-        // makes the census count this test's threads only (sibling
-        // tests run teams of their own meanwhile). /proc is the only
-        // std-visible census; skip quietly where absent.
-        const TAG: &str = "join-census";
-        if std::fs::write("/proc/thread-self/comm", TAG).is_err() {
-            return;
-        }
-        let count_threads = || -> usize {
-            std::fs::read_dir("/proc/self/task")
-                .expect("thread census available above")
-                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-                .filter(|comm| comm.trim_end() == TAG)
-                .count()
-        };
-        let before = count_threads();
-        for _ in 0..20 {
-            let team = Team::new(4);
-            let out = team.run((0..8u32).map(|i| move || i).collect::<Vec<_>>());
-            assert_eq!(out.len(), 8);
-        }
-        // A joined thread can outlive its join in /proc by a moment;
-        // a leaked one never goes away.
-        let mut after = count_threads();
-        for _ in 0..200 {
-            if after <= before {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            after = count_threads();
-        }
-        assert!(
-            after <= before,
-            "team drops leaked threads: {before} -> {after}"
-        );
     }
 }

@@ -2,12 +2,12 @@
 //! cursor over caller-owned slots, a small array that lives inline in
 //! its owner, and a small set built on it.
 //!
-//! [`Fifo`](crate::Fifo) owns one heap block per queue. A router has a
-//! queue per input VC and a link one per lane, and a streaming visit
-//! touches one or two of them — so with one block each, every visit
-//! chases a pointer per queue. [`Ring`] is only the cursor: the slots
-//! are a segment of one slab the owner holds for *all* its queues,
-//! found by arithmetic on the queue's index. [`InlineArr`] is the
+//! A queue that owns its storage is one heap block per queue. A router
+//! has a queue per input VC and a link one per lane, and a streaming
+//! visit touches one or two of them — so with one block each, every
+//! visit would chase a pointer per queue. [`Ring`] is only the cursor:
+//! the slots are a segment of one slab the owner holds for *all* its
+//! queues, found by arithmetic on the queue's index. [`InlineArr`] is the
 //! matching home for the handful of per-lane or per-VC records beside
 //! it, and [`BitSet`] for the worklists that say which of them have
 //! work.

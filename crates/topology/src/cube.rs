@@ -275,23 +275,6 @@ impl Topology for KAryNCube {
         }
     }
 
-    /// Shard boundaries snapped to whole rows of the lowest
-    /// dimension: node ids increment fastest along dimension 0, so a
-    /// boundary at a multiple of `radix` keeps every dim-0 channel
-    /// (including its wraparound) inside one shard and only the
-    /// higher-dimension channels cross shards.
-    fn partition_hint(&self, shards: usize) -> Vec<u32> {
-        let row = self.radix as u32;
-        let mut bounds = cr_sim::shard::even_bounds(self.num_nodes(), shards);
-        let last = bounds.len() - 1;
-        for b in &mut bounds[1..last] {
-            // Round to the nearest row boundary; `Plan::from_hint`
-            // re-establishes monotonicity if rounding collides.
-            *b = (*b + row / 2) / row * row;
-        }
-        bounds
-    }
-
     fn label(&self) -> String {
         format!(
             "{}-ary {}-cube {}",

@@ -36,10 +36,9 @@ pub struct LinkDesc {
 /// For [`KAryNCube`](crate::KAryNCube), dimension `d` uses port `2d` for
 /// the positive direction and `2d + 1` for the negative direction, which
 /// makes "lowest minimal port" identical to dimension-order routing.
-/// Implementations are plain connectivity data, and the sharded
-/// stepper shares one topology object across its phase workers, so
-/// the trait requires `Send + Sync` (trivially satisfied by every
-/// value type here).
+/// Implementations are plain connectivity data; the trait requires
+/// `Send + Sync` (trivially satisfied by every value type here) so a
+/// network, topology included, can run on any sweep worker.
 pub trait Topology: std::fmt::Debug + Send + Sync {
     /// Total number of nodes.
     fn num_nodes(&self) -> usize;
@@ -138,22 +137,6 @@ pub trait Topology: std::fmt::Debug + Send + Sync {
             .map(|i| self.num_ports(NodeId::new(i as u32)))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Boundary hint for splitting this fabric into `shards`
-    /// contiguous node-id ranges (`shards + 1` nondecreasing values,
-    /// first 0 and last `num_nodes`) — the spatial partition the
-    /// sharded stepper uses (DESIGN.md §12).
-    ///
-    /// The default splits node ids as evenly as possible. Topologies
-    /// with known locality structure may override it to align shard
-    /// boundaries with the fabric (e.g. whole torus rows) and cut
-    /// fewer links; any valid partition produces byte-identical
-    /// results, so the hint only affects cross-shard traffic volume.
-    /// Malformed hints are sanitized by `cr_sim::shard::Plan`, never
-    /// trusted.
-    fn partition_hint(&self, shards: usize) -> Vec<u32> {
-        cr_sim::shard::even_bounds(self.num_nodes(), shards)
     }
 
     /// Enumerates every unidirectional channel.

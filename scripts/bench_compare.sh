@@ -36,27 +36,26 @@ done
 # The bench harness writes one key per line, so benchmark fields can
 # be extracted without a JSON parser (cycles_per_sec only ever
 # appears inside a benchmark object). Benchmarks are compared per
-# (name, jobs, shards) configuration — the same benchmark measured at
-# a different worker or shard count is a different data point, not a
-# regression of the old one. The per-benchmark `jobs`/`shards` fields
-# follow `name` inside each object; the group-level `meta.jobs` line
-# appears while no name is open and is ignored. Old snapshots without
-# the per-benchmark fields fall back to jobs=1, shards=1. The printed
+# (name, jobs) configuration — the same benchmark measured at a
+# different worker count is a different data point, not a regression
+# of the old one. The per-benchmark `jobs` field follows `name` inside
+# each object; the group-level `meta.jobs` line appears while no name
+# is open and is ignored. Old snapshots without the per-benchmark
+# field fall back to jobs=1. The printed
 # figure is best-case throughput, sim_cycles * 1e9 / min_ns (falling
 # back to the median-derived cycles_per_sec field if min_ns is ever
 # absent).
 extract() {
     awk '
-        /"name":/ { gsub(/[",]/, "", $2); name = $2; jobs = 1; shards = 1; min = 0; cyc = 0 }
+        /"name":/ { gsub(/[",]/, "", $2); name = $2; jobs = 1; min = 0; cyc = 0 }
         /"jobs":/ { if (name != "") { gsub(/,/, "", $2); jobs = $2 } }
-        /"shards":/ { if (name != "") { gsub(/,/, "", $2); shards = $2 } }
         /"min_ns":/ { if (name != "") { gsub(/,/, "", $2); min = $2 } }
         /"sim_cycles":/ { if (name != "") { gsub(/,/, "", $2); cyc = $2 } }
         /"cycles_per_sec":/ {
             gsub(/,/, "", $2)
             cps = $2
             if (min > 0 && cyc > 0) cps = int(cyc * 1e9 / min)
-            print name "[j" jobs ",sh" shards "]", cps
+            print name "[j" jobs "]", cps
             name = ""
         }
     ' "$1"

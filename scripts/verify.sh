@@ -74,8 +74,10 @@ cargo test -q --offline --workspace
 
 # The benchmark is a package of its own (cr-perf/, outside this
 # workspace): its tests and its verify pass — every workload's report
-# byte-identical across the reference, active and two-shard drivers,
-# every scheduled message delivered exactly once — gate here too.
+# byte-identical across the reference and active drivers (its
+# `shards2` arm now builds the same serial network through inert
+# shims), every scheduled message delivered exactly once — gate here
+# too.
 cargo test -q --offline --manifest-path cr-perf/Cargo.toml
 # Its six seed-1 report digests are pinned in scripts/perf_digests.txt:
 # a change that moves any simulated result must re-record them on
@@ -122,16 +124,6 @@ if ! cksum < "$tmpdir/tiny_serial.txt" | diff scripts/tiny_digest.txt - >&2; the
 fi
 echo "verify: --tiny battery digest matches scripts/tiny_digest.txt"
 
-# The sharded stepper must be byte-identical too: the same battery at
-# --shards 4 (spatial sharding, DESIGN.md §12) against the serial run.
-./target/release/all --tiny --jobs 1 --shards 4 > "$tmpdir/tiny_sharded.txt"
-if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_sharded.txt" > /dev/null; then
-    echo "verify: FAIL — --shards 4 --tiny output differs from serial" >&2
-    diff "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_sharded.txt" | head -40 >&2
-    exit 1
-fi
-echo "verify: sharded --tiny output identical to serial"
-
 # And on the reference driver (DESIGN.md §10), which visits every
 # component every cycle, never fast-forwards and never forms a worm
 # train: the whole battery must match the default driver byte for byte
@@ -146,32 +138,23 @@ if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_dense.txt" > /dev/null; the
 fi
 echo "verify: reference-driver (--dense) --tiny output identical to serial"
 
-# Live churn is stepper-independent (DESIGN.md §13): the churn storm
-# runner must produce byte-identical output on the serial and sharded
-# steppers (the battery above already ran it on the reference driver).
+# Live churn is driver-independent (DESIGN.md §13), and the battery
+# above already diffed the churn storm runner on both drivers. A
+# replayed --churn plan must be driver-independent on an unrelated
+# runner too: feed the storm plan the churn runner emits to fig09 and
+# diff the default driver against the reference driver.
 ./target/release/churn --tiny --jobs 1 \
-    --emit-plan "$tmpdir/churn_plan.json" > "$tmpdir/churn_serial.txt"
-./target/release/churn --tiny --jobs 1 --shards 4 > "$tmpdir/churn_sharded.txt"
-if ! diff -q "$tmpdir/churn_serial.txt" "$tmpdir/churn_sharded.txt" > /dev/null; then
-    echo "verify: FAIL — churn --shards 4 output differs from serial" >&2
-    diff "$tmpdir/churn_serial.txt" "$tmpdir/churn_sharded.txt" | head -40 >&2
-    exit 1
-fi
-echo "verify: churn storm identical across serial/sharded steppers"
-
-# And a replayed --churn plan must be stepper-independent on an
-# unrelated runner too: feed the emitted storm plan to fig09 and diff
-# serial against sharded.
+    --emit-plan "$tmpdir/churn_plan.json" > /dev/null
 ./target/release/fig09 --tiny --jobs 1 \
     --churn "$tmpdir/churn_plan.json" > "$tmpdir/fig09_churn_serial.txt"
-./target/release/fig09 --tiny --jobs 1 --shards 4 \
-    --churn "$tmpdir/churn_plan.json" > "$tmpdir/fig09_churn_sharded.txt"
-if ! diff -q "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_sharded.txt" > /dev/null; then
-    echo "verify: FAIL — fig09 --churn output differs between serial and --shards 4" >&2
-    diff "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_sharded.txt" | head -40 >&2
+./target/release/fig09 --tiny --jobs 1 --dense \
+    --churn "$tmpdir/churn_plan.json" > "$tmpdir/fig09_churn_dense.txt"
+if ! diff -q "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_dense.txt" > /dev/null; then
+    echo "verify: FAIL — fig09 --churn output differs between the default driver and --dense" >&2
+    diff "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_dense.txt" | head -40 >&2
     exit 1
 fi
-echo "verify: fig09 under a replayed --churn plan identical serial vs sharded"
+echo "verify: fig09 under a replayed --churn plan identical on both drivers"
 
 # Tracing must be record-only: a runner's measured output is
 # byte-identical with and without --trace, and the dumped JSON-lines
@@ -192,7 +175,7 @@ echo "verify: fig11 output unchanged by --trace; trace dump validated"
 # schema (group/meta/benchmarks with the documented fields).
 CR_BENCH_SAMPLES=3 cargo bench --offline -p cr-bench --bench sweep > /dev/null
 sweep_json="target/bench/BENCH_sweep.json"
-for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"shards"' '"benchmarks"' \
+for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"benchmarks"' \
              '"median_ns"' '"sim_cycles"' '"cycles_per_sec"'; do
     if ! grep -q "$field" "$sweep_json"; then
         echo "verify: FAIL — $sweep_json missing $field" >&2
@@ -201,25 +184,21 @@ for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"shards"' '"benchmarks"
 done
 echo "verify: $sweep_json regenerated and schema-checked"
 
-# Performance gate (opt-in: slow). First prove the CR_SHARDS x CR_JOBS
-# environment matrix is result-invariant on the tiny battery (the env
-# plumbing is how the bench entries select their configurations), then
-# re-measure at full sample counts and demand no benchmark lost more
-# than 25% of its baseline cycles_per_sec.
+# Performance gate (opt-in: slow). First prove the CR_JOBS environment
+# knob is result-invariant on the tiny battery (the env plumbing is how
+# the bench entries select their configurations), then re-measure at
+# full sample counts and demand no benchmark lost more than 25% of its
+# baseline cycles_per_sec.
 if [ "$run_bench" -eq 1 ]; then
     for jobs in 1 2; do
-        for shards in 1 4; do
-            CR_JOBS=$jobs CR_SHARDS=$shards ./target/release/all --tiny \
-                > "$tmpdir/tiny_j${jobs}_sh${shards}.txt"
-            if ! diff -q "$tmpdir/tiny_serial.txt" \
-                    "$tmpdir/tiny_j${jobs}_sh${shards}.txt" > /dev/null; then
-                echo "verify: FAIL — CR_JOBS=$jobs CR_SHARDS=$shards --tiny output differs from serial" >&2
-                diff "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_j${jobs}_sh${shards}.txt" | head -40 >&2
-                exit 1
-            fi
-        done
+        CR_JOBS=$jobs ./target/release/all --tiny > "$tmpdir/tiny_j${jobs}.txt"
+        if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_j${jobs}.txt" > /dev/null; then
+            echo "verify: FAIL — CR_JOBS=$jobs --tiny output differs from serial" >&2
+            diff "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_j${jobs}.txt" | head -40 >&2
+            exit 1
+        fi
     done
-    echo "verify: CR_SHARDS x CR_JOBS matrix (jobs 1,2 x shards 1,4) identical to serial"
+    echo "verify: CR_JOBS 1,2 --tiny output identical to serial"
     cargo bench --offline -p cr-bench --bench sweep > /dev/null
     ./scripts/bench_compare.sh
 fi
