@@ -660,10 +660,12 @@ impl Network {
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
-    /// active set current (an injector a worm train streams from stays
-    /// out of its set until the train is written back).
+    /// active set current. An injector a worm train streams from only
+    /// queues the message — it sends its current worm to the end first
+    /// — and stays out of its set until the train is written back.
     fn injector_enqueue(&mut self, node: usize, channel: usize, msg: PendingMessage) {
-        let held = self.trains.any() && self.train_before_enqueue(node, channel, self.now);
+        let id = node * self.cfg.inject_channels + channel;
+        let held = self.trains.on_injector(id).is_some();
         let was_drained = self.injectors[node][channel].is_drained();
         self.injectors[node][channel].enqueue(msg);
         if was_drained {

@@ -85,9 +85,12 @@ impl Network {
         self.apply_effects(|net, fx| {
             for i in 0..fx.push_li.len() {
                 let li = fx.push_li[i] as usize;
-                if net.trains.any() {
-                    net.train_before_push(li, now);
-                }
+                // A train's link carries only its own worm, whose held
+                // output VC is the link's only lane and pushes nothing.
+                debug_assert!(
+                    net.trains.on_link(li).is_none(),
+                    "pushed onto a train's link"
+                );
                 if now.as_u64() >= net.cfg.warmup {
                     net.link_flits[li] += 1;
                 }

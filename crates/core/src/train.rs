@@ -12,9 +12,10 @@
 //! and each link. No phase steps a held channel. The rest of every
 //! router keeps stepping, and a router, link or injector left with
 //! nothing else to do leaves its active set, so `fast_forward` may jump
-//! to the train's end. A hop whose physical channel has more than one
-//! VC is held with its whole router: a header routed there could win a
-//! sibling VC and share the channel's bandwidth.
+//! to the train's end. Trains form only when the routing function has
+//! one VC: a held output VC is then its physical channel's only VC,
+//! owned by the train's worm, so no header can share a held channel and
+//! no other flit can be pushed onto a held link.
 //!
 //! *Materialising* a train writes the closed form back before anything
 //! can observe or touch what it holds (the causes are [`Cause`]'s
@@ -22,7 +23,7 @@
 //! every train before they return, so nothing outside them ever sees a
 //! live one.
 
-use super::{idx32, Network, Tables, NONE};
+use super::{idx32, Network, NONE};
 use crate::receiver::DeliveredMessage;
 use cr_router::{NoStream, PortKind, RouteTarget, WormId};
 use cr_sim::{Cycle, PortId, VcId};
@@ -51,18 +52,9 @@ pub struct TrainStats {
     /// Headers whose injector had fewer than four flits to push before
     /// its commit or tail flit.
     pub rejected_short: u64,
-    /// Headers with a hop whose physical channel has more than one VC
-    /// and whose router had other work.
-    pub rejected_multi_vc: u64,
     /// Headers whose source injector was not streaming the worm:
     /// stalled last cycle, backing off, or already retired.
     pub rejected_injector: u64,
-    /// Materialised because a flit was pushed onto a link the train
-    /// holds.
-    pub foreign_flit: u64,
-    /// Materialised because a message was queued at an injector of a
-    /// router a multi-VC hop holds whole.
-    pub enqueue: u64,
     /// Materialised because a churn event fired.
     pub churn: u64,
     /// Materialised because a teardown reached a channel the train
@@ -88,28 +80,19 @@ impl TrainStats {
         self.rejected_not_streaming
             + self.rejected_shared
             + self.rejected_short
-            + self.rejected_multi_vc
             + self.rejected_injector
     }
 
     /// Materialisations of every cause (every formed train is
     /// materialised exactly once).
     pub fn materialised(&self) -> u64 {
-        self.foreign_flit
-            + self.enqueue
-            + self.churn
-            + self.token
-            + self.prune
-            + self.end
-            + self.run_exit
+        self.churn + self.token + self.prune + self.end + self.run_exit
     }
 }
 
 /// Why a train is materialised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Cause {
-    ForeignFlit,
-    Enqueue,
     Churn,
     Token,
     Prune,
@@ -123,7 +106,6 @@ enum Reject {
     NotStreaming,
     Shared,
     Short,
-    MultiVc,
     Injector,
 }
 
@@ -136,21 +118,19 @@ impl From<NoStream> for Reject {
     }
 }
 
+/// Every channel of a one-VC fabric is VC 0: input VCs, output VCs
+/// and link lanes alike.
+const VC0: VcId = VcId::new(0);
+
 /// One router of a train's path and the link the worm leaves it by.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
     node: u32,
-    /// The input VC the worm streams out of.
+    /// The input port the worm streams in by (its VC is [`VC0`]).
     port: PortId,
-    vc: VcId,
     /// Index of the outgoing link, [`NONE`] at the
     /// destination.
     link: u32,
-    /// The lane (output VC) the worm holds on it.
-    lane: VcId,
-    /// The router's physical channels have more than one VC, so the
-    /// train holds the router whole.
-    whole: bool,
 }
 
 #[derive(Debug)]
@@ -184,20 +164,18 @@ pub(super) struct Trains {
     pub enabled: bool,
     live: Vec<Train>,
     /// `link_train[li]` = 1 + index in `live` of the train holding
-    /// link `li` — its own, or one into a router a multi-VC
-    /// hop holds whole — 0 for none.
+    /// link `li`, 0 for none.
     link_train: Vec<u32>,
     /// The same per injector (`node * inject_channels + channel`): the
-    /// train's source, or an injector of a router held whole.
+    /// train streaming from it.
     injector_train: Vec<u32>,
     /// Headers that ejected this cycle, in traversal order: the
     /// formation candidates.
     pub candidates: Vec<(u32, WormId)>,
     pub stats: TrainStats,
     /// Debug builds only (empty otherwise): the tail-delivery cycle the
-    /// closed form predicts for each worm whose train ended at its end
-    /// on single-VC channels, until the worm delivers, is killed or
-    /// churn fires.
+    /// closed form predicts for each worm whose train ended at its end,
+    /// until the worm delivers, is killed or churn fires.
     tails: BTreeMap<WormId, Cycle>,
 }
 
@@ -223,7 +201,7 @@ impl Trains {
 
     /// The train holding link `li`, if any.
     #[inline]
-    fn on_link(&self, li: usize) -> Option<usize> {
+    pub fn on_link(&self, li: usize) -> Option<usize> {
         (self.link_train[li] as usize).checked_sub(1)
     }
 
@@ -244,31 +222,14 @@ impl Trains {
         self.live.iter().any(|t| t.stamp0 < horizon)
     }
 
-    /// Points every link and injector live train `i` holds at `id`
-    /// (`i + 1`, or 0 to let go of them).
-    fn mark(&mut self, i: usize, id: u32, tables: &Tables) {
-        let Trains {
-            live,
-            link_train,
-            injector_train,
-            ..
-        } = self;
-        let train = &live[i];
-        let chans = tables.chans;
-        injector_train[train.hops[0].node as usize * chans + train.chan] = id;
-        for hop in &train.hops {
-            if hop.link != NONE {
-                link_train[hop.link as usize] = id;
-            }
-            if hop.whole {
-                let node = hop.node as usize;
-                injector_train[node * chans..(node + 1) * chans].fill(id);
-                for q in 0..tables.stride {
-                    if let Some(li) = tables.in_link(node, PortId::from_index(q)) {
-                        link_train[li] = id;
-                    }
-                }
-            }
+    /// Points every link and the injector live train `i` holds at `id`
+    /// (`i + 1`, or 0 to let go of them); `chans` is the injection
+    /// channels per node.
+    fn mark(&mut self, i: usize, id: u32, chans: usize) {
+        let train = &self.live[i];
+        self.injector_train[train.hops[0].node as usize * chans + train.chan] = id;
+        for hop in train.hops.iter().filter(|h| h.link != NONE) {
+            self.link_train[hop.link as usize] = id;
         }
     }
 
@@ -308,12 +269,15 @@ fn pads(from: u32, d: u32, payload_len: u32) -> u32 {
 impl Network {
     /// Run-loop entry: trains may form while this call runs unless the
     /// reference driver is selected (it is the oracle), transient
-    /// faults draw on every arrival, or path-wide detection polls every
-    /// stalled VC.
+    /// faults draw on every arrival, path-wide detection polls every
+    /// stalled VC, or the routing function has more than one VC (a
+    /// header could then win a sibling VC of a held output and share
+    /// its physical channel).
     pub(super) fn trains_begin_run(&mut self) {
         self.trains.enabled = !self.reference_stepper
             && self.faults.transient_rate() == 0.0
-            && self.cfg.path_wide_threshold.is_none();
+            && self.cfg.path_wide_threshold.is_none()
+            && self.tables.routing.num_vcs() == 1;
     }
 
     /// Run-loop exit: every train is written back as of the end of the
@@ -339,15 +303,6 @@ impl Network {
             } else if self.trains.live[i].end <= now {
                 self.materialise(i, upto, None, Cause::End);
             }
-        }
-    }
-
-    /// After route + traverse, before a flit is pushed onto
-    /// link `li`: if a train holds the link, it is written
-    /// back as of the end of this cycle.
-    pub(super) fn train_before_push(&mut self, li: usize, now: Cycle) {
-        if let Some(i) = self.trains.on_link(li) {
-            self.materialise(i, now, None, Cause::ForeignFlit);
         }
     }
 
@@ -381,28 +336,6 @@ impl Network {
         }
     }
 
-    /// Before a message is queued at injector `(node, channel)`:
-    /// whether a live train streams from that injector. It then only
-    /// queues the message — the injector steps its current worm to the
-    /// end first — and stays out of its active set until the train is
-    /// written back. Any other injector a train holds belongs to a
-    /// router held whole, whose train is written back as of the end of
-    /// the previous cycle with this cycle's arrivals replayed.
-    pub(super) fn train_before_enqueue(&mut self, node: usize, channel: usize, now: Cycle) -> bool {
-        let held = self
-            .trains
-            .on_injector(node * self.cfg.inject_channels + channel);
-        let Some(i) = held else {
-            return false;
-        };
-        let train = &self.trains.live[i];
-        if (train.hops[0].node as usize, train.chan) == (node, channel) {
-            return true;
-        }
-        self.materialise(i, Cycle::new(now.as_u64() - 1), Some(now), Cause::Enqueue);
-        false
-    }
-
     /// Before a registry prune at cycle `at` with receiver horizon
     /// `horizon`: trains whose receiver stamp is older than the horizon
     /// are written back as of the end of `at`, so the prune reads the
@@ -428,7 +361,6 @@ impl Network {
                         Reject::NotStreaming => &mut stats.rejected_not_streaming,
                         Reject::Shared => &mut stats.rejected_shared,
                         Reject::Short => &mut stats.rejected_short,
-                        Reject::MultiVc => &mut stats.rejected_multi_vc,
                         Reject::Injector => &mut stats.rejected_injector,
                     } += 1;
                 }
@@ -447,10 +379,8 @@ impl Network {
     /// run behind it, every lane exactly one channel latency of flits
     /// due on consecutive cycles, every VC with room, every output with
     /// a credit and no open streak, no other worm on any channel, and
-    /// the injector pushing. A hop whose physical channel has more than
-    /// one VC also needs its router to itself: no other flit,
-    /// allocation or streak in it, no flit on a link into it but the
-    /// worm's own and no injector there with step work.
+    /// the injector pushing. Every channel is [`VC0`]: trains form on
+    /// one-VC fabrics only.
     fn walk_path(&self, now: Cycle, dst: usize, worm: WormId) -> Result<Train, Reject> {
         if self.deadlocked || self.killed.contains(worm) {
             return Err(Reject::NotStreaming);
@@ -463,8 +393,7 @@ impl Network {
         }
         let latency = self.cfg.channel_latency as usize;
         let mut hops = Vec::new();
-        let (mut node, mut port, mut vc) = (src, self.routers[src].inject_port(chan), VcId::new(0));
-        let mut from_link = NONE;
+        let (mut node, mut port) = (src, self.routers[src].inject_port(chan));
         // The queue being checked must end just before this sequence
         // number: the injector's next flit, then each queue's front.
         let mut back = s.next;
@@ -473,32 +402,21 @@ impl Network {
                 return Err(Reject::NotStreaming);
             }
             let router = &self.routers[node];
-            let stream = router.channel_stream(port, vc, worm)?;
-            let whole = router.config().num_vcs > 1;
-            if whole && !self.alone_at(node, port, vc, from_link, (src, chan)) {
-                return Err(Reject::MultiVc);
-            }
+            let stream = router.channel_stream(port, VC0, worm)?;
             if !stream.seqs.is_empty() {
                 if stream.seqs.end != back {
                     return Err(Reject::NotStreaming);
                 }
                 back = stream.seqs.start;
             }
-            let RouteTarget::Link {
-                port: out,
-                vc: lane,
-            } = stream.target
-            else {
+            let RouteTarget::Link { port: out, .. } = stream.target else {
                 if node != dst {
                     return Err(Reject::NotStreaming);
                 }
                 let last = Hop {
                     node: idx32(node),
                     port,
-                    vc,
                     link: NONE,
-                    lane: VcId::new(0),
-                    whole,
                 };
                 hops.push(last);
                 break;
@@ -510,24 +428,15 @@ impl Network {
             if self.faults.is_dead(self.tables.link_ids[li]) {
                 return Err(Reject::NotStreaming);
             }
-            let link = &self.links[li];
-            if link.occupied() != link.lane(lane.index()).len() {
-                return Err(Reject::Shared);
-            }
-            let seqs = link.lone_lane(lane.index(), worm, now + 1, latency);
+            let seqs = self.links[li].lone_lane(VC0.index(), worm, now + 1, latency);
             let seqs = seqs.filter(|seqs| seqs.end == back);
             back = seqs.ok_or(Reject::NotStreaming)?.start;
             hops.push(Hop {
                 node: idx32(node),
                 port,
-                vc,
                 link: idx32(li),
-                lane,
-                whole,
             });
             (node, port) = self.tables.link_head[li];
-            vc = lane;
-            from_link = idx32(li);
         }
         Ok(Train {
             worm,
@@ -545,36 +454,13 @@ impl Network {
         })
     }
 
-    /// Whether router `node` may be held whole for the stream at input
-    /// VC `(port, vc)`: the stream is its only work, no injector there
-    /// but the train's `source` has step work, and no flit is on a link
-    /// into it but `from_link`.
-    fn alone_at(
-        &self,
-        node: usize,
-        port: PortId,
-        vc: VcId,
-        from_link: u32,
-        source: (usize, usize),
-    ) -> bool {
-        let router = &self.routers[node];
-        let stepping = |c: usize| (node, c) != source && self.injectors[node][c].has_step_work();
-        let inbound = |q: usize| {
-            let li = self.tables.in_link(node, PortId::from_index(q));
-            li.is_some_and(|li| idx32(li) != from_link && self.links[li].occupied() > 0)
-        };
-        router.alone_with(port, vc)
-            && !(0..self.cfg.inject_channels).any(stepping)
-            && !(0..router.config().num_node_ports).any(inbound)
-    }
-
     /// Holds a formed train's channels and takes what they leave idle
     /// out of the active sets.
     fn install(&mut self, train: Train) {
         for hop in &train.hops {
             let node = hop.node as usize;
             let router = &mut self.routers[node];
-            router.hold_stream(hop.port, hop.vc);
+            router.hold_stream(hop.port, VC0);
             if !router.needs_visit() {
                 self.router_set.remove(hop.node);
             }
@@ -587,7 +473,7 @@ impl Network {
         self.injector_set.remove(injector);
         let i = self.trains.live.len();
         self.trains.live.push(train);
-        self.trains.mark(i, idx32(i + 1), &self.tables);
+        self.trains.mark(i, idx32(i + 1), self.cfg.inject_channels);
         self.trains.stats.formed += 1;
     }
 
@@ -605,13 +491,14 @@ impl Network {
     /// numbers `next0..next0 + d` and the receiver took
     /// `eject0..eject0 + d`.
     fn materialise(&mut self, i: usize, upto: Cycle, replay: Option<Cycle>, cause: Cause) {
-        self.trains.mark(i, 0, &self.tables);
+        let chans = self.cfg.inject_channels;
+        self.trains.mark(i, 0, chans);
         let train = self.trains.live.swap_remove(i);
         if i < self.trains.live.len() {
-            self.trains.mark(i, idx32(i + 1), &self.tables);
+            self.trains.mark(i, idx32(i + 1), chans);
         }
         let steps = upto - train.t0;
-        // A train lasts fewer cycles than its worm has flits.
+        // cr-lint: allow(integer-narrowing, reason = "steps < end - t0 = 1 + stop - next, a difference of two u32 sequence numbers")
         let d = steps as u32;
         // A path runs from its source to its destination.
         let src = train.hops[0].node as usize;
@@ -624,10 +511,10 @@ impl Network {
             (upto.as_u64() + 1).saturating_sub((train.t0.as_u64() + 1).max(self.cfg.warmup));
         for hop in &train.hops {
             let router = &mut self.routers[hop.node as usize];
-            router.advance_stream(hop.port, hop.vc, d, upto);
-            router.release_stream(hop.port, hop.vc);
+            router.advance_stream(hop.port, VC0, d, upto);
+            router.release_stream(hop.port, VC0);
             if hop.link != NONE {
-                self.links[hop.link as usize].advance_lane(hop.lane.index(), d);
+                self.links[hop.link as usize].advance_lane(VC0.index(), d);
                 self.link_flits[hop.link as usize] += counted;
             }
         }
@@ -636,7 +523,7 @@ impl Network {
         if d > 0 {
             self.last_progress = self.last_progress.max(upto);
         }
-        if cfg!(debug_assertions) && cause == Cause::End && !train.hops.iter().any(|h| h.whole) {
+        if cfg!(debug_assertions) && cause == Cause::End {
             // On channels nothing can share, every flit from `eject0`
             // on ejects one cycle after the one ahead of it.
             let tail_at = train.t0 + 1 + u64::from(train.tail - train.eject0);
@@ -645,8 +532,6 @@ impl Network {
 
         let stats = &mut self.trains.stats;
         *match cause {
-            Cause::ForeignFlit => &mut stats.foreign_flit,
-            Cause::Enqueue => &mut stats.enqueue,
             Cause::Churn => &mut stats.churn,
             Cause::Token => &mut stats.token,
             Cause::Prune => &mut stats.prune,

@@ -34,7 +34,9 @@ pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
     "crates/core/src/link.rs",
+    "crates/core/src/train.rs",
     "crates/router/src/router.rs",
+    "crates/router/src/flit.rs",
     "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
     "crates/faults/src/lib.rs",
@@ -58,8 +60,10 @@ pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
     "crates/core/src/link.rs",
+    "crates/core/src/train.rs",
     "crates/core/src/check_api.rs",
     "crates/router/src/router.rs",
+    "crates/router/src/flit.rs",
     "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
     "crates/faults/src/lib.rs",
@@ -71,8 +75,9 @@ pub const NARROWING_RULE_FILES: &[&str] = &[
 /// Path roots a `use`/`extern crate` may name: the language itself
 /// plus every workspace member. Anything else would break the
 /// offline, empty-registry build (`README` "Offline / hermetic
-/// build") — this supersedes the manifest-level guard in
-/// `tests/hermetic.rs` at the source level.
+/// build"). This checks sources only; `tests/hermetic.rs` checks the
+/// manifests, including dependencies declared but never imported, so
+/// the two guards complement each other.
 pub const ALLOWED_PATH_ROOTS: &[&str] = &[
     // Language/std roots.
     "std",

@@ -1056,11 +1056,16 @@ impl Router {
     /// If input VC `(port, vc)` streams `worm` on a channel of its
     /// own — the VC holds a consecutive run of the worm's body or pad
     /// flits (see [`crate::flit::stream_run`]) with room for the next
-    /// one in, and its output has a credit, a live link, no open stall
-    /// streak and no sibling VC allocated — returns where the worm goes
-    /// and which of its flits the VC holds. Nothing else in the router
-    /// is looked at: other ports keep stepping beside the stream. The
-    /// worm-train formation walk asks this of every hop of a path.
+    /// one in, and its output has a credit, a live link and no open
+    /// stall streak — returns where the worm goes and which of its
+    /// flits the VC holds. Nothing else in the router is looked at:
+    /// other ports keep stepping beside the stream. The worm-train
+    /// formation walk asks this of every hop of a path.
+    ///
+    /// The router must have one VC per physical channel: the granted
+    /// output VC is then the channel's only VC, so owning it means no
+    /// other worm shares the channel. With more, a header could win a
+    /// sibling VC and this answer would not say so.
     pub fn channel_stream(
         &self,
         port: PortId,
@@ -1078,45 +1083,11 @@ impl Router {
         }
         if let RouteTarget::Link { port: op, vc: ov } = target {
             let out = &self.ports[op.index()];
-            let sibling = |(v, o): (usize, &OutputVc)| v != ov.index() && o.owner.is_some();
-            if out.vcs.iter().enumerate().any(sibling) {
-                return Err(NoStream::Shared);
-            }
             if out.open.is_some() || out.vcs[ov.index()].credits == 0 || self.dead_out[op.index()] {
                 return Err(NoStream::NotStreaming);
             }
         }
         Ok(LoneStream { target, seqs })
-    }
-
-    /// Whether input VC `(port, vc)` holds the router's only work: every
-    /// buffered flit is in it, no input is unrouted, no stall streak is
-    /// open and no output VC or ejection port is allocated but its own
-    /// route. A stream out of a multi-VC physical channel is held with
-    /// the whole router, because a header routed here could win a
-    /// sibling VC and share the channel's bandwidth.
-    pub fn alone_with(&self, port: PortId, vc: VcId) -> bool {
-        let k = self.in_idx(port, vc);
-        let ivc = &self.inputs[k];
-        let ours = Some((port, vc));
-        let route = ivc.route;
-        let only = |o: Option<(PortId, VcId)>, target: RouteTarget| {
-            o.is_none() || (o == ours && route == Some(target))
-        };
-        self.occupancy == ivc.buf.len()
-            && self.unrouted.is_empty()
-            && self.open_streaks == 0
-            && self.ports.iter().enumerate().all(|(p, out)| {
-                out.vcs.iter().enumerate().all(|(v, o)| {
-                    let target = RouteTarget::Link {
-                        port: PortId::from_index(p),
-                        vc: VcId::from_index(v),
-                    };
-                    only(o.owner, target)
-                })
-            })
-            && (self.ejects.iter().enumerate())
-                .all(|(e, o)| only(o.owner, RouteTarget::Eject { port: e }))
     }
 
     /// Hands the stream [`Router::channel_stream`] found at input VC
