@@ -10,118 +10,142 @@
 use cr_bench::harness::Group;
 use cr_experiments::{
     ext_ablation, ext_distribution, ext_nonuniform, ext_par, fig09, fig10, fig11, fig12,
-    fig14ab, fig14cd, fig14ef, fig15, fig16, tab_hardware, tab_padding, tab_pds, Scale,
+    fig14ab, fig14cd, fig14ef, fig15, fig16, tab_hardware, tab_padding, tab_pds, Run,
+    Scale,
 };
 
 fn main() {
     let mut g = Group::new("figures");
+    let tiny = Run::new(Scale::Tiny);
     g.sample_size(10);
 
     g.bench("fig09_cr_base", || {
-        fig09::run(&fig09::Config {
-            scale: Scale::Tiny,
-            message_lengths: vec![16],
-            seed: 1,
-        })
+        fig09::run(
+            &tiny,
+            &fig09::Config {
+                message_lengths: vec![16],
+                seed: 1,
+            },
+        )
     });
 
     g.bench("fig10_timeout", || {
-        fig10::run(&fig10::Config {
-            scale: Scale::Tiny,
-            timeouts: vec![8, 64],
-            loads: vec![0.3],
-            message_len: 16,
-            seed: 2,
-        })
+        fig10::run(
+            &tiny,
+            &fig10::Config {
+                timeouts: vec![8, 64],
+                loads: vec![0.3],
+                message_len: 16,
+                seed: 2,
+            },
+        )
     });
 
     g.bench("fig11_backoff", || {
-        fig11::run(&fig11::Config {
-            scale: Scale::Tiny,
-            static_gaps: vec![16],
-            timeout: 32,
-            message_len: 16,
-            seed: 3,
-        })
+        fig11::run(
+            &tiny,
+            &fig11::Config {
+                static_gaps: vec![16],
+                timeout: 32,
+                message_len: 16,
+                seed: 3,
+            },
+        )
     });
 
     g.bench("fig12_killscheme", || {
-        fig12::run(&fig12::Config {
-            scale: Scale::Tiny,
-            timeout: 32,
-            message_len: 16,
-            extra_loads: vec![0.55],
-            seed: 4,
-        })
+        fig12::run(
+            &tiny,
+            &fig12::Config {
+                timeout: 32,
+                message_len: 16,
+                extra_loads: vec![0.55],
+                seed: 4,
+            },
+        )
     });
 
     g.bench("fig14ab_buffers", || {
-        fig14ab::run(&fig14ab::Config {
-            scale: Scale::Tiny,
-            dor_depths: vec![2, 16],
-            cr_depths: vec![2],
-            message_len: 16,
-            seed: 5,
-        })
+        fig14ab::run(
+            &tiny,
+            &fig14ab::Config {
+                dor_depths: vec![2, 16],
+                cr_depths: vec![2],
+                message_len: 16,
+                seed: 5,
+            },
+        )
     });
 
     g.bench("fig14cd_vcs", || {
-        fig14cd::run(&fig14cd::Config {
-            scale: Scale::Tiny,
-            vc_counts: vec![2],
-            dor_total_buffer: 8,
-            message_len: 16,
-            seed: 6,
-        })
+        fig14cd::run(
+            &tiny,
+            &fig14cd::Config {
+                vc_counts: vec![2],
+                dor_total_buffer: 8,
+                message_len: 16,
+                seed: 6,
+            },
+        )
     });
 
     g.bench("fig14ef_interface", || {
-        fig14ef::run(&fig14ef::Config {
-            scale: Scale::Tiny,
-            channels: vec![1, 2],
-            message_len: 16,
-            seed: 7,
-        })
+        fig14ef::run(
+            &tiny,
+            &fig14ef::Config {
+                channels: vec![1, 2],
+                message_len: 16,
+                seed: 7,
+            },
+        )
     });
 
     g.bench("fig15_fcr_transient", || {
-        fig15::run(&fig15::Config {
-            scale: Scale::Tiny,
-            fault_rates: vec![0.0, 1e-3],
-            load: 0.15,
-            message_len: 12,
-            seed: 8,
-        })
+        fig15::run(
+            &tiny,
+            &fig15::Config {
+                fault_rates: vec![0.0, 1e-3],
+                load: 0.15,
+                message_len: 12,
+                seed: 8,
+            },
+        )
     });
 
     g.bench("fig16_fcr_permanent", || {
-        fig16::run(&fig16::Config {
-            scale: Scale::Tiny,
-            dead_links: vec![0, 4],
-            load: 0.1,
-            message_len: 12,
-            misroute_budget: 8,
-            seed: 9,
-        })
+        fig16::run(
+            &tiny,
+            &fig16::Config {
+                dead_links: vec![0, 4],
+                load: 0.1,
+                message_len: 12,
+                misroute_budget: 8,
+                seed: 9,
+            },
+        )
     });
 
     g.bench("tab_pds", || {
-        tab_pds::run(&tab_pds::Config {
-            scale: Scale::Tiny,
-            adaptive_vcs: 1,
-            message_len: 16,
-            seed: 10,
-        })
+        tab_pds::run(
+            &tiny,
+            &tab_pds::Config {
+                adaptive_vcs: 1,
+                message_len: 16,
+                seed: 10,
+            },
+        )
     });
 
     g.bench("tab_padding", || {
-        tab_padding::run(&tab_padding::Config {
-            scale: Scale::Tiny,
-            message_lengths: vec![4, 32],
-            channel_latencies: vec![1],
-            load: 0.1,
-            seed: 11,
-        })
+        tab_padding::run(
+            &tiny,
+            &tab_padding::Config {
+                message_lengths: vec![4, 32],
+                channel_latencies: vec![1],
+                load: 0.1,
+                seed: 11,
+            },
+        )
     });
 
     g.bench("tab_hardware", || {
@@ -129,34 +153,37 @@ fn main() {
     });
 
     g.bench("ext_distribution", || {
-        ext_distribution::run(&ext_distribution::Config {
-            scale: Scale::Tiny,
-            loads: vec![0.3],
-            seed: 13,
-        })
+        ext_distribution::run(
+            &tiny,
+            &ext_distribution::Config {
+                loads: vec![0.3],
+                seed: 13,
+            },
+        )
     });
 
     g.bench("ext_nonuniform", || {
-        ext_nonuniform::run(&ext_nonuniform::Config {
-            scale: Scale::Tiny,
-            message_len: 16,
-            seed: 12,
-        })
+        ext_nonuniform::run(
+            &tiny,
+            &ext_nonuniform::Config {
+                message_len: 16,
+                seed: 12,
+            },
+        )
     });
 
     g.bench("ext_ablation", || {
-        ext_ablation::run(&ext_ablation::Config {
-            scale: Scale::Tiny,
-            ..Default::default()
-        })
+        ext_ablation::run(&tiny, &ext_ablation::Config::default())
     });
 
     g.bench("ext_par", || {
-        ext_par::run(&ext_par::Config {
-            scale: Scale::Tiny,
-            message_len: 16,
-            seed: 14,
-        })
+        ext_par::run(
+            &tiny,
+            &ext_par::Config {
+                message_len: 16,
+                seed: 14,
+            },
+        )
     });
 
     g.finish();

@@ -50,7 +50,7 @@ use cr_bench::harness::Group;
 use cr_core::{Network, NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
 use cr_experiments::{Scale, SweepRunner};
 use cr_faults::FaultModel;
-use cr_sim::{pool, Cycle, NodeId, SimRng};
+use cr_sim::{Cycle, NodeId, SimRng};
 use cr_topology::{KAryNCube, TopologyKind};
 use cr_traffic::{LengthDistribution, Trace, TraceEvent, TrafficPattern};
 
@@ -297,7 +297,7 @@ fn run_large(case: LargeCase) -> u64 {
 }
 
 fn main() {
-    let jobs = pool::effective_jobs(None);
+    let jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut g = Group::new("sweep");
 
     g.sample_size(10);

@@ -70,7 +70,7 @@ impl Group {
             warmup: 3,
             results: Vec::new(),
             started: Instant::now(),
-            jobs: cr_sim::pool::effective_jobs(None),
+            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 
@@ -163,8 +163,8 @@ impl Group {
     /// The group's results as the `BENCH_<group>.json` document.
     ///
     /// The `meta` block records the wall clock elapsed since the group
-    /// was created and the effective parallelism
-    /// ([`cr_sim::pool::effective_jobs`] at group creation), so a
+    /// was created and the host's parallelism
+    /// ([`std::thread::available_parallelism`] at group creation), so a
     /// recorded baseline states the conditions it was measured under.
     /// Each benchmark object additionally carries its own `jobs` field
     /// (1 unless set via [`Group::bench_cycles_at`]) so comparisons can

@@ -4,19 +4,15 @@
 
 use cr_experiments::{
     churn, ext_ablation, ext_distribution, ext_par, ext_nonuniform, fig09, fig10, fig11, fig12,
-    fig14ab, fig14cd, fig14ef, fig15, fig16, showdown, tab_hardware, tab_padding, tab_pds, Scale,
+    fig14ab, fig14cd, fig14ef, fig15, fig16, showdown, tab_hardware, tab_padding, tab_pds, Run,
 };
 
 fn main() {
-    let scale = Scale::from_args();
+    let run = Run::from_args();
     macro_rules! run {
-        ($m:ident) => {{
-            let cfg = $m::Config {
-                scale,
-                ..Default::default()
-            };
-            println!("{}", $m::run(&cfg));
-        }};
+        ($m:ident) => {
+            println!("{}", $m::run(&run, &$m::Config::default()))
+        };
     }
     run!(fig09);
     run!(fig10);

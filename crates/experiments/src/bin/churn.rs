@@ -11,35 +11,20 @@
 //!   events, expanded against the run's torus) and continue. Lets
 //!   `verify.sh` replay the identical storm through other runners.
 
-use cr_experiments::{churn, Scale};
+use cr_experiments::{churn, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = churn::Config {
-        scale,
-        ..Default::default()
-    };
-
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let path = if a == "--emit-plan" {
-            it.next().cloned()
-        } else {
-            a.strip_prefix("--emit-plan=").map(String::from)
-        };
-        if let Some(p) = path {
-            // Emit primitive events only, so the plan replays
-            // identically on any runner regardless of topology.
-            let topo = cr_topology::KAryNCube::torus(scale.radix(), 2);
-            let plan = cfg.storm().expanded(&topo).to_json().to_pretty();
-            if let Err(e) = std::fs::write(&p, plan + "\n") {
-                eprintln!("error: cannot write --emit-plan file {p}: {e}");
-                std::process::exit(2);
-            }
+    let (run, [emit_plan]) = Run::from_args_with(["--emit-plan"]);
+    let cfg = churn::Config::default();
+    if let Some(p) = emit_plan {
+        // Emit primitive events only, so the plan replays identically
+        // on any runner regardless of topology.
+        let topo = cr_topology::KAryNCube::torus(run.scale.radix(), 2);
+        let plan = cfg.storm(run.scale).expanded(&topo).to_json().to_pretty();
+        if let Err(e) = std::fs::write(&p, plan + "\n") {
+            eprintln!("error: cannot write --emit-plan file {p}: {e}");
+            std::process::exit(2);
         }
     }
-
-    let results = churn::run(&cfg);
-    println!("{results}");
+    println!("{}", churn::run(&run, &cfg));
 }

@@ -1,12 +1,11 @@
 //! Prints the CR mechanism ablation study. Pass `--quick` or `--tiny`
 //! to shrink the run.
 
-use cr_experiments::{ext_ablation, Scale};
+use cr_experiments::{ext_ablation, Run};
 
 fn main() {
-    let cfg = ext_ablation::Config {
-        scale: Scale::from_args(),
-        ..Default::default()
-    };
-    println!("{}", ext_ablation::run(&cfg));
+    println!(
+        "{}",
+        ext_ablation::run(&Run::from_args(), &ext_ablation::Config::default())
+    );
 }

@@ -1,12 +1,11 @@
 //! Prints the kill-induced latency-distribution analysis. Pass
 //! `--quick` or `--tiny` to shrink the run.
 
-use cr_experiments::{ext_distribution, Scale};
+use cr_experiments::{ext_distribution, Run};
 
 fn main() {
-    let cfg = ext_distribution::Config {
-        scale: Scale::from_args(),
-        ..Default::default()
-    };
-    println!("{}", ext_distribution::run(&cfg));
+    println!(
+        "{}",
+        ext_distribution::run(&Run::from_args(), &ext_distribution::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::ext_nonuniform`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{ext_nonuniform, Scale};
+use cr_experiments::{ext_nonuniform, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = ext_nonuniform::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = ext_nonuniform::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        ext_nonuniform::run(&Run::from_args(), &ext_nonuniform::Config::default())
+    );
 }

@@ -1,12 +1,11 @@
 //! Prints the DOR / planar-adaptive / CR mesh comparison. Pass
 //! `--quick` or `--tiny` to shrink the run.
 
-use cr_experiments::{ext_par, Scale};
+use cr_experiments::{ext_par, Run};
 
 fn main() {
-    let cfg = ext_par::Config {
-        scale: Scale::from_args(),
-        ..Default::default()
-    };
-    println!("{}", ext_par::run(&cfg));
+    println!(
+        "{}",
+        ext_par::run(&Run::from_args(), &ext_par::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig09`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig09, Scale};
+use cr_experiments::{fig09, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig09::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig09::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig09::run(&Run::from_args(), &fig09::Config::default())
+    );
 }

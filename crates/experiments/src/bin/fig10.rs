@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig10`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig10, Scale};
+use cr_experiments::{fig10, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig10::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig10::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig10::run(&Run::from_args(), &fig10::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig11`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig11, Scale};
+use cr_experiments::{fig11, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig11::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig11::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig11::run(&Run::from_args(), &fig11::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig12`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig12, Scale};
+use cr_experiments::{fig12, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig12::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig12::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig12::run(&Run::from_args(), &fig12::Config::default())
+    );
 }

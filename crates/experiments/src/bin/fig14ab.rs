@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig14ab`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig14ab, Scale};
+use cr_experiments::{fig14ab, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig14ab::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig14ab::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig14ab::run(&Run::from_args(), &fig14ab::Config::default())
+    );
 }

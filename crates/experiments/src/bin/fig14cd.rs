@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig14cd`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig14cd, Scale};
+use cr_experiments::{fig14cd, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig14cd::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig14cd::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig14cd::run(&Run::from_args(), &fig14cd::Config::default())
+    );
 }

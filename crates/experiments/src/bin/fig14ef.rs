@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig14ef`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig14ef, Scale};
+use cr_experiments::{fig14ef, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig14ef::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig14ef::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig14ef::run(&Run::from_args(), &fig14ef::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig15`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig15, Scale};
+use cr_experiments::{fig15, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig15::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig15::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig15::run(&Run::from_args(), &fig15::Config::default())
+    );
 }

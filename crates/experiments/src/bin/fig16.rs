@@ -2,14 +2,11 @@
 //! [`cr_experiments::fig16`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{fig16, Scale};
+use cr_experiments::{fig16, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = fig16::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = fig16::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        fig16::run(&Run::from_args(), &fig16::Config::default())
+    );
 }

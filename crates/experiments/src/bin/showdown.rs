@@ -2,12 +2,11 @@
 //! ordered-detour scheme across torus, mesh, fat-tree and full mesh.
 //! Pass `--quick` or `--tiny` to shrink the run.
 
-use cr_experiments::{showdown, Scale};
+use cr_experiments::{showdown, Run};
 
 fn main() {
-    let cfg = showdown::Config {
-        scale: Scale::from_args(),
-        ..Default::default()
-    };
-    println!("{}", showdown::run(&cfg));
+    println!(
+        "{}",
+        showdown::run(&Run::from_args(), &showdown::Config::default())
+    );
 }

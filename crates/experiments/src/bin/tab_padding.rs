@@ -2,14 +2,11 @@
 //! [`cr_experiments::tab_padding`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{tab_padding, Scale};
+use cr_experiments::{tab_padding, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = tab_padding::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = tab_padding::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        tab_padding::run(&Run::from_args(), &tab_padding::Config::default())
+    );
 }

@@ -2,14 +2,11 @@
 //! [`cr_experiments::tab_pds`]. Pass `--quick` or `--tiny` to shrink the
 //! run; default is the paper-scale configuration.
 
-use cr_experiments::{tab_pds, Scale};
+use cr_experiments::{tab_pds, Run};
 
 fn main() {
-    let scale = Scale::from_args();
-    let cfg = tab_pds::Config {
-        scale,
-        ..Default::default()
-    };
-    let results = tab_pds::run(&cfg);
-    println!("{results}");
+    println!(
+        "{}",
+        tab_pds::run(&Run::from_args(), &tab_pds::Config::default())
+    );
 }

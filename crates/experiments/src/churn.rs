@@ -24,7 +24,7 @@
 //! faults); DOR either wedges in the dead region or delivers corrupt
 //! flits, depending on where the storm lands.
 
-use crate::harness::{build_traced, finish_run, sweep, Scale};
+use crate::harness::{Run, Scale};
 use crate::table::{fmt_f, Table};
 use cr_core::{NetworkBuilder, ProtocolKind, RoutingKind, SimReport};
 use cr_faults::ChurnSchedule;
@@ -35,8 +35,6 @@ use std::fmt;
 /// Parameters for the churn storm run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size (fixes the torus radix and the storm/traffic windows).
-    pub scale: Scale,
     /// Number of regional outages in the storm.
     pub outages: usize,
     /// Maximum outage radius in hops (0 = a single node's links).
@@ -56,7 +54,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             outages: 6,
             max_radius: 1,
             down_range: (300, 600),
@@ -69,14 +66,14 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The storm schedule this configuration generates — deterministic
-    /// per seed, shared by every scheme so all three face identical
-    /// churn. Kills land in the first half of the nominal run window;
-    /// every outage revives by `window_end + max_down`, so a drained
-    /// run always ends fault-free.
-    pub fn storm(&self) -> ChurnSchedule {
-        let topo = cr_topology::KAryNCube::torus(self.scale.radix(), 2);
-        let cycles = self.scale.cycles();
+    /// The storm schedule this configuration generates at `scale` —
+    /// deterministic per seed, shared by every scheme so all three face
+    /// identical churn. Kills land in the first half of the nominal run
+    /// window; every outage revives by `window_end + max_down`, so a
+    /// drained run always ends fault-free.
+    pub fn storm(&self, scale: Scale) -> ChurnSchedule {
+        let topo = cr_topology::KAryNCube::torus(scale.radix(), 2);
+        let cycles = scale.cycles();
         let mut schedule = ChurnSchedule::new();
         schedule.random_regional_outages(
             &topo,
@@ -92,11 +89,11 @@ impl Config {
     }
 
     /// The finite scheduled workload: `waves` random permutations
-    /// spread across the storm window, so traffic is alive before,
-    /// during, and after every outage.
-    pub fn workload(&self) -> Trace {
-        let nodes = self.scale.radix() * self.scale.radix();
-        let span = self.scale.cycles() / 2;
+    /// spread across the storm window at `scale`, so traffic is alive
+    /// before, during, and after every outage.
+    pub fn workload(&self, scale: Scale) -> Trace {
+        let nodes = scale.radix() * scale.radix();
+        let span = scale.cycles() / 2;
         let mut rng = SimRng::from_seed(self.seed ^ 0x7AFF);
         let mut trace = Trace::from_events(Vec::new());
         for w in 0..self.waves {
@@ -165,28 +162,29 @@ fn schemes(misroute_budget: u16) -> [(&'static str, RoutingKind, ProtocolKind); 
 /// Runs one scheme through the shared storm + workload and distils its
 /// row.
 fn run_scheme(
+    run: &Run,
     cfg: &Config,
     scheme: &'static str,
     routing: RoutingKind,
     protocol: ProtocolKind,
 ) -> Row {
-    let storm = cfg.storm();
-    let workload = cfg.workload();
+    let storm = cfg.storm(run.scale);
+    let workload = cfg.workload(run.scale);
     let offered = workload.len() as u64;
 
-    let mut b: NetworkBuilder = cfg.scale.builder();
+    let mut b: NetworkBuilder = run.scale.builder();
     b.routing(routing)
         .protocol(protocol)
         .seed(cfg.seed)
         .churn(storm);
-    let mut net = build_traced(&mut b);
+    let mut net = run.build(&mut b);
     net.set_record_deliveries(true);
     net.schedule_trace(&workload);
 
     // Drain budget: generous, so "did not drain" means wedged, not
     // impatient.
-    let drained = net.run_until_quiescent(20 * cfg.scale.cycles());
-    let report = finish_run(&mut net, 0);
+    let drained = net.run_until_quiescent(20 * run.scale.cycles());
+    let report = run.finish(&mut net, 0);
 
     let mut delivered: Vec<u64> = net
         .take_delivery_log()
@@ -220,13 +218,12 @@ fn run_scheme(
 
 /// Runs the experiment: the same storm and workload against each
 /// scheme, as independent sweep points.
-pub fn run(cfg: &Config) -> Results {
-    let rows = sweep(
+pub fn run(run: &Run, cfg: &Config) -> Results {
+    let rows = run.sweep(
         schemes(cfg.misroute_budget)
             .into_iter()
             .map(|(scheme, routing, protocol)| {
-                let cfg = cfg.clone();
-                move || run_scheme(&cfg, scheme, routing, protocol)
+                move || run_scheme(run, cfg, scheme, routing, protocol)
             })
             .collect(),
     );
@@ -289,7 +286,6 @@ mod tests {
 
     fn tiny() -> Config {
         Config {
-            scale: Scale::Tiny,
             outages: 2,
             max_radius: 0,
             down_range: (150, 250),
@@ -302,19 +298,19 @@ mod tests {
 
     #[test]
     fn storm_and_workload_are_deterministic() {
-        let cfg = tiny();
+        let (cfg, scale) = (tiny(), Scale::Tiny);
         assert_eq!(
-            cfg.storm().to_json().to_string(),
-            cfg.storm().to_json().to_string()
+            cfg.storm(scale).to_json().to_string(),
+            cfg.storm(scale).to_json().to_string()
         );
-        assert_eq!(cfg.workload().len(), tiny().workload().len());
-        assert!(cfg.storm().len() >= 1);
-        assert!(cfg.workload().len() > 10);
+        assert_eq!(cfg.workload(scale).len(), tiny().workload(scale).len());
+        assert!(cfg.storm(scale).len() >= 1);
+        assert!(cfg.workload(scale).len() > 10);
     }
 
     #[test]
     fn fcr_survives_the_storm_exactly_once() {
-        let res = run(&tiny());
+        let res = run(&Run::new(Scale::Tiny), &tiny());
         assert_eq!(res.rows.len(), 3);
         let fcr = res
             .rows

@@ -8,7 +8,7 @@
 //! | `no-commit-check` | sources kill *any* stalled worm | still correct, but committed (draining) worms get killed too: more kills, more retransmissions, lower goodput |
 //! | `instant-teardown` | kill tokens walk the whole path in one cycle | an idealized infinitely-fast kill wire: bounds how much the 1-hop-per-cycle teardown latency costs |
 
-use crate::harness::{run_report, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{Ablations, ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -17,8 +17,6 @@ use std::fmt;
 /// Parameters for the ablation study.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Offered load — pick something past the knee so the mechanisms
     /// are actually exercised.
     pub load: f64,
@@ -38,7 +36,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             load: 0.6,
             message_len: 4,
             buffer_depth: 1,
@@ -65,7 +62,7 @@ pub struct Results {
 }
 
 /// Runs the study.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let variants: [(&'static str, Ablations); 4] = [
         ("full", Ablations::default()),
         (
@@ -90,26 +87,24 @@ pub fn run(cfg: &Config) -> Results {
             },
         ),
     ];
-    let scale = cfg.scale;
-    let load = cfg.load;
-    let message_len = cfg.message_len;
-    let buffer_depth = cfg.buffer_depth;
-    let pattern = cfg.pattern;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         variants
             .into_iter()
             .map(|(name, ablations)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
-                        .buffer_depth(buffer_depth)
+                        .buffer_depth(cfg.buffer_depth)
                         .ablations(ablations)
-                        .deadlock_threshold((scale.cycles() / 5).max(500))
-                        .traffic(pattern, LengthDistribution::Fixed(message_len), load)
-                        .seed(seed);
-                    let report = run_report(&mut b, scale);
+                        .deadlock_threshold((run.scale.cycles() / 5).max(500))
+                        .traffic(
+                            cfg.pattern,
+                            LengthDistribution::Fixed(cfg.message_len),
+                            cfg.load,
+                        )
+                        .seed(cfg.seed);
+                    let report = run.report(&mut b);
                     Row {
                         variant: name,
                         point: MeasuredPoint::from_report(&report),
@@ -160,20 +155,23 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn removing_padding_wedges_rings_and_collapses_throughput() {
         // Tornado ring traffic, 4-flit worms, shallow buffers: every
         // unpadded worm is unwatched once injected, and the rings
         // wedge.
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            load: 0.6,
-            message_len: 4,
-            buffer_depth: 1,
-            pattern: TrafficPattern::Tornado,
-            seed: 16,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                load: 0.6,
+                message_len: 4,
+                buffer_depth: 1,
+                pattern: TrafficPattern::Tornado,
+                seed: 16,
+            },
+        );
         let full = res.row("full").unwrap();
         let unpadded = res.row("no-padding").unwrap();
         assert!(!full.point.deadlocked, "the real protocol must survive");
@@ -190,14 +188,16 @@ mod tests {
         // Long messages (> I_min) under uniform traffic: the window
         // between commitment and completion is where the blind scheme
         // kills worms that would have drained.
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            load: 0.45,
-            message_len: 16,
-            buffer_depth: 1,
-            pattern: TrafficPattern::Uniform,
-            seed: 16,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                load: 0.45,
+                message_len: 16,
+                buffer_depth: 1,
+                pattern: TrafficPattern::Uniform,
+                seed: 16,
+            },
+        );
         let full = res.row("full").unwrap();
         let blind = res.row("no-commit-check").unwrap();
         assert!(!blind.point.deadlocked, "still correct, just wasteful");
@@ -211,10 +211,7 @@ mod tests {
 
     #[test]
     fn instant_teardown_is_no_worse() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            ..Default::default()
-        });
+        let res = run(&Run::new(Scale::Tiny), &Config::default());
         let full = res.row("full").unwrap();
         let instant = res.row("instant-teardown").unwrap();
         assert!(!instant.point.deadlocked);

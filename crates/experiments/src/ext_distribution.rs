@@ -11,7 +11,7 @@
 //! bimodal-length workload (short messages mixed with long ones) is
 //! included, mirroring reference \[32\]'s setting.
 
-use crate::harness::{run_report, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, fmt_p, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -20,8 +20,6 @@ use std::fmt;
 /// Parameters for the distribution experiment.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Offered loads.
     pub loads: Vec<f64>,
     /// Random seed.
@@ -31,7 +29,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             loads: vec![0.1, 0.2, 0.3],
             seed: 200,
         }
@@ -71,7 +68,7 @@ pub struct Results {
 }
 
 /// Runs the experiment.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let workloads: [(&'static str, LengthDistribution); 2] = [
         ("fixed-16", LengthDistribution::Fixed(16)),
         (
@@ -98,19 +95,17 @@ pub fn run(cfg: &Config) -> Results {
             }
         }
     }
-    let scale = cfg.scale;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(wname, lengths, load, network, routing, protocol)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(routing)
                         .protocol(protocol)
                         .traffic(TrafficPattern::Uniform, lengths, load)
-                        .seed(seed);
-                    let report = run_report(&mut b, scale);
+                        .seed(cfg.seed);
+                    let report = run.report(&mut b);
                     Row {
                         network,
                         workload: wname,
@@ -160,15 +155,18 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn kills_widen_the_latency_tail() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            // Past CR's saturation on the tiny torus, so kills occur.
-            loads: vec![0.55],
-            seed: 14,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                // Past CR's saturation on the tiny torus, so kills occur.
+                loads: vec![0.55],
+                seed: 14,
+            },
+        );
         // 2 workloads x 1 load x 2 networks.
         assert_eq!(res.rows.len(), 4);
         let cr = res
@@ -185,11 +183,13 @@ mod tests {
 
     #[test]
     fn bimodal_workload_runs_on_both_networks() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            loads: vec![0.15],
-            seed: 15,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                loads: vec![0.15],
+                seed: 15,
+            },
+        );
         for r in res.rows.iter().filter(|r| r.workload == "bimodal-4/64") {
             assert!(r.mean > 0.0, "{} produced no traffic", r.network);
         }

@@ -7,7 +7,7 @@
 //! patterns." This experiment checks that prediction on the classic
 //! adversarial permutations.
 
-use crate::harness::{saturation_throughput, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_sim::NodeId;
@@ -17,8 +17,6 @@ use std::fmt;
 /// Parameters for the non-uniform comparison.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Message length in flits.
     pub message_len: usize,
     /// Random seed.
@@ -28,7 +26,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             message_len: 16,
             seed: 190,
         }
@@ -65,7 +62,7 @@ pub struct Results {
 }
 
 /// Runs the comparison.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let hotspot = TrafficPattern::Hotspot {
         hotspot: NodeId::new(0),
         fraction: 0.2,
@@ -83,15 +80,12 @@ pub fn run(cfg: &Config) -> Results {
             points.push((name, pattern, network));
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let peaks = sweep(
+    let peaks = run.sweep(
         points
             .into_iter()
             .map(|(name, pattern, network)| {
                 move || {
-                    let peak = saturation_throughput(
+                    let peak = run.saturation_throughput(
                         |b| {
                             if network == "CR" {
                                 b.routing(RoutingKind::Adaptive { vcs: 2 })
@@ -101,10 +95,9 @@ pub fn run(cfg: &Config) -> Results {
                                     .protocol(ProtocolKind::Baseline);
                             }
                         },
-                        scale,
                         pattern,
-                        message_len,
-                        seed,
+                        cfg.message_len,
+                        cfg.seed,
                     );
                     (name, peak)
                 }
@@ -151,14 +144,17 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn adaptivity_wins_on_adversarial_patterns() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_len: 16,
-            seed: 13,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_len: 16,
+                seed: 13,
+            },
+        );
         assert_eq!(res.rows.len(), 5);
         for r in &res.rows {
             assert!(r.cr_peak > 0.0 && r.dor_peak > 0.0, "{}", r.pattern);

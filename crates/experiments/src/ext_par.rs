@@ -18,7 +18,7 @@
 //! consistent with the authors' own PAR evaluation (reference \[31\]),
 //! which found adaptivity can lose on uniform loads.
 
-use crate::harness::{run_report, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, Table};
 use cr_core::{NetworkBuilder, ProtocolKind, RoutingKind};
 use cr_topology::KAryNCube;
@@ -28,8 +28,6 @@ use std::fmt;
 /// Parameters for the adaptivity-spectrum comparison.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Message length in flits.
     pub message_len: usize,
     /// Random seed.
@@ -39,7 +37,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             message_len: 16,
             seed: 220,
         }
@@ -65,8 +62,8 @@ pub struct Results {
 }
 
 /// Runs the comparison on a mesh of the scale's radix.
-pub fn run(cfg: &Config) -> Results {
-    let radix = cfg.scale.radix();
+pub fn run(run: &Run, cfg: &Config) -> Results {
+    let radix = run.scale.radix();
     let algorithms: [(&'static str, RoutingKind, ProtocolKind); 3] = [
         ("DOR", RoutingKind::Dor { lanes: 2 }, ProtocolKind::Baseline),
         (
@@ -90,10 +87,7 @@ pub fn run(cfg: &Config) -> Results {
             points.push((pname, pattern, aname, routing, protocol));
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(pname, pattern, aname, routing, protocol)| {
@@ -104,10 +98,10 @@ pub fn run(cfg: &Config) -> Results {
                         let mut b = NetworkBuilder::new(KAryNCube::mesh(radix, 2));
                         b.routing(routing)
                             .protocol(protocol)
-                            .warmup(scale.warmup())
-                            .traffic(pattern, LengthDistribution::Fixed(message_len), 0.95)
-                            .seed(seed);
-                        run_report(&mut b, scale).accepted_flits_per_node_cycle
+                            .warmup(run.scale.warmup())
+                            .traffic(pattern, LengthDistribution::Fixed(cfg.message_len), 0.95)
+                            .seed(cfg.seed);
+                        run.report(&mut b).accepted_flits_per_node_cycle
                     };
                     Row {
                         algorithm: aname,
@@ -152,14 +146,17 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn par_is_deadlock_free_and_all_compete_on_uniform() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_len: 16,
-            seed: 17,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_len: 16,
+                seed: 17,
+            },
+        );
         assert_eq!(res.rows.len(), 6);
         for r in &res.rows {
             assert!(r.peak > 0.05, "{} on {} collapsed: {}", r.algorithm, r.pattern, r.peak);
@@ -168,11 +165,13 @@ mod tests {
 
     #[test]
     fn adaptivity_beats_dor_on_transpose() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_len: 16,
-            seed: 18,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_len: 16,
+                seed: 18,
+            },
+        );
         let dor = res.peak("DOR", "transpose");
         let par = res.peak("PAR", "transpose");
         let cr = res.peak("CR adaptive", "transpose");

@@ -5,7 +5,7 @@
 //! Expected shape: classic saturating latency curves; longer messages
 //! saturate at a similar flit load but with higher base latency.
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, fmt_p, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -14,8 +14,6 @@ use std::fmt;
 /// Parameters for the Fig. 9 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Message lengths (flits) to sweep.
     pub message_lengths: Vec<usize>,
     /// Random seed.
@@ -25,7 +23,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             message_lengths: vec![8, 16, 32],
             seed: 90,
         }
@@ -49,30 +46,28 @@ pub struct Results {
 }
 
 /// Runs the experiment. Sweep points execute in parallel (see
-/// [`crate::harness::sweep`]); results are identical under any job
+/// [`Run::sweep`]); results are identical under any job
 /// count.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points = Vec::new();
     for &len in &cfg.message_lengths {
-        for load in cfg.scale.loads() {
+        for load in run.scale.loads() {
             points.push((len, load));
         }
     }
-    let scale = cfg.scale;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(len, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
                         .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(len), load)
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         message_len: len,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -105,14 +100,17 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn latency_grows_with_load_and_length() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_lengths: vec![8, 16],
-            seed: 1,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_lengths: vec![8, 16],
+                seed: 1,
+            },
+        );
         assert_eq!(res.rows.len(), 4);
         assert!(res.rows.iter().all(|r| !r.point.deadlocked));
         // Latency at the higher load exceeds the lower load for each

@@ -6,7 +6,7 @@
 //! deadlock recovery; a broad middle range works well — which is why
 //! the paper can use the simple `message length x VCs` rule.
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -15,8 +15,6 @@ use std::fmt;
 /// Parameters for the Fig. 10 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Timeout values (cycles) to sweep.
     pub timeouts: Vec<u64>,
     /// Offered loads to test each timeout at.
@@ -30,7 +28,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             timeouts: vec![4, 8, 16, 32, 64, 128, 256],
             loads: vec![0.2, 0.4],
             message_len: 16,
@@ -57,34 +54,31 @@ pub struct Results {
 
 /// Runs the experiment (points in parallel; results identical under
 /// any job count).
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points = Vec::new();
     for &timeout in &cfg.timeouts {
         for &load in &cfg.loads {
             points.push((timeout, load));
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(timeout, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
                         .timeout(timeout)
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
+                            LengthDistribution::Fixed(cfg.message_len),
                             load,
                         )
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         timeout,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -126,16 +120,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn tiny_timeouts_kill_more() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            timeouts: vec![2, 64],
-            loads: vec![0.3],
-            message_len: 16,
-            seed: 2,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                timeouts: vec![2, 64],
+                loads: vec![0.3],
+                message_len: 16,
+                seed: 2,
+            },
+        );
         assert_eq!(res.rows.len(), 2);
         let aggressive = &res.rows[0];
         let relaxed = &res.rows[1];

@@ -10,7 +10,7 @@
 //! time at light load); the dynamic scheme tracks the best static
 //! choice across the whole load range.
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RetransmitScheme, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -19,8 +19,6 @@ use std::fmt;
 /// Parameters for the Fig. 11 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Static gaps (cycles) to compare.
     pub static_gaps: Vec<u64>,
     /// Kill timeout (the paper fixes 32).
@@ -34,7 +32,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             static_gaps: vec![4, 16, 64, 256],
             timeout: 32,
             message_len: 16,
@@ -60,7 +57,7 @@ pub struct Results {
 }
 
 /// Runs the experiment.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut schemes: Vec<(String, RetransmitScheme)> = cfg
         .static_gaps
         .iter()
@@ -76,33 +73,29 @@ pub fn run(cfg: &Config) -> Results {
 
     let mut points = Vec::new();
     for (name, scheme) in &schemes {
-        for load in cfg.scale.loads() {
+        for load in run.scale.loads() {
             points.push((name.clone(), *scheme, load));
         }
     }
-    let scale = cfg.scale;
-    let timeout = cfg.timeout;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(name, scheme, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
-                        .timeout(timeout)
+                        .timeout(cfg.timeout)
                         .retransmit(scheme)
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
+                            LengthDistribution::Fixed(cfg.message_len),
                             load,
                         )
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         scheme: name,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -144,16 +137,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn dynamic_tracks_reasonable_latency() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            static_gaps: vec![4, 256],
-            timeout: 16,
-            message_len: 16,
-            seed: 3,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                static_gaps: vec![4, 256],
+                timeout: 16,
+                message_len: 16,
+                seed: 3,
+            },
+        );
         // 3 schemes x 2 loads.
         assert_eq!(res.rows.len(), 6);
         let dynamic = res.mean_latency_of("dynamic");

@@ -8,7 +8,7 @@
 //! committed and draining); the source-based scheme never kills a
 //! committed worm.
 
-use crate::harness::{run_report, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_sim::NodeId;
@@ -18,8 +18,6 @@ use std::fmt;
 /// Parameters for the Fig. 12 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Stall threshold used by both schemes (cycles).
     pub timeout: u64,
     /// Message length in flits.
@@ -34,7 +32,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             timeout: 32,
             message_len: 16,
             extra_loads: vec![0.5, 0.6],
@@ -68,8 +65,8 @@ pub struct Results {
 /// where ejection queueing makes the path-wide scheme's blindness to
 /// commitment really hurt (a worm parked at the hotspot's busy
 /// ejection port looks exactly like a deadlocked one to a router).
-pub fn run(cfg: &Config) -> Results {
-    let mut loads = cfg.scale.loads();
+pub fn run(run: &Run, cfg: &Config) -> Results {
+    let mut loads = run.scale.loads();
     loads.extend_from_slice(&cfg.extra_loads);
     let patterns: [(&'static str, TrafficPattern); 2] = [
         ("uniform", TrafficPattern::Uniform),
@@ -89,25 +86,21 @@ pub fn run(cfg: &Config) -> Results {
             }
         }
     }
-    let scale = cfg.scale;
-    let timeout = cfg.timeout;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(pattern_name, pattern, scheme, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
-                        .timeout(timeout)
-                        .traffic(pattern, LengthDistribution::Fixed(message_len), load)
-                        .seed(seed);
+                        .timeout(cfg.timeout)
+                        .traffic(pattern, LengthDistribution::Fixed(cfg.message_len), load)
+                        .seed(cfg.seed);
                     if scheme == "path-wide" {
-                        b.path_wide(timeout);
+                        b.path_wide(cfg.timeout);
                     }
-                    let report = run_report(&mut b, scale);
+                    let report = run.report(&mut b);
                     Row {
                         pattern: pattern_name,
                         scheme,
@@ -184,16 +177,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn path_wide_produces_unnecessary_kills_and_source_never_does() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            timeout: 32,
-            message_len: 16,
-            extra_loads: vec![0.55],
-            seed: 4,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                timeout: 32,
+                message_len: 16,
+                extra_loads: vec![0.55],
+                seed: 4,
+            },
+        );
         // The source scheme cannot kill a committed worm, by
         // construction (the injector checks commitment first).
         assert_eq!(res.committed_kills_of("source"), 0);

@@ -10,7 +10,7 @@
 //! For CR, `timeout = message length x number of virtual channels`
 //! (the Fig. 14 caption's rule, applied automatically by the builder).
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -19,8 +19,6 @@ use std::fmt;
 /// Parameters for the Fig. 14(a)/(b) run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// DOR buffer depths to sweep (flits per VC).
     pub dor_depths: Vec<usize>,
     /// CR buffer depths to sweep (the paper fixes 2; sweeping shows
@@ -35,7 +33,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             dor_depths: vec![2, 4, 8, 16],
             cr_depths: vec![2, 4],
             message_len: 16,
@@ -64,27 +61,24 @@ pub struct Results {
 
 /// Runs the experiment. Both networks get two virtual channels: CR
 /// uses them as adaptive lanes, DOR as its two dateline classes.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points: Vec<(&'static str, usize, f64)> = Vec::new();
     for &depth in &cfg.cr_depths {
-        for load in cfg.scale.loads() {
+        for load in run.scale.loads() {
             points.push(("CR", depth, load));
         }
     }
     for &depth in &cfg.dor_depths {
-        for load in cfg.scale.loads() {
+        for load in run.scale.loads() {
             points.push(("DOR", depth, load));
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(network, depth, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     if network == "CR" {
                         b.routing(RoutingKind::Adaptive { vcs: 2 })
                             .protocol(ProtocolKind::Cr);
@@ -95,14 +89,14 @@ pub fn run(cfg: &Config) -> Results {
                     b.buffer_depth(depth)
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
+                            LengthDistribution::Fixed(cfg.message_len),
                             load,
                         )
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         network,
                         depth,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -145,16 +139,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn cr_with_shallow_buffers_competes_with_deep_dor() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            dor_depths: vec![2, 16],
-            cr_depths: vec![2],
-            message_len: 16,
-            seed: 5,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                dor_depths: vec![2, 16],
+                cr_depths: vec![2],
+                message_len: 16,
+                seed: 5,
+            },
+        );
         let cr2 = res.peak_accepted("CR", 2);
         let dor2 = res.peak_accepted("DOR", 2);
         let dor16 = res.peak_accepted("DOR", 16);

@@ -8,7 +8,7 @@
 //! fixing the buffer depth of each virtual channel at two flits"
 //! (depth is pure padding overhead for CR).
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -17,8 +17,6 @@ use std::fmt;
 /// Parameters for the Fig. 14(c)/(d) run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Virtual-channel counts to sweep (total per port; DOR needs an
     /// even number on a torus).
     pub vc_counts: Vec<usize>,
@@ -33,7 +31,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             vc_counts: vec![2, 4, 8],
             dor_total_buffer: 16,
             message_len: 16,
@@ -68,7 +65,7 @@ pub struct Results {
 ///
 /// Panics if a VC count is odd (DOR on a torus needs two dateline
 /// classes) or does not divide the DOR buffer budget.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points: Vec<(&'static str, usize, usize, f64)> = Vec::new();
     for &vcs in &cfg.vc_counts {
         assert!(vcs >= 2 && vcs % 2 == 0, "DOR on a torus needs even VCs");
@@ -77,22 +74,19 @@ pub fn run(cfg: &Config) -> Results {
             0,
             "buffer budget must split evenly"
         );
-        for load in cfg.scale.loads() {
+        for load in run.scale.loads() {
             // CR: fixed 2-flit buffers per VC. DOR: fixed total buffer
             // split across the VCs.
             points.push(("CR", vcs, 2, load));
             points.push(("DOR", vcs, cfg.dor_total_buffer / vcs, load));
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(network, vcs, depth, load)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     if network == "CR" {
                         b.routing(RoutingKind::Adaptive { vcs })
                             .protocol(ProtocolKind::Cr);
@@ -103,15 +97,15 @@ pub fn run(cfg: &Config) -> Results {
                     b.buffer_depth(depth)
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
+                            LengthDistribution::Fixed(cfg.message_len),
                             load,
                         )
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         network,
                         vcs,
                         depth,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -154,16 +148,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn both_networks_gain_from_vcs() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            vc_counts: vec![2, 4],
-            dor_total_buffer: 8,
-            message_len: 16,
-            seed: 6,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                vc_counts: vec![2, 4],
+                dor_total_buffer: 8,
+                message_len: 16,
+                seed: 6,
+            },
+        );
         for network in ["CR", "DOR"] {
             let lo = res.peak_accepted(network, 2);
             let hi = res.peak_accepted(network, 4);
@@ -177,12 +174,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn odd_vcs_rejected() {
-        let _ = run(&Config {
-            scale: Scale::Tiny,
-            vc_counts: vec![3],
-            dor_total_buffer: 9,
-            message_len: 8,
-            seed: 0,
-        });
+        let _ = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                vc_counts: vec![3],
+                dor_total_buffer: 9,
+                message_len: 8,
+                seed: 0,
+            },
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! one flit per cycle in and out, which becomes the bottleneck before
 //! the fabric does.
 
-use crate::harness::{saturation_throughput, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::TrafficPattern;
@@ -18,8 +18,6 @@ use std::fmt;
 /// Parameters for the Fig. 14(e)/(f) run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Interface channel counts to sweep (applied to both injection
     /// and ejection).
     pub channels: Vec<usize>,
@@ -32,7 +30,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             channels: vec![1, 2, 4],
             message_len: 16,
             seed: 142,
@@ -59,21 +56,18 @@ pub struct Results {
 }
 
 /// Runs the experiment.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points: Vec<(&'static str, usize)> = Vec::new();
     for &channels in &cfg.channels {
         points.push(("CR", channels));
         points.push(("DOR", channels));
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(network, channels)| {
                 move || {
-                    let peak_accepted = saturation_throughput(
+                    let peak_accepted = run.saturation_throughput(
                         |b| {
                             if network == "CR" {
                                 b.routing(RoutingKind::Adaptive { vcs: 2 })
@@ -84,10 +78,9 @@ pub fn run(cfg: &Config) -> Results {
                             }
                             b.inject_channels(channels).eject_channels(channels);
                         },
-                        scale,
                         TrafficPattern::Uniform,
-                        message_len,
-                        seed,
+                        cfg.message_len,
+                        cfg.seed,
                     );
                     Row {
                         network,
@@ -132,15 +125,18 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn more_interface_channels_raise_cr_peak() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            channels: vec![1, 3],
-            message_len: 16,
-            seed: 7,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                channels: vec![1, 3],
+                message_len: 16,
+                seed: 7,
+            },
+        );
         assert_eq!(res.rows.len(), 4);
         let cr1 = res.peak("CR", 1);
         let cr3 = res.peak("CR", 3);

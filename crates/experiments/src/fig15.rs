@@ -8,7 +8,7 @@
 //! corrupt deliveries at every rate — integrity is the invariant, not
 //! a statistic.
 
-use crate::harness::{run_report, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_faults::FaultModel;
@@ -18,8 +18,6 @@ use std::fmt;
 /// Parameters for the Fig. 15 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Transient corruption probabilities per flit-hop.
     pub fault_rates: Vec<f64>,
     /// Offered load (flits/node/cycle).
@@ -33,7 +31,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             fault_rates: vec![0.0, 1e-6, 1e-5, 1e-4, 1e-3],
             load: 0.2,
             message_len: 16,
@@ -63,30 +60,26 @@ pub struct Results {
 }
 
 /// Runs the experiment.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let points: Vec<f64> = cfg.fault_rates.clone();
-    let scale = cfg.scale;
-    let load = cfg.load;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|rate| {
                 move || {
                     let mut faults = FaultModel::new();
                     faults.set_transient_rate(rate);
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Fcr)
                         .faults(faults)
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
-                            load,
+                            LengthDistribution::Fixed(cfg.message_len),
+                            cfg.load,
                         )
-                        .seed(seed);
-                    let report = run_report(&mut b, scale);
+                        .seed(cfg.seed);
+                    let report = run.report(&mut b);
                     Row {
                         fault_rate: rate,
                         point: MeasuredPoint::from_report(&report),
@@ -130,16 +123,19 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn integrity_holds_and_degradation_is_graceful() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            fault_rates: vec![0.0, 2e-3],
-            load: 0.15,
-            message_len: 12,
-            seed: 8,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                fault_rates: vec![0.0, 2e-3],
+                load: 0.15,
+                message_len: 12,
+                seed: 8,
+            },
+        );
         assert_eq!(res.rows.len(), 2);
         for r in &res.rows {
             assert_eq!(r.corrupt_deliveries, 0, "FCR integrity");

@@ -6,7 +6,7 @@
 //! misroute around fault clusters. Expected shape: every message is
 //! still delivered as links die; latency rises modestly.
 
-use crate::harness::{run_report, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run};
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_faults::FaultModel;
@@ -17,8 +17,6 @@ use std::fmt;
 /// Parameters for the Fig. 16 run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Numbers of dead links to sweep (placed randomly, preserving
     /// connectivity).
     pub dead_links: Vec<usize>,
@@ -35,7 +33,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             dead_links: vec![0, 2, 4, 8],
             load: 0.15,
             message_len: 16,
@@ -71,43 +68,38 @@ pub struct Results {
 ///
 /// Panics if a fault plan cannot be placed without disconnecting the
 /// network (raise the topology size or lower the counts).
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let points: Vec<usize> = cfg.dead_links.clone();
-    let scale = cfg.scale;
-    let load = cfg.load;
-    let message_len = cfg.message_len;
-    let misroute_budget = cfg.misroute_budget;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|count| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     let mut faults = FaultModel::new();
                     if count > 0 {
-                        let topo = cr_topology::KAryNCube::torus(scale.radix(), 2);
+                        let topo = cr_topology::KAryNCube::torus(run.scale.radix(), 2);
                         faults
                             .kill_random_links_connected(
                                 &topo,
                                 count,
-                                &mut SimRng::from_seed(seed ^ 0xFA),
+                                &mut SimRng::from_seed(cfg.seed ^ 0xFA),
                             )
                             .expect("fault plan must keep the network connected");
                     }
                     b.routing(RoutingKind::AdaptiveMisroute {
                         vcs: 1,
-                        extra_hops: misroute_budget,
+                        extra_hops: cfg.misroute_budget,
                     })
                     .protocol(ProtocolKind::Fcr)
                     .faults(faults)
                     .traffic(
                         TrafficPattern::Uniform,
-                        LengthDistribution::Fixed(message_len),
-                        load,
+                        LengthDistribution::Fixed(cfg.message_len),
+                        cfg.load,
                     )
-                    .seed(seed);
-                    let report = run_report(&mut b, scale);
+                    .seed(cfg.seed);
+                    let report = run.report(&mut b);
                     Row {
                         dead_links: count,
                         point: MeasuredPoint::from_report(&report),
@@ -151,17 +143,20 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn delivery_survives_dead_links() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            dead_links: vec![0, 4],
-            load: 0.1,
-            message_len: 12,
-            misroute_budget: 8,
-            seed: 9,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                dead_links: vec![0, 4],
+                load: 0.1,
+                message_len: 12,
+                misroute_budget: 8,
+                seed: 9,
+            },
+        );
         for r in &res.rows {
             assert!(!r.point.deadlocked);
             assert_eq!(r.corrupt_deliveries, 0);

@@ -1,165 +1,315 @@
-//! Shared experiment plumbing: scales, measurement points, presets,
-//! and the parallel sweep executor every figure/table module routes
-//! its point-sweeps through.
+//! Shared experiment plumbing: the run context, scales, measurement
+//! points, and the parallel sweep executor every figure/table module
+//! routes its point-sweeps through.
 
-use cr_core::{NetworkBuilder, SimReport};
+use cr_core::{Network, NetworkBuilder, SimReport};
+use cr_faults::ChurnSchedule;
 use cr_topology::KAryNCube;
+use std::fs::File;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Session-wide job-count override set by `--jobs N` (0 = unset, fall
-/// back to `CR_JOBS` / available parallelism at sweep time).
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Session-wide reference-driver override set by `--dense`: every
-/// network built through [`run_report`] / [`measure`] steps on the
-/// reference driver (no active sets, no fast-forward, no worm trains)
-/// instead of the default one. Results must be byte-identical either
-/// way — the flag exists so `verify.sh` can twin-run and diff.
-static DENSE: AtomicBool = AtomicBool::new(false);
-
-/// Session-wide event-trace dump path set by `--trace <path>` (`None`
-/// = tracing off, the default). Guarded by a mutex because sweeps run
-/// [`measure`] points on worker threads.
-static TRACE_PATH: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
-
-/// Ring capacity [`measure`] uses per traced run: large enough to hold
-/// a full tiny/quick run's events without drops.
+/// Ring capacity [`Run::build`] gives each traced network: large
+/// enough to hold a full tiny/quick run's events without drops.
 const TRACE_RING_CAPACITY: usize = 1 << 16;
 
-/// Session-wide churn plan set by `--churn <plan.json>` (`None` = no
-/// live churn, the default). Every network built through
-/// [`build_traced`] gets a clone of the schedule. Guarded by a mutex
-/// because sweeps build networks on worker threads.
-static CHURN_PLAN: Mutex<Option<cr_faults::ChurnSchedule>> = Mutex::new(None);
+/// The harness flags that take no value.
+const SWITCHES: [&str; 3] = ["--tiny", "--quick", "--dense"];
 
-/// Installs a churn schedule on every network subsequently built
-/// through [`run_report`] / [`measure`] (the `--churn <plan.json>`
-/// flag). `None` turns live churn back off.
-pub fn set_churn_plan(plan: Option<cr_faults::ChurnSchedule>) {
-    *CHURN_PLAN.lock().unwrap_or_else(PoisonError::into_inner) = plan;
+/// The harness flags that take a value (`--flag value` or
+/// `--flag=value`).
+const VALUED: [&str; 3] = ["--jobs", "--trace", "--churn"];
+
+/// One runner invocation's context: everything its flags decide, read
+/// by every sweep point it executes. A runner builds one with
+/// [`Run::from_args`] and passes it by reference to each experiment's
+/// `run`; tests build one with [`Run::new`]. Nothing about a run is
+/// process-wide, so two runs with different settings can execute side
+/// by side in one process.
+///
+/// Only [`scale`](Run::scale) and [`churn`](Run::churn) change
+/// results: they are byte-identical at any `jobs`, on either driver,
+/// and with or without a trace.
+#[derive(Debug)]
+pub struct Run {
+    /// Run size (`--tiny`, `--quick`; paper scale by default).
+    pub scale: Scale,
+    /// Sweep job count (`--jobs N`; all available cores by default).
+    pub jobs: usize,
+    /// Step every network on the reference driver (`--dense`): no
+    /// active sets, no fast-forward, no worm trains. The flag exists so
+    /// `verify.sh` can twin-run and diff.
+    pub dense: bool,
+    /// The `--trace <path>` dump, opened (truncated) once. Every run
+    /// [`finish`](Run::finish)ed under it appends its events as JSON
+    /// lines; the mutex keeps concurrent sweep points from
+    /// interleaving mid-run.
+    pub trace: Option<Mutex<File>>,
+    /// The `--churn <plan.json>` schedule: every network
+    /// [`build`](Run::build) makes gets a clone of it.
+    pub churn: Option<ChurnSchedule>,
 }
 
-/// The active session-wide churn schedule, if any.
-pub fn churn_plan() -> Option<cr_faults::ChurnSchedule> {
-    CHURN_PLAN
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
+impl Run {
+    /// A run at `scale` on every available core, on the default
+    /// driver, untraced and churn-free.
+    pub fn new(scale: Scale) -> Run {
+        Run {
+            scale,
+            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            dense: false,
+            trace: None,
+            churn: None,
+        }
+    }
 
-/// Applies a `--churn` argument: reads and parses the plan file,
-/// exiting with a diagnostic on failure — flag parsing has no caller
-/// to hand the error to.
-fn apply_churn_arg(p: &str) {
-    let text = match std::fs::read_to_string(p) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read --churn plan {p}: {e}");
+    /// The run the process arguments ask for. See
+    /// [`from_args_with`](Run::from_args_with).
+    pub fn from_args() -> Run {
+        Run::from_args_with([]).0
+    }
+
+    /// The run the process arguments ask for, plus the values of the
+    /// runner's own valued `flags`, in order (`None` when absent).
+    ///
+    /// The harness flags are `--tiny` / `--quick` (default: paper
+    /// scale), `--jobs N`, `--dense`, `--trace <path>` and
+    /// `--churn <plan.json>` (schema in `EXPERIMENTS.md`). A valued
+    /// flag is spelled `--flag value` or `--flag=value`, and the last
+    /// occurrence wins. An unknown argument, a flag without its value,
+    /// `--jobs 0`, the removed `--shards`, an unreadable plan or an
+    /// uncreatable trace file exits with status 2 and an `error:` line
+    /// before anything is simulated.
+    pub fn from_args_with<const N: usize>(flags: [&str; N]) -> (Run, [Option<String>; N]) {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let run = parse_args(&argv, &flags).and_then(|mut args| {
+            let own = std::array::from_fn(|i| args.own[i].take());
+            Ok((args.open()?, own))
+        });
+        run.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(2);
+        })
+    }
+
+    /// Executes sweep points on [`jobs`](Run::jobs) workers, returning
+    /// results in submission order (see [`SweepRunner::run`]).
+    pub fn sweep<T, F>(&self, points: Vec<F>) -> Vec<T>
+    where
+        F: FnOnce() -> T + Send,
+        T: Send,
+    {
+        SweepRunner::new(self.jobs).run(points)
+    }
+
+    /// Builds the network under this run's settings: an event ring of
+    /// `TRACE_RING_CAPACITY` when tracing, the churn plan, and the
+    /// reference driver under `dense`. Pair with [`finish`](Run::finish).
+    pub fn build(&self, builder: &mut NetworkBuilder) -> Network {
+        if self.trace.is_some() {
+            builder.trace(TRACE_RING_CAPACITY);
         }
-    };
-    match cr_faults::ChurnSchedule::from_json_str(&text) {
-        Ok(plan) => set_churn_plan(Some(plan)),
-        Err(e) => {
-            eprintln!("error: invalid --churn plan {p}: {e}");
-            std::process::exit(2);
+        if let Some(plan) = &self.churn {
+            builder.churn(plan.clone());
         }
+        let mut net = builder.build();
+        net.set_reference_stepper(self.dense);
+        net
+    }
+
+    /// Runs a [`build`](Run::build) network for `cycles` and, when
+    /// tracing, appends its drained events to the dump, one JSON object
+    /// per line.
+    ///
+    /// # Panics
+    ///
+    /// If the trace file cannot be written.
+    pub fn finish(&self, net: &mut Network, cycles: u64) -> SimReport {
+        let report = net.run(cycles);
+        if let Some(trace) = &self.trace {
+            let mut buf = String::new();
+            for ev in net.take_trace_events() {
+                buf.push_str(&ev.to_json().to_string());
+                buf.push('\n');
+            }
+            trace
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .write_all(buf.as_bytes())
+                // cr-lint: allow(panic-discipline, reason = "a failed trace write is unrecoverable: --trace was an explicit operator request and a silently truncated dump would be worse than aborting")
+                .expect("trace write failed");
+        }
+        report
+    }
+
+    /// Builds and runs a network for the run's scale, returning the
+    /// full report. Every experiment routes its simulations through
+    /// here, [`measure`](Run::measure) or `build` / `finish`, so the
+    /// run's flags reach every sweep point.
+    pub fn report(&self, builder: &mut NetworkBuilder) -> SimReport {
+        let mut net = self.build(builder);
+        self.finish(&mut net, self.scale.cycles())
+    }
+
+    /// Runs a configured builder at one offered load and distils the
+    /// result.
+    pub fn measure(&self, builder: &mut NetworkBuilder) -> MeasuredPoint {
+        MeasuredPoint::from_report(&self.report(builder))
+    }
+
+    /// Measures peak accepted throughput: offer a saturating load and
+    /// report the accepted flits/node/cycle.
+    pub fn saturation_throughput(
+        &self,
+        configure: impl Fn(&mut NetworkBuilder),
+        pattern: cr_traffic::TrafficPattern,
+        message_len: usize,
+        seed: u64,
+    ) -> f64 {
+        let mut b = self.scale.builder();
+        configure(&mut b);
+        b.traffic(
+            pattern,
+            cr_traffic::LengthDistribution::Fixed(message_len),
+            0.95,
+        )
+        .seed(seed);
+        self.report(&mut b).accepted_flits_per_node_cycle
     }
 }
 
-/// Points every subsequent [`measure`] at a JSON-lines trace dump (the
-/// `--trace <path>` flag). The file is created (truncated) here; each
-/// traced run appends its events as one JSON object per line. `None`
-/// turns tracing back off.
+/// The process arguments, parsed but not yet opened: file paths are
+/// still paths.
+#[derive(Debug, PartialEq)]
+struct Args {
+    scale: Scale,
+    jobs: Option<usize>,
+    dense: bool,
+    trace: Option<String>,
+    churn: Option<String>,
+    /// The runner's own flags' values, in registration order.
+    own: Vec<Option<String>>,
+}
+
+impl Args {
+    /// Reads the churn plan and creates the trace file.
+    fn open(self) -> Result<Run, String> {
+        let churn = self
+            .churn
+            .map(|p| {
+                let text = std::fs::read_to_string(&p)
+                    .map_err(|e| format!("cannot read --churn plan {p}: {e}"))?;
+                ChurnSchedule::from_json_str(&text)
+                    .map_err(|e| format!("invalid --churn plan {p}: {e}"))
+            })
+            .transpose()?;
+        let trace = self
+            .trace
+            .map(|p| {
+                File::create(&p)
+                    .map(Mutex::new)
+                    .map_err(|e| format!("cannot create --trace file {p}: {e}"))
+            })
+            .transpose()?;
+        let mut run = Run::new(self.scale);
+        run.jobs = self.jobs.unwrap_or(run.jobs);
+        run.dense = self.dense;
+        run.trace = trace;
+        run.churn = churn;
+        Ok(run)
+    }
+}
+
+/// Parses `args` (the process arguments without the program name) in
+/// one pass. `own` lists the runner's valued flags; an argument read as
+/// a flag's value is never also read as a flag. `--tiny` beats
+/// `--quick` wherever each appears.
 ///
 /// # Errors
 ///
-/// Returns the I/O error if the file cannot be created; tracing stays
-/// in its previous state.
-pub fn set_trace_path(path: Option<std::path::PathBuf>) -> std::io::Result<()> {
-    if let Some(p) = &path {
-        std::fs::File::create(p)?;
-    }
-    *TRACE_PATH.lock().unwrap_or_else(PoisonError::into_inner) = path;
-    Ok(())
-}
-
-/// Applies a `--trace` argument, exiting with a diagnostic if the dump
-/// file cannot be created — flag parsing has no caller to hand the
-/// error to.
-fn apply_trace_arg(p: &str) {
-    if let Err(e) = set_trace_path(Some(p.into())) {
-        eprintln!("error: cannot create --trace file {p}: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Whether a `--trace` dump path is active.
-pub fn trace_active() -> bool {
-    TRACE_PATH
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .is_some()
-}
-
-/// Appends one run's drained events to the active trace file, one
-/// JSON object per line (no-op when tracing is off). Runs append
-/// atomically under the lock, so concurrent sweep points never
-/// interleave mid-run.
-fn dump_trace(net: &mut cr_core::Network) {
-    let events = net.take_trace_events();
-    let guard = TRACE_PATH.lock().unwrap_or_else(PoisonError::into_inner);
-    let Some(path) = guard.as_ref() else {
-        return;
+/// An argument that is neither a harness flag nor one of `own`; a
+/// switch given a value; a valued flag without one; a `--jobs` value
+/// that is not a positive integer; or `--shards` in either spelling:
+/// the sharded stepper it selected was removed, and a run that silently
+/// ignored it would not be the run that was asked for.
+fn parse_args(args: &[String], own: &[&str]) -> Result<Args, String> {
+    let mut out = Args {
+        scale: Scale::Paper,
+        jobs: None,
+        dense: false,
+        trace: None,
+        churn: None,
+        own: vec![None; own.len()],
     };
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        // cr-lint: allow(panic-discipline, reason = "mid-sweep trace-file loss is unrecoverable: --trace was an explicit operator request and a silently truncated dump would be worse than aborting")
-        .expect("trace file vanished mid-run");
-    let mut buf = String::new();
-    for ev in &events {
-        buf.push_str(&ev.to_json().to_string());
-        buf.push('\n');
+    let (mut tiny, mut quick) = (false, false);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        if flag == "--shards" {
+            return Err(
+                "--shards is no longer supported: the sharded stepper was removed and \
+                 every network steps serially"
+                    .to_string(),
+            );
+        }
+        if SWITCHES.contains(&flag) {
+            if inline.is_some() {
+                return Err(format!("{flag} takes no value, got '{arg}'"));
+            }
+            match flag {
+                "--tiny" => tiny = true,
+                "--quick" => quick = true,
+                _ => out.dense = true,
+            }
+            continue;
+        }
+        let slot = own.iter().position(|f| *f == flag);
+        if slot.is_none() && !VALUED.contains(&flag) {
+            let accepted: Vec<&str> = SWITCHES.iter().chain(&VALUED).chain(own).copied().collect();
+            return Err(format!(
+                "unknown argument '{arg}' (accepted: {})",
+                accepted.join(" ")
+            ));
+        }
+        let value = match inline {
+            Some(v) => v,
+            None => it
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value"))?
+                .as_str(),
+        };
+        match (slot, flag) {
+            (Some(i), _) => out.own[i] = Some(value.to_string()),
+            (None, "--jobs") => {
+                out.jobs = Some(value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                    format!("invalid --jobs value '{value}': expected a positive integer")
+                })?)
+            }
+            (None, "--trace") => out.trace = Some(value.to_string()),
+            (None, _) => out.churn = Some(value.to_string()),
+        }
     }
-    f.write_all(buf.as_bytes())
-        // cr-lint: allow(panic-discipline, reason = "mid-sweep trace-file loss is unrecoverable: --trace was an explicit operator request and a silently truncated dump would be worse than aborting")
-        .expect("trace write failed");
-}
-
-/// Pins the job count for every subsequent [`sweep`] in this process
-/// (the `--jobs N` flag). `set_jobs(1)` restores the serial path.
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The job count sweeps currently run with: the [`set_jobs`] override
-/// if present, else `CR_JOBS`, else the machine's available
-/// parallelism.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => cr_sim::pool::effective_jobs(None),
-        n => n,
-    }
-}
-
-/// Forces (or releases) the reference driver for every network
-/// subsequently built through [`run_report`] / [`measure`] (the
-/// `--dense` flag).
-pub fn set_dense(on: bool) {
-    DENSE.store(on, Ordering::Relaxed);
+    out.scale = if tiny {
+        Scale::Tiny
+    } else if quick {
+        Scale::Quick
+    } else {
+        Scale::Paper
+    };
+    Ok(out)
 }
 
 /// Runs a batch of independent sweep points across worker threads.
 ///
 /// Every experiment module builds its full parameter grid as a vector
 /// of closures (each closure owns its point's seed and configuration)
-/// and hands them here. Results come back in submission order, so a
-/// sweep is **bit-identical under any job count** — parallelism is
-/// pure wall-clock, never a result change. See `DESIGN.md`,
-/// "Parallel sweeps & determinism".
+/// and hands them here, through [`Run::sweep`]. Results come back in
+/// submission order, so a sweep is **bit-identical under any job
+/// count** — parallelism is pure wall-clock, never a result change.
+/// See `DESIGN.md`, "Parallel sweeps & determinism".
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     jobs: usize,
@@ -170,12 +320,6 @@ impl SweepRunner {
     /// exact serial path, a plain loop on the calling thread).
     pub fn new(jobs: usize) -> Self {
         SweepRunner { jobs: jobs.max(1) }
-    }
-
-    /// A runner honouring the session setting ([`set_jobs`] /
-    /// `CR_JOBS` / available parallelism).
-    pub fn current() -> Self {
-        SweepRunner { jobs: jobs() }
     }
 
     /// The job count this runner uses.
@@ -197,15 +341,6 @@ impl SweepRunner {
     {
         cr_sim::pool::run(self.jobs, points)
     }
-}
-
-/// Shorthand: [`SweepRunner::current`]`.run(points)`.
-pub fn sweep<T, F>(points: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    SweepRunner::current().run(points)
 }
 
 /// How big an experiment run should be.
@@ -265,120 +400,6 @@ impl Scale {
         b.warmup(self.warmup());
         b
     }
-
-    /// Parses `--quick` / `--tiny` command-line flags (default:
-    /// `Paper`).
-    ///
-    /// Also applies a `--jobs N` / `--jobs=N` flag (via [`set_jobs`])
-    /// so every experiment binary accepts the sweep-parallelism knob
-    /// without its own flag plumbing; without the flag, sweeps use
-    /// `CR_JOBS` or all available cores. Results are identical either
-    /// way — only wall clock changes. A `--churn <plan.json>` flag
-    /// (via [`set_churn_plan`]) installs a live kill/revive schedule on
-    /// every network built; the plan's JSON schema is documented in
-    /// `EXPERIMENTS.md`. And
-    /// `--dense` (via [`set_dense`]) steps every network on the
-    /// reference driver, for twin-run diffs.
-    ///
-    /// A missing or unparsable value for any of these flags, or the
-    /// removed `--shards`, exits with status 2 and a diagnostic rather
-    /// than running with defaults. Flags the harness does not know are
-    /// left to the binary.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let parsed = match parse_common_args(&args) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        if let Some(n) = parsed.jobs {
-            set_jobs(n);
-        }
-        if parsed.dense {
-            set_dense(true);
-        }
-        if let Some(p) = &parsed.trace {
-            apply_trace_arg(p);
-        }
-        if let Some(p) = &parsed.churn {
-            apply_churn_arg(p);
-        }
-        parsed.scale
-    }
-}
-
-/// The flags every experiment binary shares, parsed but not applied.
-#[derive(Debug, PartialEq)]
-struct CommonArgs {
-    scale: Scale,
-    jobs: Option<usize>,
-    dense: bool,
-    trace: Option<String>,
-    churn: Option<String>,
-}
-
-/// Parses the shared harness flags out of `args` (the process
-/// arguments without the program name). `--flag value` and
-/// `--flag=value` are both accepted and the last occurrence wins;
-/// arguments that are not harness flags are skipped, since binaries
-/// add their own.
-///
-/// # Errors
-///
-/// A harness flag with no value, a `--jobs` value that is not a
-/// non-negative integer, or `--shards` in either spelling: the sharded
-/// stepper it selected was removed, and a run that silently ignored
-/// it would not be the run that was asked for.
-fn parse_common_args(args: &[String]) -> Result<CommonArgs, String> {
-    let mut out = CommonArgs {
-        scale: Scale::Paper,
-        jobs: None,
-        dense: false,
-        trace: None,
-        churn: None,
-    };
-    let count = |flag: &str, v: &str| {
-        v.parse::<usize>()
-            .map_err(|_| format!("invalid {flag} value '{v}': expected a non-negative integer"))
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, v)) => (flag, Some(v)),
-            None => (arg.as_str(), None),
-        };
-        if flag == "--shards" {
-            return Err(
-                "--shards is no longer supported: the sharded stepper was removed and \
-                 every network steps serially"
-                    .to_string(),
-            );
-        }
-        if !matches!(flag, "--jobs" | "--trace" | "--churn") {
-            continue;
-        }
-        let value = match inline {
-            Some(v) => v,
-            None => it
-                .next()
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .as_str(),
-        };
-        match flag {
-            "--jobs" => out.jobs = Some(count(flag, value)?),
-            "--trace" => out.trace = Some(value.to_string()),
-            _ => out.churn = Some(value.to_string()),
-        }
-    }
-    out.dense = args.iter().any(|a| a == "--dense");
-    if args.iter().any(|a| a == "--tiny") {
-        out.scale = Scale::Tiny;
-    } else if args.iter().any(|a| a == "--quick") {
-        out.scale = Scale::Quick;
-    }
-    Ok(out)
 }
 
 /// One measured point of a sweep, distilled from a [`SimReport`].
@@ -421,72 +442,6 @@ impl MeasuredPoint {
     }
 }
 
-/// Runs a configured builder at one offered load and distils the
-/// result.
-///
-/// Under an active `--trace <path>` ([`set_trace_path`]) the run is
-/// built with event tracing on and its events are appended to the
-/// dump file. Tracing is record-only, so the measured point is
-/// identical either way.
-pub fn measure(builder: &mut NetworkBuilder, scale: Scale) -> MeasuredPoint {
-    MeasuredPoint::from_report(&run_report(builder, scale))
-}
-
-/// Builds the network, honouring the process-wide `--trace` sink (when
-/// tracing is active the network gets a bounded event ring sized
-/// [`TRACE_RING_CAPACITY`]) and the process-wide `--dense` setting.
-/// Pair with [`finish_run`].
-pub(crate) fn build_traced(builder: &mut NetworkBuilder) -> cr_core::Network {
-    if trace_active() {
-        builder.trace(TRACE_RING_CAPACITY);
-    }
-    if let Some(plan) = churn_plan() {
-        builder.churn(plan);
-    }
-    let mut net = builder.build();
-    net.set_reference_stepper(DENSE.load(Ordering::Relaxed));
-    net
-}
-
-/// Runs a [`build_traced`] network for `cycles` and, when tracing is
-/// active, appends its event ring to the trace file.
-pub(crate) fn finish_run(net: &mut cr_core::Network, cycles: u64) -> cr_core::SimReport {
-    let report = net.run(cycles);
-    if trace_active() {
-        dump_trace(net);
-    }
-    report
-}
-
-/// Builds and runs a network at `scale`, returning the full report.
-/// Every experiment module routes its simulations through here (or
-/// through [`measure`], which wraps it) so that a runner's `--trace`
-/// flag captures every sweep point it executes.
-pub fn run_report(builder: &mut NetworkBuilder, scale: Scale) -> cr_core::SimReport {
-    let mut net = build_traced(builder);
-    finish_run(&mut net, scale.cycles())
-}
-
-/// Measures peak accepted throughput: offer a saturating load and
-/// report the accepted flits/node/cycle.
-pub fn saturation_throughput(
-    configure: impl Fn(&mut NetworkBuilder),
-    scale: Scale,
-    pattern: cr_traffic::TrafficPattern,
-    message_len: usize,
-    seed: u64,
-) -> f64 {
-    let mut b = scale.builder();
-    configure(&mut b);
-    b.traffic(
-        pattern,
-        cr_traffic::LengthDistribution::Fixed(message_len),
-        0.95,
-    )
-    .seed(seed);
-    run_report(&mut b, scale).accepted_flits_per_node_cycle
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,16 +459,16 @@ mod tests {
     fn sweep_runner_jobs_floor_is_one() {
         assert_eq!(SweepRunner::new(0).jobs(), 1);
         assert_eq!(SweepRunner::new(6).jobs(), 6);
-        assert!(SweepRunner::current().jobs() >= 1);
+        assert!(Run::new(Scale::Tiny).jobs >= 1);
     }
 
-    fn parse(args: &[&str]) -> Result<CommonArgs, String> {
+    fn parse(args: &[&str]) -> Result<Args, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_common_args(&args)
+        parse_args(&args, &["--emit-plan"])
     }
 
     #[test]
-    fn common_args_parse_both_spellings_and_skip_unknown_flags() {
+    fn common_args_parse_both_spellings_and_reject_unknown_flags() {
         let got = parse(&[
             "--quick",
             "--jobs",
@@ -528,22 +483,31 @@ mod tests {
         .expect("well-formed flags");
         assert_eq!(
             got,
-            CommonArgs {
+            Args {
                 scale: Scale::Quick,
                 jobs: Some(3),
                 dense: true,
                 trace: Some("t.jsonl".into()),
                 churn: Some("c.json".into()),
+                own: vec![Some("plan.json".into())],
             }
         );
         let bare = parse(&[]).expect("no flags");
         assert_eq!(
-            (bare.scale, bare.jobs, bare.dense),
-            (Scale::Paper, None, false)
+            (bare.scale, bare.jobs, bare.dense, bare.own),
+            (Scale::Paper, None, false, vec![None])
         );
         assert_eq!(
             parse(&["--tiny", "--quick"]).map(|a| a.scale),
             Ok(Scale::Tiny)
+        );
+        // A runner's own flag is unknown to a runner that did not
+        // register it.
+        let err = parse_args(&["--emit-plan".into(), "p.json".into()], &[])
+            .expect_err("unregistered flag");
+        assert!(
+            err.contains("unknown argument '--emit-plan'"),
+            "got '{err}'"
         );
     }
 
@@ -552,16 +516,34 @@ mod tests {
         for (args, needle) in [
             (&["--jobs", "abc"][..], "invalid --jobs value 'abc'"),
             (&["--jobs=-1"][..], "invalid --jobs value '-1'"),
+            (&["--jobs", "0"][..], "invalid --jobs value '0'"),
+            (&["--jobs="][..], "invalid --jobs value ''"),
             (&["--shards", "4"][..], "--shards is no longer supported"),
             (&["--shards=2"][..], "--shards is no longer supported"),
             (&["--shards="][..], "--shards is no longer supported"),
             (&["--tiny", "--jobs"][..], "--jobs needs a value"),
             (&["--trace"][..], "--trace needs a value"),
             (&["--jobs", "2", "--churn"][..], "--churn needs a value"),
+            (&["--tiny", "--emit-plan"][..], "--emit-plan needs a value"),
+            (&["--quik"][..], "unknown argument '--quik'"),
+            (&["--tiny", "--bogus=3"][..], "unknown argument '--bogus=3'"),
+            (&["fig09"][..], "unknown argument 'fig09'"),
+            (&["--dense=1"][..], "--dense takes no value"),
         ] {
             let err = parse(args).expect_err("malformed flags must not parse");
             assert!(err.contains(needle), "{args:?}: got '{err}'");
         }
+        // A value that looks like a flag is still only a value.
+        let got = parse(&["--churn", "--tiny"]).expect("--tiny is the plan path");
+        assert_eq!(
+            (got.scale, got.churn.as_deref()),
+            (Scale::Paper, Some("--tiny"))
+        );
+        let got = parse(&["--trace", "--dense", "--emit-plan", "--quick"]).expect("values");
+        assert_eq!(
+            (got.scale, got.dense, got.own),
+            (Scale::Paper, false, vec![Some("--quick".into())])
+        );
     }
 
     #[test]
@@ -573,13 +555,13 @@ mod tests {
 
     #[test]
     fn measure_produces_sane_point() {
-        let scale = Scale::Tiny;
-        let mut b = scale.builder();
+        let run = Run::new(Scale::Tiny);
+        let mut b = run.scale.builder();
         b.routing(RoutingKind::Adaptive { vcs: 1 })
             .protocol(ProtocolKind::Cr)
             .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(8), 0.2)
             .seed(1);
-        let p = measure(&mut b, scale);
+        let p = run.measure(&mut b);
         assert!(!p.deadlocked);
         assert!(p.delivered > 50);
         assert!(p.latency > 5.0);
@@ -589,12 +571,11 @@ mod tests {
 
     #[test]
     fn saturation_is_below_offered() {
-        let sat = saturation_throughput(
+        let sat = Run::new(Scale::Tiny).saturation_throughput(
             |b| {
                 b.routing(RoutingKind::Adaptive { vcs: 1 })
                     .protocol(ProtocolKind::Cr);
             },
-            Scale::Tiny,
             TrafficPattern::Uniform,
             8,
             2,

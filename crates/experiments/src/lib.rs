@@ -5,7 +5,9 @@
 //! library function returning structured rows plus a paper-style
 //! text rendering; each also has a runnable binary (`src/bin/`) and a
 //! bench (`crates/bench`). The mapping to the paper is
-//! documented per-module and indexed in `DESIGN.md`.
+//! documented per-module and indexed in `DESIGN.md`. Each module's
+//! `run` takes a [`Run`] (scale, jobs, driver, trace and churn, parsed
+//! once from a runner's flags) and the artifact's own `Config`.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -31,12 +33,9 @@
 //! # Examples
 //!
 //! ```
-//! use cr_experiments::{fig09, Scale};
+//! use cr_experiments::{fig09, Run, Scale};
 //!
-//! let results = fig09::run(&fig09::Config {
-//!     scale: Scale::Tiny,
-//!     ..Default::default()
-//! });
+//! let results = fig09::run(&Run::new(Scale::Tiny), &fig09::Config::default());
 //! assert!(!results.rows.is_empty());
 //! println!("{results}");
 //! ```
@@ -65,8 +64,5 @@ pub mod tab_padding;
 pub mod tab_pds;
 pub mod table;
 
-pub use harness::{
-    churn_plan, run_report, set_churn_plan, set_dense, set_trace_path, sweep, trace_active,
-    MeasuredPoint, Scale, SweepRunner,
-};
+pub use harness::{MeasuredPoint, Run, Scale, SweepRunner};
 pub use table::Table;

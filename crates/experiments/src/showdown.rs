@@ -23,7 +23,7 @@
 //! Results carry the [`TopologyKind`] config axis, so every row's
 //! fabric round-trips through JSON ([`Results::to_json`]).
 
-use crate::harness::{measure, sweep, MeasuredPoint, Scale};
+use crate::harness::{MeasuredPoint, Run, Scale};
 use crate::table::{fmt_f, Table};
 use cr_core::{NetworkBuilder, ProtocolKind, RoutingKind};
 use cr_sim::Json;
@@ -34,8 +34,6 @@ use std::fmt;
 /// Parameters for the topology-zoo showdown.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size (also selects the zoo's topology sizes).
-    pub scale: Scale,
     /// Message length in flits.
     pub message_len: usize,
     /// Random seed.
@@ -45,7 +43,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             message_len: 16,
             seed: 640,
         }
@@ -113,19 +110,16 @@ pub struct Results {
 }
 
 /// Runs the showdown across the zoo.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points = Vec::new();
-    for kind in zoo(cfg.scale) {
+    for kind in zoo(run.scale) {
         for (scheme, routing, protocol) in schemes(kind) {
-            for load in cfg.scale.loads() {
+            for load in run.scale.loads() {
                 points.push((kind, scheme, routing, protocol, load));
             }
         }
     }
-    let scale = cfg.scale;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(kind, scheme, routing, protocol, load)| {
@@ -133,18 +127,18 @@ pub fn run(cfg: &Config) -> Results {
                     let mut b = NetworkBuilder::from_kind(&kind);
                     b.routing(routing)
                         .protocol(protocol)
-                        .warmup(scale.warmup())
+                        .warmup(run.scale.warmup())
                         .traffic(
                             TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
+                            LengthDistribution::Fixed(cfg.message_len),
                             load,
                         )
-                        .seed(seed);
+                        .seed(cfg.seed);
                     Row {
                         topology: kind,
                         scheme,
                         load,
-                        point: measure(&mut b, scale),
+                        point: run.measure(&mut b),
                     }
                 }
             })
@@ -210,11 +204,13 @@ mod tests {
     use super::*;
 
     fn tiny() -> Results {
-        run(&Config {
-            scale: Scale::Tiny,
-            message_len: 8,
-            seed: 11,
-        })
+        run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_len: 8,
+                seed: 11,
+            },
+        )
     }
 
     #[test]

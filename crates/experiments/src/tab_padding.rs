@@ -7,7 +7,7 @@
 //! pipeline delay) make it worse. This table reports the analytic
 //! expectation and the measured overhead side by side.
 
-use crate::harness::{build_traced, finish_run, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, Table};
 use cr_core::{NetworkConfig, ProtocolKind, RoutingKind};
 use cr_sim::NodeId;
@@ -18,8 +18,6 @@ use std::fmt;
 /// Parameters for the padding table.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Message lengths (flits) to sweep.
     pub message_lengths: Vec<usize>,
     /// Channel pipeline depths (network "depth") to sweep.
@@ -33,7 +31,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             message_lengths: vec![4, 8, 16, 32, 64],
             channel_latencies: vec![1, 2, 4],
             load: 0.1,
@@ -86,33 +83,30 @@ pub fn analytic_overhead(topo: &dyn Topology, cfg: &NetworkConfig, message_len: 
 }
 
 /// Runs the experiment.
-pub fn run(cfg: &Config) -> Results {
+pub fn run(run: &Run, cfg: &Config) -> Results {
     let mut points: Vec<(u64, usize)> = Vec::new();
     for &chan in &cfg.channel_latencies {
         for &len in &cfg.message_lengths {
             points.push((chan, len));
         }
     }
-    let scale = cfg.scale;
-    let load = cfg.load;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         points
             .into_iter()
             .map(|(chan, len)| {
                 move || {
-                    let mut b = scale.builder();
+                    let mut b = run.scale.builder();
                     b.routing(RoutingKind::Adaptive { vcs: 1 })
                         .protocol(ProtocolKind::Cr)
                         .channel_latency(chan)
-                        .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(len), load)
-                        .seed(seed);
-                    let mut net = build_traced(&mut b);
+                        .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(len), cfg.load)
+                        .seed(cfg.seed);
+                    let mut net = run.build(&mut b);
                     let analytic = {
-                        let topo = KAryNCube::torus(scale.radix(), 2);
+                        let topo = KAryNCube::torus(run.scale.radix(), 2);
                         analytic_overhead(&topo, net.config(), len)
                     };
-                    let report = finish_run(&mut net, scale.cycles());
+                    let report = run.finish(&mut net, run.scale.cycles());
                     // Measured: pads / payload, matching the analytic
                     // definition (overhead relative to useful flits).
                     let measured = if report.counters.payload_flits_injected == 0 {
@@ -155,6 +149,7 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn analytic_matches_hand_computation() {
@@ -169,13 +164,15 @@ mod tests {
 
     #[test]
     fn short_messages_pay_more_and_measured_tracks_analytic() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_lengths: vec![4, 32],
-            channel_latencies: vec![1],
-            load: 0.1,
-            seed: 11,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_lengths: vec![4, 32],
+                channel_latencies: vec![1],
+                load: 0.1,
+                seed: 11,
+            },
+        );
         let short = &res.rows[0];
         let long = &res.rows[1];
         assert!(short.analytic_overhead > long.analytic_overhead);
@@ -194,13 +191,15 @@ mod tests {
 
     #[test]
     fn deeper_channels_pad_more() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            message_lengths: vec![8],
-            channel_latencies: vec![1, 4],
-            load: 0.1,
-            seed: 12,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                message_lengths: vec![8],
+                channel_latencies: vec![1, 4],
+                load: 0.1,
+                seed: 12,
+            },
+        );
         assert!(res.rows[1].analytic_overhead > res.rows[0].analytic_overhead);
         assert!(res.rows[1].measured_overhead > res.rows[0].measured_overhead);
     }

@@ -13,7 +13,7 @@
 //! argument for CR's *recovery* (pay on the rare event) over
 //! *avoidance* (pay on every message).
 
-use crate::harness::{run_report, sweep, Scale};
+use crate::harness::Run;
 use crate::table::{fmt_f, Table};
 use cr_core::{ProtocolKind, RoutingKind};
 use cr_traffic::{LengthDistribution, TrafficPattern};
@@ -22,8 +22,6 @@ use std::fmt;
 /// Parameters for the PDS estimate.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Run size.
-    pub scale: Scale,
     /// Adaptive virtual channels in front of the escape network.
     pub adaptive_vcs: usize,
     /// Message length in flits.
@@ -35,7 +33,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: Scale::Paper,
             adaptive_vcs: 1,
             message_len: 16,
             seed: 170,
@@ -66,28 +63,26 @@ pub struct Results {
 }
 
 /// Runs the estimate.
-pub fn run(cfg: &Config) -> Results {
-    let mut loads = cfg.scale.loads();
+pub fn run(run: &Run, cfg: &Config) -> Results {
+    let mut loads = run.scale.loads();
     loads.push(0.5); // push toward saturation where PDS spike
-    let scale = cfg.scale;
-    let adaptive_vcs = cfg.adaptive_vcs;
-    let message_len = cfg.message_len;
-    let seed = cfg.seed;
-    let rows = sweep(
+    let rows = run.sweep(
         loads
             .into_iter()
             .map(|load| {
                 move || {
-                    let mut b = scale.builder();
-                    b.routing(RoutingKind::Duato { adaptive_vcs })
-                        .protocol(ProtocolKind::Baseline)
-                        .traffic(
-                            TrafficPattern::Uniform,
-                            LengthDistribution::Fixed(message_len),
-                            load,
-                        )
-                        .seed(seed);
-                    let report = run_report(&mut b, scale);
+                    let mut b = run.scale.builder();
+                    b.routing(RoutingKind::Duato {
+                        adaptive_vcs: cfg.adaptive_vcs,
+                    })
+                    .protocol(ProtocolKind::Baseline)
+                    .traffic(
+                        TrafficPattern::Uniform,
+                        LengthDistribution::Fixed(cfg.message_len),
+                        load,
+                    )
+                    .seed(cfg.seed);
+                    let report = run.report(&mut b);
                     let delivered = report.counters.messages_delivered;
                     Row {
                         offered: load,
@@ -135,15 +130,18 @@ impl fmt::Display for Results {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn pds_grow_with_load() {
-        let res = run(&Config {
-            scale: Scale::Tiny,
-            adaptive_vcs: 1,
-            message_len: 16,
-            seed: 10,
-        });
+        let res = run(
+            &Run::new(Scale::Tiny),
+            &Config {
+                adaptive_vcs: 1,
+                message_len: 16,
+                seed: 10,
+            },
+        );
         assert!(res.rows.len() >= 3);
         let first = res.rows.first().unwrap();
         let last = res.rows.last().unwrap();

@@ -18,7 +18,7 @@ use cr_faults::ChurnSchedule;
 use cr_sim::{check, Cycle, NodeId, SimRng};
 use cr_topology::{KAryNCube, Topology};
 use cr_traffic::{Trace, TraceEvent};
-use cr_experiments::{churn, Scale};
+use cr_experiments::{churn, Run, Scale};
 
 /// A churn storm that starts fault-free, kills links from two regions
 /// mid-run, and revives everything.
@@ -86,7 +86,6 @@ fn churn_storm_twin_matches() {
 #[test]
 fn churn_experiment_identical_across_jobs() {
     let cfg = churn::Config {
-        scale: Scale::Tiny,
         outages: 2,
         max_radius: 0,
         down_range: (150, 250),
@@ -98,16 +97,17 @@ fn churn_experiment_identical_across_jobs() {
     let runs: Vec<Vec<String>> = [1usize, 4]
         .iter()
         .map(|&jobs| {
-            // Pin the session job count the experiment's sweep uses.
-            cr_experiments::harness::set_jobs(jobs);
-            churn::run(&cfg)
+            let run = Run {
+                jobs,
+                ..Run::new(Scale::Tiny)
+            };
+            churn::run(&run, &cfg)
                 .rows
                 .iter()
                 .map(|r| r.report.to_json())
                 .collect()
         })
         .collect();
-    cr_experiments::harness::set_jobs(1);
     assert_eq!(runs[0], runs[1], "churn experiment differs across jobs");
     assert_eq!(runs[0].len(), 3);
 }

@@ -1,0 +1,69 @@
+//! The runners' command line, driven through the built binaries: a
+//! flag a runner does not know, a flag without its value, or `--jobs 0`
+//! ends the process with status 2 and an `error:` line naming the
+//! argument, before anything is simulated (so nothing reaches stdout).
+
+use std::process::{Command, Output};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start {bin}: {e}"))
+}
+
+#[test]
+fn bad_flags_exit_2_before_simulating() {
+    for (bin, args, needle) in [
+        (
+            env!("CARGO_BIN_EXE_fig09"),
+            &["--tiny", "--quik"][..],
+            "'--quik'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_tab_hardware"),
+            &["--bogus"][..],
+            "'--bogus'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_churn"),
+            &["--tiny", "--emit-plan"][..],
+            "--emit-plan needs a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig09"),
+            &["--tiny", "--jobs", "0"][..],
+            "--jobs value '0'",
+        ),
+        // `--emit-plan` belongs to `churn` alone.
+        (
+            env!("CARGO_BIN_EXE_fig09"),
+            &["--tiny", "--emit-plan", "p.json"][..],
+            "'--emit-plan'",
+        ),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "{bin} {args:?}: stderr '{stderr}' does not name {needle}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{bin} {args:?} printed before failing"
+        );
+    }
+}
+
+#[test]
+fn well_formed_flags_run() {
+    let out = run(env!("CARGO_BIN_EXE_fig09"), &["--tiny", "--jobs=1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Fig. 9"));
+}

@@ -10,7 +10,8 @@
 /// Crate directory names (under `crates/`) whose non-test sources are
 /// result paths: anything nondeterministic here can change reported
 /// numbers. `HashMap`/`HashSet` are banned in favour of `KilledMap`,
-/// dense `Vec`s, or `BTreeMap`/`BTreeSet`.
+/// dense `Vec`s, or `BTreeMap`/`BTreeSet`, and so is process-wide
+/// mutable state (`global-state`).
 pub const HASH_RULE_CRATES: &[&str] = &["sim", "router", "core", "faults", "experiments", "check"];
 
 /// The one crate allowed to read wall clocks: the bench harness times

@@ -14,6 +14,7 @@
 //! | `panic-discipline`  | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in hot paths |
 //! | `trace-rng`         | record-only tracing: no RNG calls inside `TraceSink::emit` closures |
 //! | `integer-narrowing` | no silently wrapping `as` casts to narrow ints in protocol files |
+//! | `global-state`      | explicit run context: no interior-mutable `static` or `thread_local!` in result-path crates |
 //!
 //! Test code (`tests/`, `benches/`, `#[cfg(test)]` items) is exempt
 //! from the determinism and panic rules — tests legitimately model
@@ -46,6 +47,7 @@ pub const RULES: &[&str] = &[
     "panic-discipline",
     "trace-rng",
     "integer-narrowing",
+    "global-state",
     "unused-allow",
     "malformed-allow",
 ];
@@ -74,6 +76,7 @@ pub fn lint_file(ctx: &FileContext, src: &str) -> Vec<Diagnostic> {
     scan.panic_discipline(&mut diags);
     scan.trace_rng(&mut diags);
     scan.integer_narrowing(&mut diags);
+    scan.global_state(&mut diags);
     let mut out = allow::apply(&ctx.rel_path, allows, diags);
     out.append(&mut malformed);
     out
@@ -307,7 +310,7 @@ impl Scan<'_> {
         while i < self.toks.len() {
             let t = &self.toks[i];
             if t.is_ident("emit") && self.next_is(i, '(') && self.is_shipping(t.line) {
-                let end = self.matching_paren(i + 1);
+                let end = self.matching_close(i + 1);
                 for (j, inner) in self.toks[i + 2..end].iter().enumerate() {
                     let j = i + 2 + j;
                     let is_rng_name = inner.is_ident("rng")
@@ -370,13 +373,75 @@ impl Scan<'_> {
         }
     }
 
-    /// Index of the `)` matching the `(` at `open` (or end of stream).
-    fn matching_paren(&self, open: usize) -> usize {
+    fn global_state(&self, out: &mut Vec<Diagnostic>) {
+        if !HASH_RULE_CRATES.contains(&self.ctx.crate_name.as_str()) {
+            return;
+        }
+        let mut i = 0;
+        while i < self.toks.len() {
+            let t = &self.toks[i];
+            if !self.is_shipping(t.line) {
+                i += 1;
+                continue;
+            }
+            if t.is_ident("thread_local") && self.next_is(i, '!') {
+                self.diag(
+                    out,
+                    t,
+                    "global-state",
+                    "`thread_local!` in a result-path crate: per-thread state outlives the \
+                     run that set it; pass it through a run context (cr_experiments::Run)"
+                        .to_string(),
+                );
+                // One finding for the whole block, not one per static.
+                i = self.matching_close(i + 2);
+                continue;
+            }
+            // An item `static [mut] NAME: Type = …;` — the type runs from
+            // the `:` to the `=`. (`'static` lexes as a lifetime.)
+            let name = i + 1 + usize::from(self.toks.get(i + 1).is_some_and(|n| n.is_ident("mut")));
+            if t.is_ident("static") && self.next_is(name, ':') {
+                let cell = self.toks[name + 2..]
+                    .iter()
+                    .take_while(|n| !n.is_punct('=') && !n.is_punct(';'))
+                    .find(|n| {
+                        n.kind == TokKind::Ident
+                            && (matches!(
+                                n.text.as_str(),
+                                "Mutex" | "RwLock" | "OnceLock" | "LazyLock" | "Cell" | "RefCell"
+                            ) || n.text.starts_with("Atomic"))
+                    });
+                if let Some(cell) = cell {
+                    self.diag(
+                        out,
+                        t,
+                        "global-state",
+                        format!(
+                            "`static` of interior-mutable `{}` in a result-path crate: \
+                             process-wide state couples every run in the process; pass it \
+                             through a run context (cr_experiments::Run)",
+                            cell.text
+                        ),
+                    );
+                }
+            }
+            i += 1;
+        }
+    }
+
+    /// Index of the bracket closing the `(`, `[` or `{` at `open` (or
+    /// end of stream).
+    fn matching_close(&self, open: usize) -> usize {
+        let (o, c) = match self.toks.get(open).map(|t| &t.kind) {
+            Some(TokKind::Punct('{')) => ('{', '}'),
+            Some(TokKind::Punct('[')) => ('[', ']'),
+            _ => ('(', ')'),
+        };
         let mut depth = 0usize;
         for (i, t) in self.toks.iter().enumerate().skip(open) {
             match t.kind {
-                TokKind::Punct('(') => depth += 1,
-                TokKind::Punct(')') => {
+                TokKind::Punct(p) if p == o => depth += 1,
+                TokKind::Punct(p) if p == c => {
                     depth -= 1;
                     if depth == 0 {
                         return i;
@@ -568,6 +633,28 @@ fn prod() { x.unwrap(); }
         // `use … as alias` does not trip the scan.
         let alias = "use std::fmt::Debug as Dbg;\nfn f(_d: &dyn Dbg) {}\n";
         assert!(rules_hit("crates/core/src/network.rs", alias).is_empty());
+    }
+
+    #[test]
+    fn global_state_flags_interior_mutable_statics_in_shipping_code() {
+        let src = "\
+static JOBS: AtomicUsize = AtomicUsize::new(0);
+pub(crate) static mut PLAN: Mutex<Option<u8>> = Mutex::new(None);
+static NAMES: [&str; 2] = [\"a\", \"b\"];
+thread_local! { static S: Cell<u8> = Cell::new(0); static T: RefCell<u8> = RefCell::new(0); }
+fn f() -> &'static str { NAMES[0] }
+";
+        assert_eq!(
+            rules_hit("crates/experiments/src/harness.rs", src),
+            vec!["global-state"; 3]
+        );
+        // Outside the result-path crates, in tests and in
+        // `#[cfg(test)]` items it is allowed.
+        assert!(rules_hit("crates/bench/src/x.rs", src).is_empty());
+        assert!(rules_hit("crates/core/tests/x.rs", src).is_empty());
+        let test_only =
+            "#[cfg(test)]\nmod tests {\n    static N: AtomicU64 = AtomicU64::new(0);\n}\n";
+        assert!(rules_hit("crates/sim/src/pool.rs", test_only).is_empty());
     }
 
     #[test]

@@ -25,12 +25,6 @@
 //! message ([`run`] resurfaces it as a panic once all workers have
 //! parked).
 //!
-//! # Choosing a job count
-//!
-//! [`effective_jobs`] resolves, in order: an explicit request (e.g. a
-//! `--jobs N` flag), the `CR_JOBS` environment variable, then
-//! [`std::thread::available_parallelism`].
-//!
 //! # Examples
 //!
 //! ```
@@ -63,29 +57,6 @@ impl std::fmt::Display for PoolError {
 }
 
 impl std::error::Error for PoolError {}
-
-/// Resolves how many worker threads a sweep should use.
-///
-/// Priority: `request` (if `Some` and non-zero) → the `CR_JOBS`
-/// environment variable (if set and parseable as a non-zero integer) →
-/// [`std::thread::available_parallelism`] → 1.
-pub fn effective_jobs(request: Option<usize>) -> usize {
-    if let Some(n) = request {
-        if n > 0 {
-            return n;
-        }
-    }
-    if let Some(n) = std::env::var("CR_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Runs `tasks` on up to `jobs` threads, returning results in
 /// submission order.
@@ -368,14 +339,6 @@ mod tests {
         assert_eq!(err.task_index, 0);
         assert_eq!(err.message, "inline boom");
         assert!(err.to_string().contains("pool task 0 panicked"));
-    }
-
-    #[test]
-    fn effective_jobs_explicit_request_wins() {
-        assert_eq!(effective_jobs(Some(3)), 3);
-        // A zero request falls through to the environment/default.
-        assert!(effective_jobs(Some(0)) >= 1);
-        assert!(effective_jobs(None) >= 1);
     }
 
     #[test]

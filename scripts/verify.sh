@@ -21,8 +21,8 @@ export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline --workspace
 
-# Static analysis: determinism, hermeticity, unsafe, panic- and
-# trace-discipline rules over every source file (DESIGN.md §9). Any
+# Static analysis: determinism, hermeticity, unsafe, global-state,
+# panic- and trace-discipline rules over every source file (DESIGN.md §9). Any
 # finding fails verification.
 lint_json="$(mktemp)"
 if ! ./target/release/cr-lint --json > "$lint_json"; then
@@ -144,11 +144,11 @@ echo "verify: reference-driver (--dense) --tiny output identical to serial"
 # runner too: feed the storm plan the churn runner emits to fig09 and
 # diff the default driver against the reference driver.
 ./target/release/churn --tiny --jobs 1 \
-    --emit-plan "$tmpdir/churn_plan.json" > /dev/null
+    --emit-plan "$tmpdir/storm_plan.json" > /dev/null
 ./target/release/fig09 --tiny --jobs 1 \
-    --churn "$tmpdir/churn_plan.json" > "$tmpdir/fig09_churn_serial.txt"
+    --churn "$tmpdir/storm_plan.json" > "$tmpdir/fig09_churn_serial.txt"
 ./target/release/fig09 --tiny --jobs 1 --dense \
-    --churn "$tmpdir/churn_plan.json" > "$tmpdir/fig09_churn_dense.txt"
+    --churn "$tmpdir/storm_plan.json" > "$tmpdir/fig09_churn_dense.txt"
 if ! diff -q "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_dense.txt" > /dev/null; then
     echo "verify: FAIL — fig09 --churn output differs between the default driver and --dense" >&2
     diff "$tmpdir/fig09_churn_serial.txt" "$tmpdir/fig09_churn_dense.txt" | head -40 >&2
@@ -184,21 +184,20 @@ for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"benchmarks"' \
 done
 echo "verify: $sweep_json regenerated and schema-checked"
 
-# Performance gate (opt-in: slow). First prove the CR_JOBS environment
-# knob is result-invariant on the tiny battery (the env plumbing is how
-# the bench entries select their configurations), then re-measure at
-# full sample counts and demand no benchmark lost more than 25% of its
-# baseline cycles_per_sec.
+# Performance gate (opt-in: slow). First prove the job count is
+# result-invariant on the tiny battery at every count the bench entries
+# use, then re-measure at full sample counts and demand no benchmark
+# lost more than 25% of its baseline cycles_per_sec.
 if [ "$run_bench" -eq 1 ]; then
-    for jobs in 1 2; do
-        CR_JOBS=$jobs ./target/release/all --tiny > "$tmpdir/tiny_j${jobs}.txt"
+    for jobs in 1 2 4; do
+        ./target/release/all --tiny --jobs "$jobs" > "$tmpdir/tiny_j${jobs}.txt"
         if ! diff -q "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_j${jobs}.txt" > /dev/null; then
-            echo "verify: FAIL — CR_JOBS=$jobs --tiny output differs from serial" >&2
+            echo "verify: FAIL — --jobs $jobs --tiny output differs from serial" >&2
             diff "$tmpdir/tiny_serial.txt" "$tmpdir/tiny_j${jobs}.txt" | head -40 >&2
             exit 1
         fi
     done
-    echo "verify: CR_JOBS 1,2 --tiny output identical to serial"
+    echo "verify: --jobs 1,2,4 --tiny output identical to serial"
     cargo bench --offline -p cr-bench --bench sweep > /dev/null
     ./scripts/bench_compare.sh
 fi

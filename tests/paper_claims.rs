@@ -116,12 +116,14 @@ fn long_messages_never_pad() {
 /// produces consistent tables.
 #[test]
 fn experiments_run_through_the_facade() {
-    use compressionless_routing::experiments::{fig09, Scale};
-    let res = fig09::run(&fig09::Config {
-        scale: Scale::Tiny,
-        message_lengths: vec![8],
-        seed: 3,
-    });
+    use compressionless_routing::experiments::{fig09, Run, Scale};
+    let res = fig09::run(
+        &Run::new(Scale::Tiny),
+        &fig09::Config {
+            message_lengths: vec![8],
+            seed: 3,
+        },
+    );
     assert_eq!(res.rows.len(), Scale::Tiny.loads().len());
     let table = res.to_string();
     assert!(table.contains("offered"));
