@@ -14,7 +14,7 @@ use cr_bench::harness::Group;
 use cr_bench::reference_network;
 use cr_core::{KilledMap, LinkState, ProtocolKind};
 use cr_faults::FaultModel;
-use cr_router::flit::worm_flit_at;
+use cr_router::flit::{worm_flit_at, Shift};
 use cr_router::routing::{DimensionOrder, DuatoProtocol, MinimalAdaptive};
 use cr_router::{
     Flit, FlitKind, RouteCtx, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
@@ -391,7 +391,7 @@ fn bench_link_visit() {
 /// (`Router::channel_stream`) and the link whether its lane holds
 /// exactly the worm's flits, due on consecutive cycles
 /// (`LinkState::lone_lane`); materialising advances both in closed
-/// form (`Router::advance_stream`, `LinkState::advance_lane`). The
+/// form (`Router::release_stream`, `LinkState::advance_lane`). The
 /// path is 50 hops of 4-port, 1-VC torus routers in the steady state
 /// of a padded worm (empty input VC, one flit on each link), walked 20
 /// times per sample: `median_ns / 1 000` is ns per path hop.
@@ -469,16 +469,21 @@ fn bench_train() {
         rejected
     });
 
-    let mut upto = Cycle::ZERO;
+    // One cycle per write-back, the worm far from its tail: the empty
+    // VC expects the flit its link carries.
+    let tail = (1 << 30) - 1;
+    let (mut t0, mut from) = (Cycle::ZERO, 1);
     g.bench("materialise", || {
         for _ in 0..WALKS {
-            upto += 1;
+            let shift = Shift { from, d: 1, tail };
             for (r, link) in routers.iter_mut().zip(&mut links) {
-                r.advance_stream(in_port, vc, 1, upto);
-                link.advance_lane(0, 1);
+                r.hold_stream(in_port, vc);
+                r.release_stream(in_port, vc, t0, shift, 0);
+                link.advance_lane(0, 1, tail);
             }
+            (t0, from) = (t0 + 1, from + 1);
         }
-        upto
+        t0
     });
     g.finish();
 }

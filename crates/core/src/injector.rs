@@ -92,9 +92,9 @@ pub(crate) struct InjectorStream {
     pub worm: WormId,
     /// Sequence number of the next flit to push.
     pub next: u32,
-    /// Sequence number of the first flit whose push does more than
-    /// count: the commitment point or the tail.
-    pub stop: u32,
+    /// Sequence number of the flit whose push commits the worm, if the
+    /// protocol reports commitment and that push is still to come.
+    pub commit: Option<u32>,
     /// Payload flits of the message; the flits from here on are padding.
     pub payload_len: u32,
     /// Sequence number of the worm's tail flit.
@@ -226,25 +226,32 @@ impl Injector {
             .filter(|c| c.resume_at.is_none() && c.stall == 0)?;
         let tail = c.total_len - 1;
         let commits = self.protocol.kills() && !self.ablations.ignore_commitment;
-        let stop = match crate::network::idx32(c.msg.i_min).checked_sub(1) {
-            Some(commit) if commits && commit >= c.next => commit.min(tail),
-            _ => tail,
-        };
+        let commit = crate::network::idx32(c.msg.i_min)
+            .checked_sub(1)
+            .filter(|&k| commits && (c.next..=tail).contains(&k));
         Some(InjectorStream {
             worm: c.worm,
             next: c.next,
-            stop,
+            commit,
             payload_len: c.msg.payload_len,
             tail,
         })
     }
 
     /// Advances the current worm's stream by `d` pushed flits without
-    /// building them; only valid while `next + d` stays below the
-    /// `stop` of [`Injector::stream`].
+    /// building them, up to and including its tail: a worm whose tail
+    /// went in is retired to the vulnerable set, as [`Injector::step`]
+    /// retires it.
     pub(crate) fn advance_stream(&mut self, d: u32) {
-        if let Some(c) = &mut self.current {
-            c.next += d;
+        let Some(c) = &mut self.current else {
+            return;
+        };
+        c.next += d;
+        debug_assert!(c.next <= c.total_len, "pushed past the tail");
+        if c.next == c.total_len {
+            if let Some(cur) = self.current.take() {
+                self.vulnerable.insert(cur.msg.id, cur.msg);
+            }
         }
     }
 

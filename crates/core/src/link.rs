@@ -7,6 +7,7 @@
 //! the link has carried a flit (DESIGN.md §12).
 
 use crate::killmap::KilledMap;
+use cr_router::flit::Shift;
 use cr_router::{Flit, Router, WormId};
 use cr_sim::{Cycle, InlineArr, PortId, Ring, VcId};
 use std::ops::Range;
@@ -171,18 +172,36 @@ impl LinkState {
     }
 
     /// Advances lane `v` by `d` cycles of a worm streaming one flit per
-    /// cycle, in closed form: each flit becomes the flit `d` places
-    /// further down the worm in the same slot, due `d` cycles later.
-    /// The lane must be the only one occupied, as
-    /// [`LinkState::lone_lane`] found it.
-    pub fn advance_lane(&mut self, v: usize, d: u32) {
+    /// cycle up to its `tail`, in closed form (see [`Shift`]): each flit
+    /// becomes the flit `d` places further down the worm in the same
+    /// slot, due `d` cycles later, and those past the tail drop from the
+    /// back. The lane must be the only one occupied, as
+    /// [`LinkState::lone_lane`] found it. Returns how many flits left
+    /// the link for good.
+    pub fn advance_lane(&mut self, v: usize, d: u32, tail: u32) -> usize {
         let seg = self.seg(v);
         let slots = self.slots.get_mut(seg).unwrap_or_default();
-        for (at, f) in self.lanes[v].iter_mut(slots) {
+        let lane = &mut self.lanes[v];
+        let Some(&(_, front)) = lane.front(slots) else {
+            return 0;
+        };
+        let len = lane.len();
+        lane.truncate(
+            Shift {
+                from: front.seq,
+                d,
+                tail,
+            }
+            .kept(len),
+        );
+        for (at, f) in lane.iter_mut(slots) {
             *at += u64::from(d);
             *f = f.advanced(d);
         }
         self.wake += u64::from(d);
+        let gone = len - lane.len();
+        self.occupied -= gone;
+        gone
     }
 
     /// Drops `worm`'s flits from lane `v` — teardown of the

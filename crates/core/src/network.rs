@@ -662,9 +662,13 @@ impl Network {
     /// [`Injector::enqueue`] keeping the undrained counter and the
     /// active set current. An injector a worm train streams from only
     /// queues the message — it sends its current worm to the end first
-    /// — and stays out of its set until the train is written back.
+    /// — and stays out of its set until the train is written back,
+    /// which is no later than the cycle it picks the message up.
     fn injector_enqueue(&mut self, node: usize, channel: usize, msg: PendingMessage) {
         let id = node * self.cfg.inject_channels + channel;
+        if let Some(i) = self.trains.on_injector(id) {
+            self.train_before_enqueue(i, self.now);
+        }
         let held = self.trains.on_injector(id).is_some();
         let was_drained = self.injectors[node][channel].is_drained();
         self.injectors[node][channel].enqueue(msg);
@@ -817,6 +821,9 @@ impl Network {
         }
         self.phase_traffic(now);
         self.phase_injection(now);
+        if self.trains.any() {
+            self.trains_before_route(now);
+        }
         self.phase_route_and_traverse(now);
         self.phase_bookkeeping(now);
         if !self.trains.candidates.is_empty() {

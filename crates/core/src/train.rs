@@ -3,7 +3,11 @@
 //! fixed one-flit-per-cycle pipeline — Farhi–Gaujal's tandem of
 //! rate-latency servers, Mifdaoui–Ayed's finite-buffer chain — so its
 //! state at any later cycle is a closed-form function of its state now,
-//! whatever crosses its routers on other ports.
+//! whatever crosses its routers on other ports. That holds through the
+//! commit and tail pushes and through the drain after them: once the
+//! tail is in, every queue still moves one place a cycle and the hops
+//! the tail has left are empty and released, one more each cycle, until
+//! the tail ejects.
 //!
 //! A train is serial orchestrator state beside the churn and token
 //! machinery. Forming one records `(worm, path, t0)` and *holds* the
@@ -12,26 +16,29 @@
 //! and each link. No phase steps a held channel. The rest of every
 //! router keeps stepping, and a router, link or injector left with
 //! nothing else to do leaves its active set, so `fast_forward` may jump
-//! to the train's end. Trains form only when the routing function has
-//! one VC: a held output VC is then its physical channel's only VC,
-//! owned by the train's worm, so no header can share a held channel and
-//! no other flit can be pushed onto a held link.
+//! to the train's end: the cycle the tail ejects. Trains form only when
+//! the routing function has one VC: a held output VC is then its
+//! physical channel's only VC, owned by the train's worm, so no header
+//! can share a held channel and no other flit can be pushed onto a held
+//! link.
 //!
 //! *Materialising* a train writes the closed form back before anything
 //! can observe or touch what it holds (the causes are [`Cause`]'s
-//! variants) and re-arms what it took out. The run loops materialise
-//! every train before they return, so nothing outside them ever sees a
-//! live one.
+//! variants) — a hop the tail has left is written back empty and
+//! released, exactly as the tail's traversal left it — and re-arms what
+//! it took out. The run loops materialise every train before they
+//! return, so nothing outside them ever sees a live one.
 
 use super::{idx32, Network, NONE};
 use crate::receiver::DeliveredMessage;
+use cr_router::flit::Shift;
 use cr_router::{NoStream, PortKind, RouteTarget, WormId};
 use cr_sim::{Cycle, PortId, VcId};
 use std::collections::BTreeMap;
 
-/// Fewer cycles than this to the injector's next observable push and
-/// the walk and write-back cost more than the cycles they save.
-const MIN_LIFE: u32 = 4;
+/// Fewer cycles than this to the train's end and the walk and
+/// write-back cost more than the cycles they save.
+const MIN_LIFE: u64 = 4;
 
 /// Deterministic worm-train counters (DESIGN.md §10): the same for
 /// every run of the same inputs under the default driver, zero under
@@ -49,8 +56,7 @@ pub struct TrainStats {
     /// Headers that ejected while another worm or train shared a
     /// channel of their path.
     pub rejected_shared: u64,
-    /// Headers whose injector had fewer than four flits to push before
-    /// its commit or tail flit.
+    /// Headers whose train would have ended within four cycles.
     pub rejected_short: u64,
     /// Headers whose source injector was not streaming the worm:
     /// stalled last cycle, backing off, or already retired.
@@ -63,10 +69,21 @@ pub struct TrainStats {
     /// Materialised because a registry prune would have read the
     /// receiver's stale stamp.
     pub prune: u64,
-    /// Materialised the cycle before the injector's commit or tail.
+    /// Materialised at the train's end: the cycle its tail ejects or,
+    /// with the event trace on, its injector's commit push.
     pub end: u64,
+    /// Materialised before the route + traverse stage because a header
+    /// waited at a router the worm's tail had left, where it could win
+    /// the output the tail released.
+    pub header: u64,
+    /// Materialised because a message was queued at the train's
+    /// injector, which picks it up the cycle after its tail goes in.
+    pub enqueue: u64,
     /// Materialised because `run` / `run_until_quiescent` returned.
     pub run_exit: u64,
+    /// Trains written back past the cycle their injector pushed the
+    /// tail: their drain, or part of it, ran in closed form.
+    pub drained: u64,
     /// Cycles trains advanced in closed form, over all trains.
     pub cycles: u64,
     /// Link traversals those cycles stand for.
@@ -86,7 +103,7 @@ impl TrainStats {
     /// Materialisations of every cause (every formed train is
     /// materialised exactly once).
     pub fn materialised(&self) -> u64 {
-        self.churn + self.token + self.prune + self.end + self.run_exit
+        self.churn + self.token + self.prune + self.end + self.header + self.enqueue + self.run_exit
     }
 }
 
@@ -97,6 +114,8 @@ pub(super) enum Cause {
     Token,
     Prune,
     End,
+    Header,
+    Enqueue,
     RunExit,
 }
 
@@ -131,6 +150,9 @@ struct Hop {
     /// Index of the outgoing link, [`NONE`] at the
     /// destination.
     link: u32,
+    /// Sequence number of the first flit its input VC held at `t0` (the
+    /// next one in, if it held none).
+    from: u32,
 }
 
 #[derive(Debug)]
@@ -139,8 +161,12 @@ struct Train {
     /// The last stepped cycle: the path holds its end state.
     t0: Cycle,
     /// The first cycle that must be stepped again: the one in which
-    /// the injector pushes its commit or tail flit.
+    /// the tail ejects, the injector's commit push when the event trace
+    /// reports it, or the one after the tail push when a message waits
+    /// behind it.
     end: Cycle,
+    /// What materialises the train at `end`.
+    end_cause: Cause,
     /// Source injection channel (the source is `hops[0].node`).
     chan: usize,
     /// The injector's next sequence number at `t0`.
@@ -154,6 +180,19 @@ struct Train {
     stamp0: Cycle,
     /// Source first, destination last.
     hops: Vec<Hop>,
+}
+
+impl Train {
+    /// The cycle the injector pushes the tail.
+    fn tail_pushed(&self) -> Cycle {
+        self.t0 + 1 + u64::from(self.tail - self.next0)
+    }
+
+    /// The cycle the tail leaves `hop`'s input VC, releasing it and its
+    /// output.
+    fn tail_left(&self, hop: &Hop) -> Cycle {
+        self.t0 + u64::from(self.tail + 1 - hop.from)
+    }
 }
 
 /// The network's live trains and formation state.
@@ -174,8 +213,8 @@ pub(super) struct Trains {
     pub candidates: Vec<(u32, WormId)>,
     pub stats: TrainStats,
     /// Debug builds only (empty otherwise): the tail-delivery cycle the
-    /// closed form predicts for each worm whose train ended at its end,
-    /// until the worm delivers, is killed or churn fires.
+    /// closed form predicts for each worm a train carried, until the
+    /// worm delivers, is killed or churn fires.
     tails: BTreeMap<WormId, Cycle>,
 }
 
@@ -301,7 +340,8 @@ impl Network {
             if churn {
                 self.materialise(i, upto, None, Cause::Churn);
             } else if self.trains.live[i].end <= now {
-                self.materialise(i, upto, None, Cause::End);
+                let cause = self.trains.live[i].end_cause;
+                self.materialise(i, upto, None, cause);
             }
         }
     }
@@ -333,6 +373,48 @@ impl Network {
             .on_injector(node * self.cfg.inject_channels + channel);
         if let Some(i) = held {
             self.materialise(i, Cycle::new(now.as_u64() - 1), Some(now), Cause::Token);
+        }
+    }
+
+    /// Before a message is queued at the injector live train `i`
+    /// streams from, in cycle `now`: the injector picks it up the cycle
+    /// after it pushes the tail. If that is still to come, the train
+    /// ends there; if it is this cycle, the train is written back as of
+    /// the end of the previous cycle and its arrivals of this cycle
+    /// replayed, so the injection phase steps the injector.
+    pub(super) fn train_before_enqueue(&mut self, i: usize, now: Cycle) {
+        let pickup = self.trains.live[i].tail_pushed() + 1;
+        if now >= pickup {
+            self.materialise(i, Cycle::new(now.as_u64() - 1), Some(now), Cause::Enqueue);
+            return;
+        }
+        let train = &mut self.trains.live[i];
+        if pickup < train.end {
+            train.end = pickup;
+            train.end_cause = Cause::Enqueue;
+        }
+    }
+
+    /// Before the route + traverse kernel of cycle `now`: a train whose
+    /// tail has left a router where an unrouted input now waits is
+    /// written back as of the end of the previous cycle, its arrivals of
+    /// this cycle replayed, because a header there may win the output
+    /// the tail released. A router outside the active set has no
+    /// unrouted input.
+    pub(super) fn trains_before_route(&mut self, now: Cycle) {
+        for i in (0..self.trains.live.len()).rev() {
+            let train = &self.trains.live[i];
+            let waiting = train
+                .hops
+                .iter()
+                .take_while(|hop| train.tail_left(hop) < now)
+                .any(|hop| {
+                    self.router_set.contains(hop.node)
+                        && self.routers[hop.node as usize].unrouted_inputs() > 0
+                });
+            if waiting {
+                self.materialise(i, Cycle::new(now.as_u64() - 1), Some(now), Cause::Header);
+            }
         }
     }
 
@@ -388,9 +470,6 @@ impl Network {
         let (src, chan) = self.source_of(worm.message).ok_or(Reject::Injector)?;
         let s = self.injectors[src][chan].stream();
         let s = s.filter(|s| s.worm == worm).ok_or(Reject::Injector)?;
-        if s.stop < s.next + MIN_LIFE {
-            return Err(Reject::Short);
-        }
         let latency = self.cfg.channel_latency as usize;
         let mut hops = Vec::new();
         let (mut node, mut port) = (src, self.routers[src].inject_port(chan));
@@ -409,16 +488,17 @@ impl Network {
                 }
                 back = stream.seqs.start;
             }
+            let mut hop = Hop {
+                node: idx32(node),
+                port,
+                link: NONE,
+                from: back,
+            };
             let RouteTarget::Link { port: out, .. } = stream.target else {
                 if node != dst {
                     return Err(Reject::NotStreaming);
                 }
-                let last = Hop {
-                    node: idx32(node),
-                    port,
-                    link: NONE,
-                };
-                hops.push(last);
+                hops.push(hop);
                 break;
             };
             let li = self
@@ -431,17 +511,30 @@ impl Network {
             let seqs = self.links[li].lone_lane(VC0.index(), worm, now + 1, latency);
             let seqs = seqs.filter(|seqs| seqs.end == back);
             back = seqs.ok_or(Reject::NotStreaming)?.start;
-            hops.push(Hop {
-                node: idx32(node),
-                port,
-                link: idx32(li),
-            });
+            hop.link = idx32(li);
+            hops.push(hop);
             (node, port) = self.tables.link_head[li];
+        }
+        // Every flit from `back` on ejects one cycle after the one
+        // ahead of it, so the tail ejects at `end`.
+        let mut end = now + 1 + u64::from(s.tail - back);
+        let mut end_cause = Cause::End;
+        if let Some(commit) = s.commit.filter(|_| self.trace.enabled()) {
+            // Its `Commit` event keeps its place in the trace.
+            end = now + 1 + u64::from(commit - s.next);
+        }
+        let pickup = now + 2 + u64::from(s.tail - s.next);
+        if self.injectors[src][chan].queue_len() > 0 && pickup < end {
+            (end, end_cause) = (pickup, Cause::Enqueue);
+        }
+        if end - now <= MIN_LIFE {
+            return Err(Reject::Short);
         }
         Ok(Train {
             worm,
             t0: now,
-            end: now + 1 + u64::from(s.stop - s.next),
+            end,
+            end_cause,
             chan,
             next0: s.next,
             eject0: back,
@@ -482,14 +575,17 @@ impl Network {
     /// (`now = upto + 1`) its links' arrivals of cycle `now` run too.
     ///
     /// Every cycle of the `d = upto - t0` the train skipped, each
-    /// queue on the path popped one flit and took the one behind it,
-    /// so every queue holds the same number of flits in the same
-    /// slots, each `d` places further down the worm, and every lane's
-    /// arrival stamps are `d` later. Each router forwarded `d` flits,
-    /// each link carried `d` (counted toward utilisation on the
-    /// skipped cycles past warmup), the injector pushed sequence
-    /// numbers `next0..next0 + d` and the receiver took
-    /// `eject0..eject0 + d`.
+    /// queue on the path popped one flit and took the one behind it
+    /// until the tail had passed (see [`Shift`]): every queue holds the
+    /// same slots, each flit `d` places further down the worm and every
+    /// arrival stamp `d` later, minus the flits past the tail, and a hop
+    /// the tail has left is empty and released. Each router forwarded,
+    /// and each link carried, what its queue popped (counted toward
+    /// utilisation on the skipped cycles past warmup); an output got
+    /// back a credit for every flit that left its lane and the VC below
+    /// for good; the injector pushed sequence numbers from `next0` up to
+    /// at most the tail, retiring the worm if the tail went in, and the
+    /// receiver took `eject0..eject0 + d`.
     fn materialise(&mut self, i: usize, upto: Cycle, replay: Option<Cycle>, cause: Cause) {
         let chans = self.cfg.inject_channels;
         self.trains.mark(i, 0, chans);
@@ -498,35 +594,50 @@ impl Network {
             self.trains.mark(i, idx32(i + 1), chans);
         }
         let steps = upto - train.t0;
-        // cr-lint: allow(integer-narrowing, reason = "steps < end - t0 = 1 + stop - next, a difference of two u32 sequence numbers")
+        // cr-lint: allow(integer-narrowing, reason = "steps < end - t0 <= 1 + tail - eject0, a difference of two u32 sequence numbers")
         let d = steps as u32;
+        let tail = train.tail;
         // A path runs from its source to its destination.
         let src = train.hops[0].node as usize;
         let dst = train.hops[train.hops.len() - 1].node as usize;
-        let injected_pads = pads(train.next0, d, train.payload_len);
-        self.injectors[src][train.chan].advance_stream(d);
+        let pushed = d.min(tail + 1 - train.next0);
+        let injected_pads = pads(train.next0, pushed, train.payload_len);
+        self.injectors[src][train.chan].advance_stream(pushed);
         self.counters.pad_flits_injected += u64::from(injected_pads);
-        self.counters.payload_flits_injected += u64::from(d - injected_pads);
-        let counted =
-            (upto.as_u64() + 1).saturating_sub((train.t0.as_u64() + 1).max(self.cfg.warmup));
-        for hop in &train.hops {
-            let router = &mut self.routers[hop.node as usize];
-            router.advance_stream(hop.port, VC0, d, upto);
-            router.release_stream(hop.port, VC0);
+        self.counters.payload_flits_injected += u64::from(pushed - injected_pads);
+        // Destination first: a hop's output is credited for the flits
+        // gone from its lane and from the VC below it.
+        let (t1, warmup) = (train.t0.as_u64() + 1, self.cfg.warmup);
+        let mut below = 0;
+        let mut carried = 0;
+        for hop in train.hops.iter().rev() {
+            let shift = Shift {
+                from: hop.from,
+                d,
+                tail,
+            };
+            let mut credits = below;
             if hop.link != NONE {
-                self.links[hop.link as usize].advance_lane(VC0.index(), d);
-                self.link_flits[hop.link as usize] += counted;
+                let li = hop.link as usize;
+                credits += idx32(self.links[li].advance_lane(VC0.index(), d, tail));
+                // The lane took what the VC popped, one flit a cycle.
+                let popped = u64::from(shift.popped());
+                self.link_flits[li] += (t1 + popped).saturating_sub(t1.max(warmup));
+                carried += popped;
             }
+            let router = &mut self.routers[hop.node as usize];
+            below = router.release_stream(hop.port, VC0, train.t0, shift, credits);
         }
+        self.live_flits -= (d - pushed) as usize;
         let ejected_pads = pads(train.eject0, d, train.payload_len);
         self.receivers[dst].advance_stream(train.worm, d, ejected_pads, upto);
         if d > 0 {
             self.last_progress = self.last_progress.max(upto);
         }
-        if cfg!(debug_assertions) && cause == Cause::End {
+        if cfg!(debug_assertions) && cause != Cause::Churn {
             // On channels nothing can share, every flit from `eject0`
             // on ejects one cycle after the one ahead of it.
-            let tail_at = train.t0 + 1 + u64::from(train.tail - train.eject0);
+            let tail_at = train.t0 + 1 + u64::from(tail - train.eject0);
             self.trains.tails.insert(train.worm, tail_at);
         }
 
@@ -536,19 +647,23 @@ impl Network {
             Cause::Token => &mut stats.token,
             Cause::Prune => &mut stats.prune,
             Cause::End => &mut stats.end,
+            Cause::Header => &mut stats.header,
+            Cause::Enqueue => &mut stats.enqueue,
             Cause::RunExit => &mut stats.run_exit,
         } += 1;
+        stats.drained += u64::from(upto > train.tail_pushed());
         stats.cycles += steps;
-        stats.flit_hops += steps * (train.hops.len() as u64 - 1);
+        stats.flit_hops += carried;
 
         // Re-arm exactly what the kernels would have left armed.
         self.arm_injector(src, train.chan);
         for hop in train.hops.iter().filter(|h| h.link != NONE) {
             match replay {
                 Some(now) => self.visit_link(now, hop.link),
-                None => {
+                None if self.links[hop.link as usize].occupied() > 0 => {
                     self.link_set.insert(hop.link);
                 }
+                None => {}
             }
         }
         for hop in &train.hops {
@@ -627,7 +742,9 @@ mod tests {
         assert!(net.routers[mid.index()].total_occupancy() > 0);
         assert!(!armed(&net), "held flits alone do not keep a router armed");
         net.trains_end_run();
-        assert_eq!(net.train_stats().materialised(), 2);
+        // The crossing worm ran its drain as a train of its own.
+        let stats = net.train_stats();
+        assert_eq!((stats.formed, stats.materialised()), (3, 3));
         assert!(armed(&net), "written back, the router is armed again");
     }
 }

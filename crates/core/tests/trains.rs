@@ -19,7 +19,7 @@ use cr_core::check_api::{CheckNet, ProtocolStep};
 use cr_core::{Network, NetworkBuilder, ProtocolKind, RoutingKind, TrainStats};
 use cr_faults::ChurnSchedule;
 use cr_sim::check::{check, Config, Source};
-use cr_sim::{Cycle, LinkId, NodeId};
+use cr_sim::{Cycle, LinkId, NodeId, PortId, VcId};
 use cr_topology::{KAryNCube, Topology};
 use cr_traffic::{LengthDistribution, Trace, TraceEvent, TrafficPattern};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +84,12 @@ fn random_case(src: &mut Source<'_>) -> Case {
         .inject_depth(src.usize_in(1..4))
         .warmup(src.u64_in(0..300))
         .timeout(src.u64_in(16..128))
-        .seed(src.u64_any())
-        .trace(1 << 14);
+        .seed(src.u64_any());
+    // Traced, a train ends at a commit push still to come; untraced, it
+    // runs on through the drain.
+    if src.bool_any() {
+        b.trace(1 << 14);
+    }
 
     // The lone worm: `h` hops along row `y`, the only minimal path.
     let y = src.usize_in(0..k);
@@ -274,13 +278,20 @@ fn chunked_runs_match_the_reference_driver_at_every_boundary() {
 /// and every hop of it holds a channel of its own while the rest of
 /// each router steps.
 fn lone_worm(hops: usize) -> (NetworkBuilder, NodeId, NodeId) {
+    row_worm(hops, ProtocolKind::Baseline, true)
+}
+
+/// [`lone_worm`] under `protocol`, with the event trace on or off.
+fn row_worm(hops: usize, protocol: ProtocolKind, traced: bool) -> (NetworkBuilder, NodeId, NodeId) {
     let topo = KAryNCube::torus(8, 2);
     let (from, to) = (topo.node_at(&[0, 0]), topo.node_at(&[hops, 0]));
     let mut b = NetworkBuilder::new(topo);
     b.routing(RoutingKind::Adaptive { vcs: 1 })
-        .protocol(ProtocolKind::Baseline)
-        .warmup(0)
-        .trace(1 << 13);
+        .protocol(protocol)
+        .warmup(0);
+    if traced {
+        b.trace(1 << 13);
+    }
     (b, from, to)
 }
 
@@ -461,6 +472,9 @@ fn a_teardown_reaching_a_path_node_sees_the_cycles_arrivals() {
 /// is the output the train holds waits there beside the train, which
 /// keeps running, and forwards on exactly the cycle it does under the
 /// reference driver: the one after the train's worm releases the port.
+/// The train runs on past its tail push and is written back, with the
+/// hop the tail left released, just before the route stage in which the
+/// waiting header could first win that port.
 #[test]
 fn a_foreign_header_blocked_on_a_held_output_forwards_on_the_reference_cycle() {
     let grid = KAryNCube::torus(8, 2);
@@ -471,7 +485,8 @@ fn a_foreign_header_blocked_on_a_held_output_forwards_on_the_reference_cycle() {
         let (mut active, mut reference) = twins(&mut b, &[(0, from, to, 400), blocked]);
         assert!(drain_both(&mut active, &mut reference, 10_000));
         let stats = active.train_stats();
-        assert_eq!(stats.materialised(), stats.end, "{stats:?}");
+        assert_eq!(stats.materialised(), stats.end + stats.header, "{stats:?}");
+        assert!(stats.header >= 1 && stats.drained >= 1, "{stats:?}");
         cycles += stats.cycles;
     }
     assert!(cycles > 4 * 350, "the train ran past the waiting header");
@@ -515,5 +530,190 @@ fn a_multi_vc_fabric_forms_no_train() {
             assert!(drain_both(&mut active, &mut reference, 10_000));
             assert_eq!(active.train_stats(), TrainStats::default());
         }
+    }
+}
+
+/// Both drivers over the same builder and messages, wrapped so their
+/// whole state can be compared.
+fn checked_twins(b: &mut NetworkBuilder, messages: &[Message]) -> (CheckNet, CheckNet) {
+    let (active, reference) = twins(b, messages);
+    (CheckNet::new(active), CheckNet::new(reference))
+}
+
+/// Runs both drivers `cut` cycles, compares everything, then drains
+/// both and compares again; returns the default driver's train stats.
+fn cut_and_drain(b: &mut NetworkBuilder, messages: &[Message], cut: u64) -> TrainStats {
+    let (mut active, mut reference) = checked_twins(b, messages);
+    let (a, r) = (active.run(cut), reference.run(cut));
+    assert!(
+        a.to_json() == r.to_json(),
+        "cut at {cut}: returned reports differ"
+    );
+    assert_same(&mut active, &mut reference, &format!("cut at {cut}"));
+    let done = active.run_until_quiescent(10_000);
+    assert_eq!(done, reference.run_until_quiescent(10_000), "cut at {cut}");
+    assert!(done, "cut at {cut}: the run did not drain");
+    assert_same(
+        &mut active,
+        &mut reference,
+        &format!("drained after a cut at {cut}"),
+    );
+    active.network().train_stats()
+}
+
+/// The first cycle after which `done` holds, stepping the reference
+/// driver over `messages` from cycle 0.
+fn reference_cycle(
+    b: &mut NetworkBuilder,
+    messages: &[Message],
+    done: impl Fn(&Network) -> bool,
+) -> u64 {
+    let (_, mut reference) = twins(b, messages);
+    while !done(&reference) {
+        assert!(reference.now().as_u64() < 10_000, "never happened");
+        reference.step();
+    }
+    reference.now().as_u64() - 1
+}
+
+/// Output port of `node` toward its neighbour `to`.
+fn port_toward(topo: &KAryNCube, node: NodeId, to: NodeId) -> PortId {
+    (0..topo.num_ports(node))
+        .map(PortId::from_index)
+        .find(|&p| topo.neighbor(node, p) == Some(to))
+        .expect("neighbours")
+}
+
+/// After its injector pushes the tail, a lone worm drains in closed
+/// form, shedding one hop a cycle, until its tail ejects: one train
+/// covers the body, the tail push and the whole drain, and is written
+/// back once, at its end. Cut at every cycle of the worm's life, the
+/// write-back leaves exactly the state the reference driver stepped to
+/// — the hops the tail has left empty and released, their credits
+/// back — both for a plain wormhole worm with the trace on and for a
+/// CR worm padded to `I_min`, whose commit push is its tail push, with
+/// the trace off.
+#[test]
+fn a_lone_worm_drains_in_closed_form_and_writes_back_at_every_offset() {
+    for (protocol, traced, len) in [
+        (ProtocolKind::Baseline, true, 30),
+        (ProtocolKind::Cr, false, 4),
+    ] {
+        let hops = 3;
+        let (mut b, from, to) = row_worm(hops, protocol, traced);
+        let lone = [(0, from, to, len)];
+        let stats = cut_and_drain(&mut b, &lone, 10_000);
+        assert_eq!(
+            (stats.formed, stats.end, stats.drained),
+            (1, 1, 1),
+            "{protocol:?}: {stats:?}"
+        );
+        assert!(stats.cycles >= hops as u64 - 1, "{protocol:?}: {stats:?}");
+        let delivered =
+            reference_cycle(&mut b, &lone, |net| net.counters().messages_delivered == 1);
+        let mut drained = 0;
+        for cut in 1..=delivered + 1 {
+            drained += cut_and_drain(&mut b, &lone, cut).drained;
+        }
+        assert!(
+            drained >= hops as u64,
+            "{protocol:?}: cut inside the drain {drained} times"
+        );
+    }
+}
+
+/// A header routed at a router the train's tail has just left may win
+/// the output the tail released, so the train is written back before
+/// that route stage, with the hop released. Here the header enters at
+/// the worm's second router on the cycle after the tail leaves it (and
+/// on the two before), wanting the same output, while the tail still
+/// has two hops to go: it forwards on the reference cycle.
+#[test]
+fn a_header_one_cycle_behind_the_tail_forwards_on_the_reference_cycle() {
+    let grid = KAryNCube::torus(8, 2);
+    let (mid, next) = (grid.node_at(&[1, 0]), grid.node_at(&[2, 0]));
+    let out = port_toward(&grid, mid, next);
+    for protocol in [ProtocolKind::Baseline, ProtocolKind::Cr] {
+        let (mut b, from, to) = row_worm(3, protocol, false);
+        let lone = [(0, from, to, 40)];
+        let owned = |net: &Network| net.router(mid).output_owner(out, VcId::new(0)).is_some();
+        let taken = reference_cycle(&mut b, &lone, owned);
+        let left = reference_cycle(&mut b, &lone, |net| {
+            net.now().as_u64() > taken + 1 && !owned(net)
+        });
+        for at in left - 1..=left + 1 {
+            let messages = [lone[0], (at, mid, grid.node_at(&[3, 0]), 6)];
+            let stats = cut_and_drain(&mut b, &messages, 10_000);
+            assert_eq!(stats.header, 1, "{protocol:?} at {at}: {stats:?}");
+        }
+    }
+}
+
+/// A message queued at the train's source injector is picked up the
+/// cycle after the tail goes in: queued before the tail push, the train
+/// ends at that cycle; queued during the drain, the train is written
+/// back when it is queued. Either way the injector steps it on the
+/// reference cycle.
+#[test]
+fn an_enqueue_at_the_source_during_the_drain_picks_up_on_the_reference_cycle() {
+    let grid = KAryNCube::torus(8, 2);
+    for protocol in [ProtocolKind::Baseline, ProtocolKind::Cr] {
+        let (mut b, from, to) = row_worm(3, protocol, false);
+        let lone = [(0, from, to, 40)];
+        let pushed = reference_cycle(&mut b, &lone, |net| {
+            net.now().as_u64() > 1 && net.injector(from, 0).current_worm().is_none()
+        });
+        let mut enqueue = 0;
+        for at in pushed - 3..=pushed + 4 {
+            let messages = [lone[0], (at, from, grid.node_at(&[0, 3]), 6)];
+            let stats = cut_and_drain(&mut b, &messages, 10_000);
+            assert_eq!(
+                stats.token + stats.header,
+                0,
+                "{protocol:?} at {at}: {stats:?}"
+            );
+            enqueue += stats.enqueue;
+        }
+        assert!(
+            enqueue >= 6,
+            "{protocol:?}: {enqueue} write-backs for an enqueue"
+        );
+    }
+}
+
+/// With the event trace on, every event — `Inject`, `Commit`,
+/// `Deliver`, `LinkStall` — comes out on the same cycle and in the same
+/// order as under the reference driver: a CR train still ends at a
+/// commit push still to come, and plain wormhole trains run through
+/// their drains beside crossing and blocked worms.
+#[test]
+fn a_traced_run_emits_the_reference_event_stream() {
+    let grid = KAryNCube::torus(8, 2);
+    let at = |x: usize, y: usize| grid.node_at(&[x, y]);
+    for protocol in [ProtocolKind::Baseline, ProtocolKind::Cr] {
+        let (mut b, from, to) = row_worm(3, protocol, true);
+        let messages = [
+            (0, from, to, 60),
+            (5, at(1, 6), at(1, 2), 20),
+            (30, at(1, 0), at(3, 0), 10),
+            (50, from, at(2, 0), 12),
+            (58, at(2, 7), at(2, 1), 9),
+        ];
+        let (mut active, mut reference) = checked_twins(&mut b, &messages);
+        for cut in [7, 13, 29, 41, 60, 1_000] {
+            let (a, r) = (active.run(cut), reference.run(cut));
+            assert!(a.to_json() == r.to_json(), "{protocol:?}: reports differ");
+            assert_same(
+                &mut active,
+                &mut reference,
+                &format!("{protocol:?} after {cut}"),
+            );
+        }
+        let stats = active.network().train_stats();
+        assert!(stats.formed >= 2, "{protocol:?}: {stats:?}");
+        if protocol == ProtocolKind::Baseline {
+            assert!(stats.drained >= 1, "{stats:?}");
+        }
+        assert_eq!(active.network().counters().messages_delivered, 5);
     }
 }

@@ -4,17 +4,27 @@
 //! run; default is the paper-scale configuration.
 //!
 //! One extra flag beyond the shared harness set (`--jobs`, `--dense`,
-//! `--trace`, `--churn`):
+//! `--trace`):
 //!
 //! * `--emit-plan <path>` — write this run's generated storm schedule
 //!   as a `--churn`-compatible JSON plan (primitive kill/revive
 //!   events, expanded against the run's torus) and continue. Lets
 //!   `verify.sh` replay the identical storm through other runners.
+//!
+//! `--churn` is refused (exit 2): a plan would silently replace the
+//! storm this experiment is about.
 
 use cr_experiments::{churn, Run};
 
 fn main() {
-    let (run, [emit_plan]) = Run::from_args_with(["--emit-plan"]);
+    let (run, [emit_plan]) = Run::from_args_with(
+        ["--emit-plan"],
+        &[(
+            "--churn",
+            "it runs its own storm, which a plan would silently replace \
+             (write that storm with --emit-plan)",
+        )],
+    );
     let cfg = churn::Config::default();
     if let Some(p) = emit_plan {
         // Emit primitive events only, so the plan replays identically

@@ -66,7 +66,7 @@ impl Run {
     /// The run the process arguments ask for. See
     /// [`from_args_with`](Run::from_args_with).
     pub fn from_args() -> Run {
-        Run::from_args_with([]).0
+        Run::from_args_with([], &[]).0
     }
 
     /// The run the process arguments ask for, plus the values of the
@@ -79,10 +79,15 @@ impl Run {
     /// occurrence wins. An unknown argument, a flag without its value,
     /// `--jobs 0`, the removed `--shards`, an unreadable plan or an
     /// uncreatable trace file exits with status 2 and an `error:` line
-    /// before anything is simulated.
-    pub fn from_args_with<const N: usize>(flags: [&str; N]) -> (Run, [Option<String>; N]) {
+    /// before anything is simulated. So does any harness flag in
+    /// `refused`, each given with the reason the runner cannot honour
+    /// it.
+    pub fn from_args_with<const N: usize>(
+        flags: [&str; N],
+        refused: &[(&str, &str)],
+    ) -> (Run, [Option<String>; N]) {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let run = parse_args(&argv, &flags).and_then(|mut args| {
+        let run = parse_args(&argv, &flags, refused).and_then(|mut args| {
             let own = std::array::from_fn(|i| args.own[i].take());
             Ok((args.open()?, own))
         });
@@ -221,18 +226,20 @@ impl Args {
 }
 
 /// Parses `args` (the process arguments without the program name) in
-/// one pass. `own` lists the runner's valued flags; an argument read as
+/// one pass. `own` lists the runner's valued flags, `refused` the
+/// harness flags it rejects, each with its reason; an argument read as
 /// a flag's value is never also read as a flag. `--tiny` beats
 /// `--quick` wherever each appears.
 ///
 /// # Errors
 ///
 /// An argument that is neither a harness flag nor one of `own`; a
-/// switch given a value; a valued flag without one; a `--jobs` value
-/// that is not a positive integer; or `--shards` in either spelling:
-/// the sharded stepper it selected was removed, and a run that silently
-/// ignored it would not be the run that was asked for.
-fn parse_args(args: &[String], own: &[&str]) -> Result<Args, String> {
+/// flag in `refused`; a switch given a value; a valued flag without
+/// one; a `--jobs` value that is not a positive integer; or `--shards`
+/// in either spelling: the sharded stepper it selected was removed, and
+/// a run that silently ignored it would not be the run that was asked
+/// for.
+fn parse_args(args: &[String], own: &[&str], refused: &[(&str, &str)]) -> Result<Args, String> {
     let mut out = Args {
         scale: Scale::Paper,
         jobs: None,
@@ -254,6 +261,9 @@ fn parse_args(args: &[String], own: &[&str]) -> Result<Args, String> {
                  every network steps serially"
                     .to_string(),
             );
+        }
+        if let Some((_, why)) = refused.iter().find(|(f, _)| *f == flag) {
+            return Err(format!("{flag} is not accepted by this runner: {why}"));
         }
         if SWITCHES.contains(&flag) {
             if inline.is_some() {
@@ -464,7 +474,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_args(&args, &["--emit-plan"])
+        parse_args(&args, &["--emit-plan"], &[])
     }
 
     #[test]
@@ -503,12 +513,26 @@ mod tests {
         );
         // A runner's own flag is unknown to a runner that did not
         // register it.
-        let err = parse_args(&["--emit-plan".into(), "p.json".into()], &[])
+        let err = parse_args(&["--emit-plan".into(), "p.json".into()], &[], &[])
             .expect_err("unregistered flag");
         assert!(
             err.contains("unknown argument '--emit-plan'"),
             "got '{err}'"
         );
+        // A refused harness flag is an error in either spelling, with
+        // its reason.
+        for args in [
+            &["--churn", "c.json"][..],
+            &["--tiny", "--churn=c.json"][..],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let err =
+                parse_args(&args, &[], &[("--churn", "it has its own")]).expect_err("refused flag");
+            assert_eq!(
+                err,
+                "--churn is not accepted by this runner: it has its own"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The runners' command line, driven through the built binaries: a
-//! flag a runner does not know, a flag without its value, or `--jobs 0`
-//! ends the process with status 2 and an `error:` line naming the
+//! flag a runner does not know or refuses, a flag without its value,
+//! or `--jobs 0` ends the process with status 2 and an `error:` line naming the
 //! argument, before anything is simulated (so nothing reaches stdout).
 
 use std::process::{Command, Output};
@@ -34,6 +34,12 @@ fn bad_flags_exit_2_before_simulating() {
             env!("CARGO_BIN_EXE_fig09"),
             &["--tiny", "--jobs", "0"][..],
             "--jobs value '0'",
+        ),
+        // `churn` installs its own storm; a plan would replace it.
+        (
+            env!("CARGO_BIN_EXE_churn"),
+            &["--tiny", "--churn", "plan.json"][..],
+            "--churn is not accepted by this runner",
         ),
         // `--emit-plan` belongs to `churn` alone.
         (

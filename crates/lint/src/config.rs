@@ -23,10 +23,11 @@ pub const WALL_CLOCK_CRATE: &str = "bench";
 /// `--jobs`-invariance contract holds.
 pub const SPAWN_EXEMPT_FILES: &[&str] = &["crates/sim/src/pool.rs"];
 
-/// Cycle-loop hot-path modules (plus the two triaged satellite files,
-/// `cr_faults` and the experiment harness) where `unwrap`/`expect`/
-/// `panic!`/`todo!`/`unimplemented!` need a justification: a panic
-/// here kills a whole sweep worker mid-run.
+/// Cycle-loop hot-path modules (plus triaged satellite files:
+/// `cr_faults`, the experiment harness and the JSON reader that parses
+/// plans and reports) where `unwrap`/`expect`/`panic!`/`todo!`/
+/// `unimplemented!` need a justification: a panic here kills a whole
+/// sweep worker mid-run, or turns a hostile input into a crash.
 pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/network.rs",
     "crates/core/src/network_phases.rs",
@@ -40,6 +41,7 @@ pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/router/src/flit.rs",
     "crates/sim/src/ring.rs",
     "crates/sim/src/sched.rs",
+    "crates/sim/src/json.rs",
     "crates/faults/src/lib.rs",
     "crates/faults/src/churn.rs",
     "crates/experiments/src/harness.rs",

@@ -303,6 +303,39 @@ pub fn stream_run<'a>(
     Some(seqs.unwrap_or(0..0))
 }
 
+/// One queue on the path of a worm streaming one flit per cycle, `d`
+/// cycles after it held the consecutive run of the worm's flits that
+/// starts at sequence number `from` (or, empty, expected `from` next):
+/// every cycle it popped its front flit and took the one behind it,
+/// until the worm's `tail` had gone. What sat in a slot is then the flit
+/// `d` places further down the worm, and slots past the tail are empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shift {
+    /// Sequence number of the queue's first flit when the run was taken.
+    pub from: u32,
+    /// Cycles since.
+    pub d: u32,
+    /// Sequence number of the worm's tail flit.
+    pub tail: u32,
+}
+
+impl Shift {
+    /// Flits that left the queue: one a cycle, until the tail had gone.
+    pub fn popped(&self) -> u32 {
+        self.d.min((self.tail + 1).saturating_sub(self.from))
+    }
+
+    /// How many of the `len` flits the queue held it holds now.
+    pub fn kept(&self, len: usize) -> usize {
+        ((self.tail + 1).saturating_sub(self.from + self.d) as usize).min(len)
+    }
+
+    /// Whether the tail has left the queue.
+    pub fn tail_left(&self) -> bool {
+        self.from + self.d > self.tail
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

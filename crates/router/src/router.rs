@@ -31,7 +31,7 @@
 //! nor kills. The CR/FCR machinery drives it through
 //! [`Router::flush_worm`] (teardown) and the counters it exposes.
 
-use crate::flit::{Flit, WormId};
+use crate::flit::{Flit, Shift, WormId};
 use crate::routing::{Candidate, RouteCtx, RoutingFunction};
 use cr_sim::trace::StallCause;
 use cr_sim::{BitSet, Cycle, InlineArr, NodeId, PortId, Ring, SimRng, VcId};
@@ -1099,11 +1099,6 @@ impl Router {
         self.set_held(port, vc, true);
     }
 
-    /// Gives a held stream back to the traversal stage.
-    pub fn release_stream(&mut self, port: PortId, vc: VcId) {
-        self.set_held(port, vc, false);
-    }
-
     fn set_held(&mut self, port: PortId, vc: VcId, held: bool) {
         let k = self.in_idx(port, vc);
         let len = size32(self.inputs[k].buf.len());
@@ -1123,26 +1118,67 @@ impl Router {
         }
     }
 
-    /// Advances the stream [`Router::channel_stream`] found at input VC
-    /// `(port, vc)` by `d` cycles in closed form: each buffered flit
-    /// becomes the flit `d` places further down the worm in the same
-    /// slot, `d` more flits count as forwarded (out of the output port,
-    /// for a link route), and the VC last moved at `upto`.
-    pub fn advance_stream(&mut self, port: PortId, vc: VcId, d: u32, upto: Cycle) {
-        if d == 0 {
-            return;
-        }
+    /// Gives the stream held at input VC `(port, vc)` since cycle `t0`
+    /// back to the traversal stage, advanced by `shift.d` cycles in
+    /// closed form (see [`Shift`]): each buffered flit becomes the flit
+    /// `d` places further down the worm in the same slot, those past the
+    /// tail drop from the back, the popped flits count as forwarded (out
+    /// of the output port, for a link route), and the VC last moved at
+    /// the last pop. Once the tail has gone the VC and its output are
+    /// released as the tail's traversal left them. `credits` flits that
+    /// left the output's lane and downstream VC for good are credited to
+    /// it. Returns how many flits left this VC for good.
+    pub fn release_stream(
+        &mut self,
+        port: PortId,
+        vc: VcId,
+        t0: Cycle,
+        shift: Shift,
+        credits: u32,
+    ) -> u32 {
+        self.set_held(port, vc, false);
         let k = self.in_idx(port, vc);
         let ivc = &mut self.inputs[k];
+        let len = ivc.buf.len();
+        let kept = shift.kept(len);
+        ivc.buf.truncate(kept);
         let slots = self.slab.get_mut(ivc.seg()).unwrap_or_default();
         for f in ivc.buf.iter_mut(slots) {
-            *f = f.advanced(d);
+            *f = f.advanced(shift.d);
         }
-        ivc.last_progress = upto;
-        self.counters.flits_forwarded += u64::from(d);
-        if let Some(RouteTarget::Link { port: op, .. }) = ivc.route {
-            self.ports[op.index()].stats.flits_forwarded += u64::from(d);
+        let popped = shift.popped();
+        if popped > 0 {
+            ivc.last_progress = t0 + u64::from(popped);
         }
+        let route = ivc.route;
+        if shift.tail_left() {
+            ivc.route = None;
+            ivc.worm = None;
+        }
+        self.occupancy -= len - kept;
+        self.counters.flits_forwarded += u64::from(popped);
+        match route {
+            Some(RouteTarget::Link { port: op, vc: ov }) => {
+                let (p, v) = self.out_idx(op, ov);
+                let out = &mut self.ports[p];
+                out.stats.flits_forwarded += u64::from(popped);
+                out.vcs[v].credits += credits;
+                debug_assert!(
+                    out.vcs[v].credits as usize <= self.cfg.buffer_depth + self.cfg.link_depth,
+                    "credit overflow on {} {op} {ov}",
+                    self.node
+                );
+                if shift.tail_left() {
+                    out.vcs[v].owner = None;
+                    self.refresh_busy(p);
+                }
+            }
+            Some(RouteTarget::Eject { port: e }) if shift.tail_left() => {
+                self.ejects[e].owner = None
+            }
+            _ => {}
+        }
+        size32(len - kept)
     }
 
     /// Turns finished-stall-streak recording on or off. Off (the

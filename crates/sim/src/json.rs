@@ -347,7 +347,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -380,7 +380,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut values = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -403,7 +403,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -414,7 +414,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             members.push((key, self.value()?));
             self.skip_ws();
@@ -430,7 +430,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -474,7 +474,7 @@ impl<'a> Parser<'a> {
                     // Surrogate pair: a second \uXXXX must follow.
                     if self.peek() == Some(b'\\') {
                         self.pos += 1;
-                        self.expect(b'u')?;
+                        self.eat(b'u')?;
                         let lo = self.hex4()?;
                         if !(0xDC00..0xE000).contains(&lo) {
                             return Err(self.err("invalid low surrogate"));
@@ -528,7 +528,10 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // The scan above took ASCII bytes only, so this cannot fail;
+        // an error keeps a bad input from ever becoming a panic.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("malformed number"))?;
         if !fractional {
             if negative {
                 if let Ok(v) = text.parse::<i64>() {

@@ -123,6 +123,16 @@ impl Ring {
             .chain(wrapped[..rest].iter_mut())
     }
 
+    /// Keeps the first `len` elements and drops the rest from the back
+    /// (no-op when `len` is at least the queue's length).
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            // `len` is below `self.len`, a `u32`.
+            self.len = u32::try_from(len).unwrap_or(self.len);
+        }
+    }
+
     /// Removes the elements for which `keep` returns `false`,
     /// preserving the order of the rest; returns how many went.
     pub fn retain<T: Copy>(&mut self, seg: &mut [T], mut keep: impl FnMut(&T) -> bool) -> usize {
@@ -332,7 +342,8 @@ mod tests {
 
     /// Several rings over one slab against a `VecDeque` each, under
     /// random operation sequences: every call returns what the model
-    /// returns, `retain` keeps order, `iter_mut` reaches every queued
+    /// returns, `retain` keeps order, `truncate` drops from the back,
+    /// `iter_mut` reaches every queued
     /// element in order and nothing else, contents read back equal through
     /// `get` and `iter` after every call (so wrap-around is exercised
     /// at every head position), a full ring refuses the push and hands
@@ -346,7 +357,7 @@ mod tests {
             let mut rings = vec![Ring::default(); queues];
             let mut models = vec![VecDeque::new(); queues];
             let ops = src.vec_with(1..200, |s| {
-                (s.weighted(&[5, 4, 1, 1]), s.usize_in(0..1 << 16))
+                (s.weighted(&[5, 4, 1, 1, 1]), s.usize_in(0..1 << 16))
             });
             for (n, (op, a)) in ops.into_iter().enumerate() {
                 let q = a % queues;
@@ -373,6 +384,11 @@ mod tests {
                         for x in model.iter_mut() {
                             *x += 1 << 24;
                         }
+                    }
+                    4 => {
+                        let len = a % (cap + 2);
+                        model.truncate(len);
+                        ring.truncate(len);
                     }
                     _ => {
                         if let Some(front) = ring.front_mut(seg) {
