@@ -124,6 +124,24 @@ if ! cksum < "$tmpdir/tiny_serial.txt" | diff scripts/tiny_digest.txt - >&2; the
 fi
 echo "verify: --tiny battery digest matches scripts/tiny_digest.txt"
 
+# The digest above pins each run's results, not the order its events
+# happened in: a phase body that applies an effect a step early or late
+# can leave every printed figure alone. Both drivers run the same phase
+# bodies, so the --dense diff below cannot see it either. The event
+# trace can: four traced runs that between them cover every kill cause
+# (about a quarter second) are pinned by `cksum` in
+# scripts/trace_digest.txt, one "runner cksum bytes" line each. Same
+# re-record rule as the digests above.
+for runner in fig09 fig12 fig15 churn; do
+    ./target/release/$runner --tiny --jobs 1 --trace "$tmpdir/$runner.jsonl" > /dev/null
+    echo "$runner $(cksum < "$tmpdir/$runner.jsonl")"
+done > "$tmpdir/trace_digest.txt"
+if ! diff scripts/trace_digest.txt "$tmpdir/trace_digest.txt" >&2; then
+    echo "verify: FAIL — cksum of a traced --tiny run differs from scripts/trace_digest.txt" >&2
+    exit 1
+fi
+echo "verify: traced --tiny event streams match scripts/trace_digest.txt"
+
 # And on the reference driver (DESIGN.md §10), which visits every
 # component every cycle, never fast-forwards and never forms a worm
 # train: the whole battery must match the default driver byte for byte
