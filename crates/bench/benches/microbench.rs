@@ -173,7 +173,7 @@ fn bench_registries() {
 }
 
 /// One router's turn in the fused route + traverse phase, priced from
-/// outside through the calls the phase kernel makes
+/// outside through the calls the phase makes
 /// (`route_and_allocate`, then `traverse_each`), in the three states
 /// an armed router of a padded-worm fabric is found in: streaming one
 /// body flit through one output, holding an allocated output with no
@@ -269,7 +269,7 @@ fn bench_router_visit() {
 }
 
 /// One link's turn in the arrivals phase, priced from outside through
-/// the calls the quiet-cycle kernel makes per armed link (the
+/// the calls the arrivals scan makes per armed link (the
 /// `occupied` / `wake` gate, `pop_due` on every lane until it is dry,
 /// `Router::accept`, `end_scan` and the re-arm), in the three states
 /// an armed link is found in: a flit due with room downstream, a flit

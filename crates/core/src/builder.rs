@@ -56,6 +56,11 @@ impl NetworkBuilder {
         }
     }
 
+    /// The topology the network will be built over.
+    pub fn topology(&self) -> &dyn Topology {
+        &*self.topo
+    }
+
     /// Inert: the sharded stepper this configured was removed, and
     /// every network steps on one serial driver. Kept only because the
     /// frozen benchmark (`cr-perf`) still calls it; due for deletion

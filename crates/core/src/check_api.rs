@@ -8,8 +8,8 @@
 //! The encoder must read router buffers, link lanes, teardown tokens
 //! and the killed registry — private simulation state that must stay
 //! private (tests and tools should not be able to mutate or depend on
-//! it). Declaring this module inside `network.rs` (as the kernel and
-//! phase modules are) grants field access without widening any
+//! it). Declaring this module inside `network.rs` (as the phase and
+//! train modules are) grants field access without widening any
 //! visibility.
 //!
 //! # Canonical encoding

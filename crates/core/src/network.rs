@@ -24,25 +24,27 @@
 //!    router has traversed.
 //! 7. Bookkeeping: registry pruning and the deadlock watchdog.
 //!
-//! # Kernels and effects
+//! # Effects in place
 //!
-//! Phases 5 and 6 are written as kernels (`network_kernel.rs`) that
-//! mutate only the components they visit and buffer every other
-//! effect in a sink; `network_phases.rs` runs each kernel and then
-//! applies its sink (DESIGN.md §12), which makes the two phases
-//! visit-order-free. This file keeps everything else: churn, arrivals,
-//! tokens, path-wide detection, traffic, bookkeeping and the kill
-//! machinery, each applying its effects in place.
+//! Every phase writes its effects in place. Injection and the fused
+//! route + traverse visit live in `network_phases.rs`; this file keeps
+//! everything else: churn, arrivals, tokens, path-wide detection,
+//! traffic, bookkeeping and the kill machinery. The one effect the
+//! model holds back is the upstream credit of each flit route +
+//! traverse moves out of an input lane, returned once every router has
+//! traversed — the one-cycle credit-return latency (DESIGN.md §12).
+//! The cycle's deliveries and `LinkStall` events also wait for the
+//! router loop to end, so every `Deliver` event precedes them.
 //!
 //! # Active-set scheduling
 //!
-//! By default the kernels are fed *sparse* visit lists: each phase
+//! By default the phases are fed *sparse* visit lists: each phase
 //! walks only the components that can possibly do work this cycle,
 //! tracked in bitset [`ActiveSet`]s (links with buffered
 //! flits, routers with occupancy or an open stall streak, injectors
 //! with a worm in hand or a queue), and the run loops *fast-forward*
 //! across stretches of cycles in which every phase is provably a
-//! no-op. [`Network::set_reference_stepper`] feeds the same kernels
+//! no-op. [`Network::set_reference_stepper`] feeds the same phases
 //! every component instead and never fast-forwards; the results are
 //! byte-identical (skipped components and cycles are proven
 //! side-effect-free — see DESIGN.md §10), which is what the twin-run
@@ -52,12 +54,13 @@ use crate::config::NetworkConfig;
 use crate::injector::{Injector, PendingMessage};
 use crate::killmap::KilledMap;
 use crate::link::LinkState;
-use crate::receiver::Receiver;
+use crate::receiver::{DeliveredMessage, Receiver};
 use crate::report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, TraceSummary};
 use cr_faults::{ChurnFiring, FaultModel};
 use cr_metrics::{LatencyRecorder, ThroughputMeter};
 use cr_router::{
-    Flit, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
+    LinkStallStreak, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction,
+    WormId,
 };
 use cr_sim::sched::ActiveSet;
 use cr_sim::trace::{Event, KillCause, TraceSink, TraceStats};
@@ -65,9 +68,6 @@ use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
 use cr_traffic::TrafficSource;
 use std::collections::{BTreeMap, VecDeque};
-
-#[path = "network_kernel.rs"]
-mod kernel;
 
 #[path = "network_phases.rs"]
 mod phases;
@@ -120,7 +120,7 @@ struct ChurnTracker {
 }
 
 /// The fabric's wiring, read-only once assembled: what every phase
-/// kernel needs to resolve a port to a link or a neighbour.
+/// needs to resolve a port to a link or a neighbour.
 struct Tables {
     topo: Box<dyn Topology>,
     routing: Box<dyn RoutingFunction>,
@@ -140,8 +140,6 @@ struct Tables {
     /// upstream output port), node [`NONE`] where unconnected; read
     /// via [`Tables::in_upstream`].
     in_upstream: Vec<(u32, PortId)>,
-    /// Injection channels per node (`cfg.inject_channels`).
-    chans: usize,
 }
 
 /// "No entry" in the flat `u32` wiring tables.
@@ -223,7 +221,7 @@ pub struct Network {
 
     now: Cycle,
     record_deliveries: bool,
-    delivery_log: Vec<crate::receiver::DeliveredMessage>,
+    delivery_log: Vec<DeliveredMessage>,
     latency: LatencyRecorder,
     throughput: ThroughputMeter,
     counters: NetCounters,
@@ -235,7 +233,7 @@ pub struct Network {
     // --- active-set scheduler state (DESIGN.md §10) ---
     //
     // The sets are maintained by the shared mutation helpers and
-    // rebuilt by every kernel's re-arm pass whichever driver is
+    // rebuilt by every phase's re-arm pass whichever driver is
     // running, so they are always a superset of the truly active
     // components. That keeps switching drivers mid-run legal.
     /// Routers with buffered flits or an open stall streak.
@@ -250,7 +248,7 @@ pub struct Network {
     /// [`Network::prune_registries`], so the periodic prune visits
     /// those and not every node.
     receiver_set: ActiveSet,
-    /// Visit-list scratch of the arrivals scan and the prune.
+    /// Visit-list scratch of every phase that drains an active set.
     ids_scratch: Vec<u32>,
     /// Flits in routers + links, maintained incrementally; the O(1)
     /// backing of [`Network::flits_in_flight`].
@@ -261,9 +259,17 @@ pub struct Network {
     /// `true` = the reference driver: every phase visits every
     /// component, link wakes are ignored, no fast-forward.
     reference_stepper: bool,
-    /// The phase kernels' effects sink, applied after each kernel
-    /// (DESIGN.md §12).
-    fx: kernel::Effects,
+    /// Upstream credits route + traverse holds until every router
+    /// has traversed, as (upstream node, output port, vc): the
+    /// one-cycle credit-return latency (DESIGN.md §12).
+    held_credits: Vec<(usize, PortId, VcId)>,
+    /// Messages the receivers completed this cycle, in traversal
+    /// order, applied after the router loop.
+    delivered: Vec<DeliveredMessage>,
+    /// The cycle's `LinkStall` events, emitted after its `Deliver`s.
+    stall_events: Vec<Event>,
+    /// Finished link-stall streaks, reused across routers.
+    streaks: Vec<LinkStallStreak>,
 
     // --- live fault churn state (DESIGN.md §13) ---
     /// Scratch for [`cr_faults::FaultModel::apply_churn_due`], reused
@@ -433,7 +439,10 @@ impl Network {
             live_flits: 0,
             undrained_injectors: 0,
             reference_stepper: false,
-            fx: kernel::Effects::default(),
+            held_credits: Vec::new(),
+            delivered: Vec::new(),
+            stall_events: Vec::new(),
+            streaks: Vec::new(),
             tables: Tables {
                 topo,
                 routing,
@@ -442,7 +451,6 @@ impl Network {
                 link_head,
                 link_ids,
                 in_upstream,
-                chans: cfg.inject_channels,
             },
             faults,
             timeout,
@@ -590,7 +598,7 @@ impl Network {
         self.live_flits
     }
 
-    /// Selects the reference driver: `true` feeds every phase kernel
+    /// Selects the reference driver: `true` feeds every phase
     /// every component (link wakes ignored, no cycle fast-forward),
     /// `false` (the default) the active-set visit lists. The two are
     /// byte-identical in every observable output; the reference
@@ -646,17 +654,6 @@ impl Network {
             "armed a train's injector"
         );
         self.injector_set.insert(idx32(id));
-    }
-
-    /// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
-    /// the link's active-set membership current.
-    fn push_onto_link(&mut self, li: usize, vc: VcId, arrive: Cycle, flit: Flit) {
-        let pushed = self.links[li].push(vc.index(), arrive, flit);
-        assert!(
-            pushed.is_ok(),
-            "link {li} lane {vc} overflow: a flit was sent without a credit"
-        );
-        self.link_set.insert(idx32(li));
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
@@ -1081,7 +1078,7 @@ impl Network {
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
         let all = 0..self.links.len();
-        kernel::visit_list(&mut ids, &mut self.link_set, all, self.reference_stepper);
+        phases::visit_list(&mut ids, &mut self.link_set, all, self.reference_stepper);
         for &li in &ids {
             self.visit_link(now, li);
         }
@@ -1248,7 +1245,7 @@ impl Network {
     /// Path-wide detection: a stalled worm needs a buffered flit, so
     /// only routers in the active set can trigger (the reference
     /// driver asks every router anyway). The sets are read, *not*
-    /// drained — the route + traverse kernel owns their
+    /// drained — the route + traverse phase owns their
     /// drain-and-rebuild. Kills arm injectors, never routers, so the
     /// set can be lifted out while `path_wide_one` borrows the network
     /// (an arm would hit the empty stand-in and panic).
@@ -1357,7 +1354,7 @@ impl Network {
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
         let all = 0..self.receivers.len();
-        kernel::visit_list(&mut ids, &mut self.receiver_set, all, self.reference_stepper);
+        phases::visit_list(&mut ids, &mut self.receiver_set, all, self.reference_stepper);
         for &n in &ids {
             let rx = &mut self.receivers[n as usize];
             rx.prune(horizon);
@@ -1486,11 +1483,13 @@ impl Network {
     // Kill machinery
     // ------------------------------------------------------------------
 
-    /// Kills `worm` at an in-fabric kill point (fault detection or
-    /// path-wide stall): registry insert, then teardown in both
-    /// directions. Source-timeout kills never come here — their kill
-    /// point is the injection FIFO, and the injection kernel handles
-    /// them whole.
+    /// Kills `worm` at `(node, port, vc)` — for every kill cause:
+    /// the input VC where a corrupted flit was detected or a path-wide
+    /// stall observed, or the injection FIFO on a source timeout.
+    /// Registry insert, then teardown in both directions; a kill at
+    /// the injection FIFO has no backward walk and notifies its
+    /// injector at once. Counts `kills_fault`; the other causes'
+    /// counters are the caller's.
     fn kill_worm_at(
         &mut self,
         now: Cycle,

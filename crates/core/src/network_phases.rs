@@ -1,161 +1,299 @@
-//! The kernel phases: injection and the fused route + traverse visit
-//! run as kernels (`network_kernel.rs`) over the whole fabric, and
-//! their buffered effects are applied here, after the kernel returns
-//! (DESIGN.md §12).
+//! Injection and the fused route + traverse visit (DESIGN.md §12).
 //!
-//! A kernel mutates only the components it visits and writes every
-//! other effect — upstream credits, link pushes, deliveries, kills,
-//! counters, trace events — into the sink. Applying the sink in one
-//! fixed order afterwards is what makes a kernel visit-order-free:
-//! no visit reads what another visit wrote.
+//! Both phases write their effects in place, like every other phase.
+//! A router's visit holds `&mut` its own router only, so it cannot
+//! write another router; the one effect that would — the upstream
+//! credit of each flit that leaves an input lane — is held in
+//! `held_credits` and returned after every router has traversed: the
+//! one-cycle credit-return latency. The cycle's completed messages and
+//! its `LinkStall` events are applied after the router loop too, so
+//! every `Deliver` event of a cycle comes before every `LinkStall`.
 
-use super::kernel::{self, Ctx, Effects, Kernel, View};
-use super::{Network, SOURCE_GONE};
-use cr_sim::trace::Event;
-use cr_sim::{Cycle, VcId};
+use super::{idx32, Network, SOURCE_GONE};
+use crate::link::LinkState;
+use cr_router::{Flit, RouteTarget};
+use cr_sim::sched::ActiveSet;
+use cr_sim::trace::{Event, KillCause};
+use cr_sim::{Cycle, NodeId, VcId};
+use std::ops::Range;
 
-/// Applies a signed delta to an unsigned incremental counter.
-fn apply_delta(value: &mut usize, delta: i64) {
-    let next = *value as i64 + delta;
-    debug_assert!(next >= 0, "incremental counter went negative");
-    *value = next.max(0) as usize;
+/// Appends a phase's visit list to `ids`: the armed `set` drained
+/// ascending, or — reference driver — every id in `all`. Either way
+/// the set is left empty for the phase's re-arm pass, so it stays
+/// exact under every driver and drivers may be switched mid-run.
+pub(super) fn visit_list(
+    ids: &mut Vec<u32>,
+    set: &mut ActiveSet,
+    all: Range<usize>,
+    visit_all: bool,
+) {
+    if visit_all {
+        set.clear();
+        ids.extend(all.map(idx32));
+    } else {
+        set.drain_sorted_into(ids);
+    }
+}
+
+/// Parks `flit` on link `li`'s lane `vc`, due at `arrive`, keeping
+/// the link's active-set membership current. A lane has as many slots
+/// as its upstream output VC has credits, so a push past that is a
+/// flow-control bug and aborts.
+pub(super) fn push_onto_link(
+    links: &mut [LinkState],
+    link_set: &mut ActiveSet,
+    li: usize,
+    vc: VcId,
+    arrive: Cycle,
+    flit: Flit,
+) {
+    let pushed = links[li].push(vc.index(), arrive, flit);
+    assert!(
+        pushed.is_ok(),
+        "link {li} lane {vc} overflow: a flit was sent without a credit"
+    );
+    link_set.insert(idx32(li));
 }
 
 impl Network {
-    /// Runs `kernel` over the fabric, leaving its effects in the sink
-    /// for the caller's [`Network::apply_effects`].
-    fn run_kernel(&mut self, now: Cycle, kernel: Kernel) {
-        let ctx = Ctx {
-            now,
-            tables: &self.tables,
-            killed: &self.killed,
-            trace_on: self.trace.enabled(),
-            visit_all: self.reference_stepper,
-            form_trains: self.trains.enabled,
-        };
-        let mut view = View {
-            routers: &mut self.routers,
-            injectors: &mut self.injectors,
-            receivers: &mut self.receivers,
-            router_set: &mut self.router_set,
-            injector_set: &mut self.injector_set,
-            receiver_set: &mut self.receiver_set,
-        };
-        kernel(&ctx, &mut view, &mut self.fx);
-    }
-
-    /// Runs `apply` over the effects sink.
-    fn apply_effects(&mut self, apply: impl FnOnce(&mut Network, &mut Effects)) {
-        let mut fx = std::mem::take(&mut self.fx);
-        apply(self, &mut fx);
-        self.fx = fx;
-    }
-
     // --------------------------------------------------------------
     // Injection
     // --------------------------------------------------------------
 
+    /// Every visited injector's cycle. [`Injector::step`] is a no-op
+    /// that draws no RNG whenever [`Injector::has_step_work`] is false
+    /// — the skip condition.
+    ///
+    /// [`Injector::step`]: crate::injector::Injector::step
+    /// [`Injector::has_step_work`]: crate::injector::Injector::has_step_work
     pub(super) fn phase_injection(&mut self, now: Cycle) {
-        self.run_kernel(now, kernel::injection);
-        self.apply_effects(|net, fx| {
-            // Per injector the kernel emitted: Kill event (buffered in
-            // `events`), registry insert, forward token. Nothing in
-            // the phase reads the registry or the token lists, so
-            // applying them grouped by kind is state-identical.
-            for worm in fx.kills.drain(..) {
-                net.trains.forget_tail(worm);
-                net.killed.insert(worm, now);
-            }
-            net.fwd_tokens.append(&mut fx.tokens);
-            net.apply_deltas(now, fx);
-        });
-    }
-
-    // --------------------------------------------------------------
-    // Routing + switch traversal (one fused kernel)
-    // --------------------------------------------------------------
-
-    pub(super) fn phase_route_and_traverse(&mut self, now: Cycle) {
-        self.run_kernel(now, kernel::route_traverse);
-        // Link pushes (routers ascending, traversals in emission
-        // order), then deliveries with all their side effects, then
-        // the held-back credits, then counter deltas. Pushes,
-        // deliveries and credits touch disjoint state, so their
-        // relative grouping cannot be observed.
-        self.apply_effects(|net, fx| {
-            for i in 0..fx.push_li.len() {
-                let li = fx.push_li[i] as usize;
-                // A train's link carries only its own worm, whose held
-                // output VC is the link's only lane and pushes nothing.
-                debug_assert!(
-                    net.trains.on_link(li).is_none(),
-                    "pushed onto a train's link"
-                );
-                if now.as_u64() >= net.cfg.warmup {
-                    net.link_flits[li] += 1;
-                }
-                let arrive = now + net.cfg.channel_latency;
-                net.push_onto_link(li, VcId::new(fx.push_vc[i]), arrive, fx.push_flit[i]);
-            }
-            fx.push_li.clear();
-            fx.push_vc.clear();
-            fx.push_flit.clear();
-            for m in fx.delivered.drain(..) {
-                net.trains.check_delivery(&m);
-                net.counters.messages_delivered += 1;
-                net.counters.payload_flits_delivered += u64::from(m.payload_len);
-                if m.corrupt {
-                    net.counters.corrupt_payload_delivered += 1;
-                }
-                net.latency.record(m.created, now);
-                net.throughput.record_flits(now, m.payload_len as usize);
-                net.trace.emit(|| Event::Deliver {
-                    at: now,
-                    src: m.src,
-                    dst: m.dst,
-                    message: m.id,
-                    attempts: m.attempts,
-                    latency: now.saturating_since(m.created),
-                });
-                if let Some((sn, sc)) = net.source_of(m.id) {
-                    net.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
-                    net.injector_on_delivered(sn, sc, m.id);
-                }
-                if net.record_deliveries {
-                    net.delivery_log.push(m);
-                }
-            }
-            net.trains.candidates.append(&mut fx.heads);
-            net.apply_credits(fx);
-            net.apply_deltas(now, fx);
-        });
-    }
-
-    // --------------------------------------------------------------
-    // Effect helpers
-    // --------------------------------------------------------------
-
-    /// Commits the buffered upstream credit returns.
-    fn apply_credits(&mut self, fx: &mut Effects) {
-        for (up_node, up_out, vc) in fx.credits.drain(..) {
-            self.routers[up_node as usize].add_credit(up_out, vc);
+        let mut ids = std::mem::take(&mut self.ids_scratch);
+        ids.clear();
+        let all = 0..self.injectors.len() * self.cfg.inject_channels;
+        visit_list(&mut ids, &mut self.injector_set, all, self.reference_stepper);
+        for &id in &ids {
+            self.visit_injector(now, id);
         }
+        self.ids_scratch = ids;
     }
 
-    /// Commits the counter deltas, progress flag and buffered trace
-    /// events.
-    fn apply_deltas(&mut self, now: Cycle, fx: &mut Effects) {
-        self.counters.merge(&std::mem::take(&mut fx.counters));
-        apply_delta(&mut self.live_flits, std::mem::take(&mut fx.live_delta));
-        apply_delta(
-            &mut self.undrained_injectors,
-            std::mem::take(&mut fx.undrained_delta),
-        );
-        if std::mem::take(&mut fx.progress) {
+    /// One injector's turn; a source timeout kills the worm at its
+    /// injection FIFO through [`Network::kill_worm_at`].
+    fn visit_injector(&mut self, now: Cycle, id: u32) {
+        let chans = self.cfg.inject_channels;
+        let (n, c) = (id as usize / chans, id as usize % chans);
+        let src = NodeId::from_index(n);
+        let out = self.injectors[n][c].step(now, &mut self.routers[n]);
+        if out.injected_flit {
             self.last_progress = now;
+            self.live_flits += 1;
+            self.arm_router(n);
+            if out.injected_pad {
+                self.counters.pad_flits_injected += 1;
+            } else {
+                self.counters.payload_flits_injected += 1;
+            }
         }
-        for ev in fx.events.drain(..) {
+        if out.restarted {
+            self.counters.retransmissions += 1;
+        }
+        if let Some((worm, dst)) = out.started {
+            self.trace.emit(|| Event::Inject {
+                at: now,
+                src,
+                dst,
+                message: worm.message,
+                attempt: worm.attempt,
+            });
+        }
+        if let Some(worm) = out.committed {
+            self.trace.emit(|| Event::Commit {
+                at: now,
+                src,
+                message: worm.message,
+                attempt: worm.attempt,
+            });
+        }
+        if let Some(worm) = out.kill {
+            self.counters.kills_source_timeout += 1;
+            let port = self.routers[n].inject_port(c);
+            self.kill_worm_at(now, n, port, VcId::new(0), worm, KillCause::SourceTimeout);
+        }
+        if self.injectors[n][c].has_step_work() {
+            self.injector_set.insert(id);
+        }
+    }
+
+    // --------------------------------------------------------------
+    // Routing + switch traversal (one fused visit per router)
+    // --------------------------------------------------------------
+
+    /// Every visited router routes and traverses, then the held
+    /// effects land: the cycle's deliveries, its `LinkStall` events,
+    /// and last the upstream credits.
+    pub(super) fn phase_route_and_traverse(&mut self, now: Cycle) {
+        let mut ids = std::mem::take(&mut self.ids_scratch);
+        ids.clear();
+        let all = 0..self.routers.len();
+        visit_list(&mut ids, &mut self.router_set, all, self.reference_stepper);
+        for &n in &ids {
+            self.visit_router(now, n);
+        }
+        self.ids_scratch = ids;
+
+        let mut delivered = std::mem::take(&mut self.delivered);
+        for m in delivered.drain(..) {
+            self.trains.check_delivery(&m);
+            self.counters.messages_delivered += 1;
+            self.counters.payload_flits_delivered += u64::from(m.payload_len);
+            if m.corrupt {
+                self.counters.corrupt_payload_delivered += 1;
+            }
+            self.latency.record(m.created, now);
+            self.throughput.record_flits(now, m.payload_len as usize);
+            self.trace.emit(|| Event::Deliver {
+                at: now,
+                src: m.src,
+                dst: m.dst,
+                message: m.id,
+                attempts: m.attempts,
+                latency: now.saturating_since(m.created),
+            });
+            if let Some((sn, sc)) = self.source_of(m.id) {
+                self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
+                self.injector_on_delivered(sn, sc, m.id);
+            }
+            if self.record_deliveries {
+                self.delivery_log.push(m);
+            }
+        }
+        self.delivered = delivered;
+        for ev in self.stall_events.drain(..) {
             self.trace.emit(|| ev);
+        }
+        for (up_node, up_out, vc) in self.held_credits.drain(..) {
+            self.routers[up_node].add_credit(up_out, vc);
+        }
+    }
+
+    /// One router's visit. It allocates its unrouted headers (an O(1)
+    /// return when it has none), holds an upstream credit for each
+    /// orphan that dropped, then traverses, each departing flit going
+    /// from its FIFO straight onto its link or into the router's own
+    /// receiver, its upstream credit held. Finished stall streaks are
+    /// held as `LinkStall` events (routers only record streaks while
+    /// tracing), and a router still holding flits outside the streams
+    /// worm trains hold, or an open streak, re-arms.
+    ///
+    /// The visit borrows `&mut` its own router and nothing else's, so
+    /// it reads nothing another router's visit of this cycle wrote, and
+    /// routers may be visited in any order. A router not visited holds
+    /// no flit but held ones and no open streak, for which every step
+    /// here is a no-op that draws no RNG.
+    fn visit_router(&mut self, now: Cycle, n32: u32) {
+        let n = n32 as usize;
+        let Network {
+            tables,
+            cfg,
+            killed,
+            routers,
+            receivers,
+            links,
+            link_set,
+            link_flits,
+            router_set,
+            receiver_set,
+            held_credits,
+            delivered,
+            stall_events,
+            streaks,
+            counters,
+            live_flits,
+            last_progress,
+            trace,
+            trains,
+            ..
+        } = self;
+        let router = &mut routers[n];
+        let is_killed = |w| killed.contains(w);
+        let mut hold_credit = |port, vc| {
+            if let Some((up_node, up_out)) = tables.in_upstream(n, port) {
+                held_credits.push((up_node, up_out, vc));
+            }
+        };
+        let orphans = router.route_and_allocate(now, &*tables.routing, &*tables.topo, &is_killed);
+        if orphans > 0 {
+            // Orphan drops leave the network.
+            *live_flits -= orphans;
+            for (port, vc) in router.take_orphan_credits() {
+                hold_credit(port, vc);
+            }
+        }
+        // Input ports below this are neighbor ports, fed by an
+        // upstream router that is owed the credit.
+        let node_ports = router.config().num_node_ports;
+        let rx = &mut receivers[n];
+        let arrive = now + cfg.channel_latency;
+        let warm = now.as_u64() >= cfg.warmup;
+        router.traverse_each(now, &is_killed, |t| {
+            *last_progress = now;
+            if t.from_port.index() < node_ports {
+                hold_credit(t.from_port, t.from_vc);
+            }
+            match t.target {
+                RouteTarget::Link { port, vc } => {
+                    let Some(li) = tables.out_link(n, port) else {
+                        // Routing only offers connected ports; stay
+                        // loud in debug, drop defensively in release
+                        // rather than killing the sweep worker.
+                        debug_assert!(false, "route to disconnected port");
+                        return;
+                    };
+                    // A train's link carries only its own worm, whose
+                    // held output VC is the link's only lane and pushes
+                    // nothing.
+                    debug_assert!(trains.on_link(li).is_none(), "pushed onto a train's link");
+                    if warm {
+                        link_flits[li] += 1;
+                    }
+                    push_onto_link(links, link_set, li, vc, arrive, t.flit);
+                }
+                RouteTarget::Eject { .. } => {
+                    // The flit left the fabric, delivered or not.
+                    *live_flits -= 1;
+                    if is_killed(t.flit.worm) {
+                        counters.flits_dropped_killed += 1;
+                        rx.discard(t.flit.worm);
+                    } else {
+                        if trains.enabled && t.flit.is_head() {
+                            trains.candidates.push((n32, t.flit.worm));
+                        }
+                        delivered.extend(rx.on_flit(now, t.flit));
+                        if rx.assembling_len() > 0 {
+                            // Open assembly: the periodic prune must
+                            // look at this receiver.
+                            receiver_set.insert(n32);
+                        }
+                    }
+                }
+            }
+        });
+        if trace.enabled() {
+            streaks.clear();
+            router.drain_streaks_into(streaks);
+            for s in streaks.iter() {
+                if let Some(li) = tables.out_link(n, s.port) {
+                    stall_events.push(Event::LinkStall {
+                        at: s.since,
+                        link: tables.link_ids[li],
+                        cause: s.cause,
+                        cycles: s.cycles,
+                    });
+                }
+            }
+        }
+        if router.needs_visit() {
+            router_set.insert(n32);
         }
     }
 }
@@ -165,7 +303,7 @@ mod tests {
     use super::*;
     use crate::NetworkBuilder;
     use cr_router::flit::worm_flit_at;
-    use cr_router::{Flit, RouteTarget, WormId};
+    use cr_router::WormId;
     use cr_sim::{MessageId, NodeId, PortId};
     use cr_topology::KAryNCube;
 
@@ -196,12 +334,19 @@ mod tests {
             .build();
         let credits = 1 + net.cfg.channel_latency as u32;
         for seq in 0..=credits {
-            net.push_onto_link(0, VcId::new(0), Cycle::ZERO, flit(1, seq));
+            push_onto_link(
+                &mut net.links,
+                &mut net.link_set,
+                0,
+                VcId::new(0),
+                Cycle::ZERO,
+                flit(1, seq),
+            );
         }
     }
 
     /// The orphan-drop credit has the latency of every other credit:
-    /// it lands with the route + traverse effects, after the upstream
+    /// it is held until every router has traversed, after the upstream
     /// router's own traversal of that cycle, and is spent the cycle
     /// after. Two routers, wired 1 -> 0 and driven by hand through the
     /// fused phase alone (nothing ever arrives, so what node 1 sends
@@ -209,7 +354,7 @@ mod tests {
     /// out of credits with a flit ready when node 0 — visited first —
     /// drops an orphan from the input that link feeds.
     #[test]
-    fn orphan_drop_credit_lands_after_the_kernel() {
+    fn orphan_drop_credit_lands_after_the_router_loop() {
         let mut net = NetworkBuilder::new(KAryNCube::mesh(2, 1))
             .buffer_depth(1)
             .build();
@@ -282,7 +427,7 @@ mod tests {
         assert_eq!(
             net.routers[1].credits(up_out, vc),
             1,
-            "landed with the kernel's effects"
+            "landed after the router loop"
         );
 
         // The cycle after, the credit is spent.

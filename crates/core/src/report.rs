@@ -90,18 +90,6 @@ macro_rules! with_counter_fields {
 }
 
 impl NetCounters {
-    /// Adds every counter of `other` into `self` — how a phase
-    /// kernel's counter deltas are applied (all fields are plain sums,
-    /// so merge order cannot matter).
-    pub fn merge(&mut self, other: &NetCounters) {
-        macro_rules! add {
-            (($slf:ident, $oth:ident) $($f:ident,)*) => {{
-                $($slf.$f += $oth.$f;)*
-            }};
-        }
-        with_counter_fields!(add!(self, other))
-    }
-
     /// Serializes every counter as a [`Json`] object keyed by field
     /// name.
     pub fn to_json(&self) -> Json {

@@ -395,7 +395,7 @@ impl Network {
         }
     }
 
-    /// Before the route + traverse kernel of cycle `now`: a train whose
+    /// Before the route + traverse phase of cycle `now`: a train whose
     /// tail has left a router where an unrouted input now waits is
     /// written back as of the end of the previous cycle, its arrivals of
     /// this cycle replayed, because a header there may win the output
@@ -655,7 +655,7 @@ impl Network {
         stats.cycles += steps;
         stats.flit_hops += carried;
 
-        // Re-arm exactly what the kernels would have left armed.
+        // Re-arm exactly what the phases would have left armed.
         self.arm_injector(src, train.chan);
         for hop in train.hops.iter().filter(|h| h.link != NONE) {
             match replay {
@@ -686,7 +686,7 @@ mod tests {
     use cr_topology::{KAryNCube, Topology};
     use cr_traffic::{Trace, TraceEvent};
 
-    /// The route + traverse kernel re-arms a router only for flits
+    /// The route + traverse phase re-arms a router only for flits
     /// outside held streams: a router on a train's path, armed by a
     /// worm crossing it on other ports, leaves its active set once that
     /// worm has gone, although the train's flits are still buffered in

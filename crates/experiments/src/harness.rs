@@ -110,11 +110,19 @@ impl Run {
     /// Builds the network under this run's settings: an event ring of
     /// `TRACE_RING_CAPACITY` when tracing, the churn plan, and the
     /// reference driver under `dense`. Pair with [`finish`](Run::finish).
+    ///
+    /// A churn plan naming a link, node or outage centre this fabric
+    /// lacks exits the process with status 2 and an `error:` line, as
+    /// [`from_args_with`](Run::from_args_with) does for a bad flag.
     pub fn build(&self, builder: &mut NetworkBuilder) -> Network {
         if self.trace.is_some() {
             builder.trace(TRACE_RING_CAPACITY);
         }
         if let Some(plan) = &self.churn {
+            if let Err(e) = plan.check(builder.topology()) {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
             builder.churn(plan.clone());
         }
         let mut net = builder.build();

@@ -36,6 +36,7 @@
 
 use cr_sim::{Cycle, Json, LinkId, NodeId, SimRng};
 use cr_topology::Topology;
+use std::collections::BTreeSet;
 
 /// One fault-state change (or generator thereof) in a churn timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,6 +280,41 @@ impl ChurnSchedule {
             }
         }
         out
+    }
+
+    /// Checks that every event names a link, node or outage centre
+    /// `topology` has. A plan parses without a fabric, so a well-formed
+    /// plan can still name a link or node the network it is given to
+    /// lacks; this is the check to run before that network is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChurnParseError`] naming the first such event.
+    pub fn check(&self, topology: &dyn Topology) -> Result<(), ChurnParseError> {
+        let links: BTreeSet<LinkId> = topology.links().iter().map(|l| l.id).collect();
+        let nodes = topology.num_nodes();
+        for e in &self.entries {
+            let missing = match e.event {
+                ChurnEvent::KillLink { link } | ChurnEvent::ReviveLink { link } => {
+                    (!links.contains(&link)).then(|| format!("link {}", link.as_u32()))
+                }
+                ChurnEvent::KillNode { node }
+                | ChurnEvent::ReviveNode { node }
+                | ChurnEvent::RegionalOutage { center: node, .. } => {
+                    (node.index() >= nodes).then(|| format!("node {}", node.as_u32()))
+                }
+            };
+            if let Some(what) = missing {
+                return Err(ChurnParseError(format!(
+                    "{} at cycle {} names {what}, not in the {} ({nodes} nodes, {} links)",
+                    e.event.kind(),
+                    e.at.as_u64(),
+                    topology.label(),
+                    links.len(),
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Serializes the plan to the `--churn` JSON shape.
@@ -529,6 +565,39 @@ mod tests {
                 }
                 other => panic!("unexpected {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn check_names_the_first_event_the_fabric_lacks() {
+        let t = KAryNCube::torus(4, 2);
+        let last_link = t.links().iter().map(|l| l.id).max().expect("a torus has links");
+        let mut ok = ChurnSchedule::new();
+        ok.kill_link(Cycle::new(5), last_link)
+            .kill_node(Cycle::new(6), NodeId::new(15))
+            .regional_outage(Cycle::new(7), NodeId::new(0), 1, 10);
+        assert_eq!(ok.check(&t), Ok(()));
+
+        let beyond = LinkId::new(last_link.as_u32() + 1);
+        for (plan, needle) in [
+            (
+                ChurnSchedule::new().kill_link(Cycle::new(5), beyond).clone(),
+                format!("kill_link at cycle 5 names link {}", beyond.as_u32()),
+            ),
+            (
+                ChurnSchedule::new().revive_node(Cycle::new(6), NodeId::new(16)).clone(),
+                "revive_node at cycle 6 names node 16".to_string(),
+            ),
+            (
+                ChurnSchedule::new()
+                    .regional_outage(Cycle::new(7), NodeId::new(999), 0, 1)
+                    .kill_link(Cycle::new(8), beyond)
+                    .clone(),
+                "regional_outage at cycle 7 names node 999".to_string(),
+            ),
+        ] {
+            let err = plan.check(&t).expect_err("names something the torus lacks");
+            assert!(err.to_string().contains(&needle), "{err}");
         }
     }
 }

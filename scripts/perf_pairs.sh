@@ -11,8 +11,9 @@
 # Usage: scripts/perf_pairs.sh <parent-tree> <change-tree> <workload>|all [pairs=10] [seed=1]
 #
 # Each tree is a checkout of this repository (e.g. a `git clone` of the
-# parent commit next to the working copy). Its benchmark is built once
-# if `cr-perf/target/release/cr-perf` is missing, then every pair runs
+# parent commit next to the working copy). Its benchmark is built
+# first, every time (cargo does nothing when the binary is fresh, and a
+# stale one would time old code), then every pair runs
 # `cr-perf measure --workload W --seed S --seconds 20 --trace 0` once
 # per side, flipping which side goes first each pair (an A/A pair runs
 # the parent twice). Metric names, directions and regression bounds are
@@ -26,7 +27,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -37,9 +38,7 @@ seed="${5:-1}"
 
 bin() { echo "$1/cr-perf/target/release/cr-perf"; }
 for tree in "$parent" "$change"; do
-    if [ ! -x "$(bin "$tree")" ]; then
-        cargo build --release --offline --quiet --manifest-path "$tree/cr-perf/Cargo.toml"
-    fi
+    cargo build --release --offline --quiet --manifest-path "$tree/cr-perf/Cargo.toml"
 done
 
 if [ "$workload" = all ]; then
